@@ -23,7 +23,7 @@ from .dual import DualMultigraph, classify_link, dual_of_pants, signature_of_dua
 from .flagcomplex import (FlagComplex, f_vector, is_connected, maximal_cliques)
 from .genus_zero import (build_caterpillar_window, build_genus_zero_complex,
                          catalog, catalog_names)
-from .homology import betti_numbers
+from .homology import betti_numbers, report_as_dict
 from .multigraph import dual_to_multigraph, random_connected_multigraph, scramble
 from .pants import PantsDecomposition, enumerate_pants, pants_flip_graph
 from .rigidity import (CutLabeling, caterpillar_witness, complex_id,
@@ -85,7 +85,7 @@ def _report(command: str, values: dict, results: dict, passed: bool,
         "inputs": {"digest": _digest(command, values), "values": values},
         "results": results,
         "pass": passed,
-        "timing": {"seconds": round(time.time() - started, 6)},
+        "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
 
 
@@ -162,7 +162,7 @@ def _split_members(raw: str) -> list[str]:
 # -- complex --------------------------------------------------------------
 
 def _cmd_complex_build(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     results = {
@@ -181,7 +181,7 @@ def _cmd_complex_build(args) -> int:
 
 
 def _cmd_complex_stats(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     cliques = maximal_cliques(c)
@@ -201,7 +201,7 @@ def _cmd_complex_stats(args) -> int:
 
 
 def _cmd_complex_homology(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c, values = _complex_from_args(args)
     if args.max_dim is not None:
         values["max_dim"] = args.max_dim
@@ -209,7 +209,7 @@ def _cmd_complex_homology(args) -> int:
     else:
         max_dim = max(len(f_vector(c).counts) - 1, 0)
     report = betti_numbers(c, max_dim=max_dim)
-    results = ser.homology_report_to_dict(report)
+    results = report_as_dict(report)
     if args.json:
         _write_text(args.json, ser.dumps(results))
     _emit(_report("complex homology", values, results, True, started), args.out)
@@ -219,7 +219,7 @@ def _cmd_complex_homology(args) -> int:
 # -- pants ----------------------------------------------------------------
 
 def _cmd_pants_enumerate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     systems = enumerate_pants(args.s)
     results = {
         "s": args.s,
@@ -233,7 +233,7 @@ def _cmd_pants_enumerate(args) -> int:
 
 
 def _cmd_pants_flip_graph(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     fg = pants_flip_graph(args.s)
     results = {
         "s": args.s,
@@ -257,7 +257,7 @@ def _cmd_pants_flip_graph(args) -> int:
 
 
 def _cmd_pants_dual(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c = build_genus_zero_complex(args.s)
     members = _split_members(args.members)
     try:
@@ -284,7 +284,7 @@ def _cmd_pants_dual(args) -> int:
 # -- dual -----------------------------------------------------------------
 
 def _cmd_dual_classify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.input:
         doc = _read_json(args.input)
         try:
@@ -322,7 +322,7 @@ def _cmd_dual_classify(args) -> int:
 # -- whitney --------------------------------------------------------------
 
 def _cmd_whitney_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.random_roundtrip is not None:
         trials = args.random_roundtrip
         seed = args.seed if args.seed is not None else 0
@@ -370,7 +370,7 @@ def _cmd_whitney_check(args) -> int:
 
 
 def _cmd_whitney_lift(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     doc = _read_json(args.map)
     try:
         psi = ser.edge_bijection_from_dict(doc)
@@ -398,7 +398,7 @@ def _cmd_whitney_lift(args) -> int:
 # -- rigidity -------------------------------------------------------------
 
 def _cmd_rigidity_aut(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c, values = _complex_from_args(args)
     group = automorphism_group(c)
     results = {
@@ -412,7 +412,7 @@ def _cmd_rigidity_aut(args) -> int:
 
 
 def _cmd_rigidity_verify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c, values = _complex_from_args(args)
     xs = _split_members(args.subcomplex) if args.subcomplex else list(c.vertices)
     unknown = [v for v in xs if v not in c]
@@ -429,7 +429,7 @@ def _cmd_rigidity_verify(args) -> int:
 
 
 def _cmd_rigidity_split(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c = build_genus_zero_complex(args.genus_zero)
     members = _split_members(args.members)
     try:
@@ -453,7 +453,7 @@ def _cmd_rigidity_split(args) -> int:
 
 
 def _cmd_rigidity_xsigma(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     c = build_genus_zero_complex(args.genus_zero)
     members = _split_members(args.members)
     try:
@@ -478,7 +478,7 @@ def _cmd_rigidity_xsigma(args) -> int:
 
 
 def _cmd_rigidity_witness(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     window = build_caterpillar_window(args.m)
     xs = _split_members(args.x)
     try:
@@ -496,7 +496,7 @@ def _cmd_rigidity_witness(args) -> int:
 # -- nonembed, census, catalog ---------------------------------------------
 
 def _cmd_nonembed(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     src, src_rec = _complex_from_spec(args.source)
     dst, dst_rec = _complex_from_spec(args.target)
     shortcut = not args.no_shortcut
@@ -517,7 +517,7 @@ def _cmd_nonembed(args) -> int:
 
 
 def _cmd_census_good_pairs(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         cut = CutLabeling.from_signature(args.n, args.s)
         census = good_pair_census(cut, args.pair)
@@ -533,7 +533,7 @@ def _cmd_census_good_pairs(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     entries = {}
     for name in catalog_names():
         c = catalog(name)

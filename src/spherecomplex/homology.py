@@ -2,18 +2,24 @@
 
 Boundary matrices are assembled over canonically sorted simplex bases
 with the orientation fixed by sorted-vertex order: the face omitting the
-vertex in position j enters with sign (-1)^j.  Ranks and torsion come
-from an exact Smith normal form over unbounded Python integers; a
-modular rank routine is provided purely as a cross-check and is never
-used as the answer.
+vertex in position j enters with sign (-1)^j.  They are stored sparsely,
+as the k + 1 signed row indices of each column.
+
+Ranks and torsion come from an exact Smith normal form over unbounded
+Python integers, computed in two stages (Dumas, Saunders & Villard,
+"On efficient sparse integer matrix Smith normal form computations",
+2001).  First every +-1 pivot is cleared by sparse unimodular column
+operations, choosing the pivot whose row has the fewest entries so that
+fill-in stays small; each contributes an invariant factor 1.  Whatever
+has no unit entry left is a small residual block, reduced by dense
+elimination.  A modular rank routine is provided purely as a
+cross-check and is never used as the answer.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
 
 from .flagcomplex import FlagComplex, cliques_of_size
 
@@ -23,13 +29,14 @@ class ChainBoundary:
     """The boundary map from k-chains to (k-1)-chains.
 
     rows index the (k-1)-simplex basis, cols the k-simplex basis, both
-    in canonical order; entries are in {-1, 0, +1}.
+    in canonical order; columns[j] lists the nonzero entries of column j
+    as (row index, sign) pairs with sign in {-1, +1}.
     """
 
     dim: int
     rows: tuple[tuple[str, ...], ...]
     cols: tuple[tuple[str, ...], ...]
-    matrix: np.ndarray
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def simplex_basis(c: FlagComplex, k: int) -> list[tuple[str, ...]]:
@@ -47,12 +54,11 @@ def boundary_matrix(c: FlagComplex, k: int) -> ChainBoundary:
     rows = simplex_basis(c, k - 1)
     cols = simplex_basis(c, k)
     row_index = {s: i for i, s in enumerate(rows)}
-    m = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, simplex in enumerate(cols):
-        for omit in range(len(simplex)):
-            face = simplex[:omit] + simplex[omit + 1:]
-            m[row_index[face], j] = (-1) ** omit
-    return ChainBoundary(k, tuple(rows), tuple(cols), m)
+    columns = tuple(
+        tuple((row_index[simplex[:omit] + simplex[omit + 1:]], -1 if omit % 2 else 1)
+              for omit in range(len(simplex)))
+        for simplex in cols)
+    return ChainBoundary(k, tuple(rows), tuple(cols), columns)
 
 
 def boundary_matrices(c: FlagComplex, max_dim: int) -> list[ChainBoundary]:
@@ -72,10 +78,87 @@ def smith_normal_form(matrix) -> SNFResult:
     """Exact Smith normal form over the integers.
 
     Returns the rank and the invariant factors (positive, each dividing
-    the next).  Accepts any nested sequence or integer ndarray; all
-    arithmetic is unbounded-precision.
+    the next).  Accepts a ChainBoundary or any nested row sequence of
+    integers (lists, tuples, an integer ndarray); all arithmetic is
+    unbounded-precision.  Unit pivots are cleared sparsely first; only
+    the block left without a unit entry is eliminated densely.
     """
-    a = [[int(x) for x in row] for row in matrix]
+    if isinstance(matrix, ChainBoundary):
+        n_rows = len(matrix.rows)
+        cols = [dict(col) for col in matrix.columns]
+    else:
+        dense = [[int(x) for x in row] for row in matrix]
+        n_rows = len(dense)
+        cols = [{} for _ in range(len(dense[0]) if n_rows else 0)]
+        for i, row in enumerate(dense):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+    units = _clear_unit_pivots(cols, n_rows)
+    live = [col for col in cols if col]
+    live_rows = sorted({i for col in live for i in col})
+    residual = _dense_snf([[col.get(i, 0) for col in live] for i in live_rows])
+    return SNFResult(units + residual.rank, (1,) * units + residual.factors)
+
+
+def _clear_unit_pivots(cols: list[dict[int, int]], n_rows: int) -> int:
+    """Clear +-1 pivots in place; return how many were cleared.
+
+    A pivot (r, c) is cleared by subtracting multiples of column c from
+    every other column meeting row r, then dropping row r and column c
+    (the row operations that would clear column c touch nothing else).
+    The next pivot lies in the row with the fewest entries, the lowest
+    row index among equals, and in the lowest column of that row with a
+    unit entry.  Cleared columns are left empty.
+    """
+    in_row: list[set[int]] = [set() for _ in range(n_rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            in_row[i].add(j)
+    heap = [(len(js), i) for i, js in enumerate(in_row) if js]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, r = heapq.heappop(heap)
+        row = in_row[r]
+        if size != len(row):
+            continue  # stale: the row changed and was pushed again
+        c = min((j for j in row if cols[j][r] in (1, -1)), default=None)
+        if c is None:
+            continue  # pushed again if a later pivot changes this row
+        pivot, cols[c] = cols[c], {}
+        sign = pivot.pop(r)
+        row.discard(c)
+        for i in pivot:
+            in_row[i].discard(c)
+        plus = list(pivot.items())
+        minus = [(i, -x) for i, x in plus]
+        for j in row:
+            col = cols[j]
+            f = col.pop(r) * sign
+            delta = minus if f == 1 else plus if f == -1 else [(i, -f * x) for i, x in plus]
+            for i, d in delta:
+                y = col.get(i)
+                if y is None:
+                    col[i] = d
+                    in_row[i].add(j)
+                elif y + d:
+                    col[i] = y + d
+                else:
+                    del col[i]
+                    in_row[i].discard(j)
+        row.clear()
+        units += 1
+        for i in pivot:
+            if in_row[i]:
+                heapq.heappush(heap, (len(in_row[i]), i))
+    return units
+
+
+def _dense_snf(a: list[list[int]]) -> SNFResult:
+    """Smith normal form of a dense integer matrix, modified in place:
+    pivot on an entry of smallest absolute value, clear its row and
+    column, and restore divisibility of the remaining block."""
     n_rows = len(a)
     n_cols = len(a[0]) if n_rows else 0
     diag: list[int] = []
@@ -197,11 +280,13 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    counts = [len(simplex_basis(c, k)) for k in range(max_dim + 1)]
+    counts = []
     snf: dict[int, SNFResult] = {}
     ranks = [0]  # rank of d_0
     for k in range(1, max_dim + 2):
-        snf[k] = smith_normal_form(boundary_matrix(c, k).matrix)
+        d = boundary_matrix(c, k)
+        counts.append(len(d.rows))
+        snf[k] = smith_normal_form(d)
         ranks.append(snf[k].rank)
     betti = []
     torsion = []

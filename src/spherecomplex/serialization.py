@@ -14,7 +14,6 @@ from typing import Mapping, Optional
 
 from .dual import DualMultigraph
 from .flagcomplex import FlagComplex, flag_from_adjacency
-from .homology import HomologyReport, report_as_dict
 from .multigraph import Multigraph
 from .rigidity import CaterpillarWitness, GoodPairCensus, RigidityCertificate
 from .search import VertexMap
@@ -209,10 +208,6 @@ def census_to_dict(census: GoodPairCensus, n: int, s: int) -> dict:
         "nonempty": census.nonempty,
         "threshold_met": census.threshold_met,
     }
-
-
-def homology_report_to_dict(r: HomologyReport) -> dict:
-    return report_as_dict(r)
 
 
 # -- schemas --------------------------------------------------------------

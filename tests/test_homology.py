@@ -1,23 +1,27 @@
 """Integer simplicial homology via Smith normal form.
 
-Two independent oracles: matrix rank by exact Gaussian elimination over
-the rationals, and invariant factors by gcds of k-by-k minors.
+Independent oracles: matrix rank by exact Gaussian elimination over the
+rationals, invariant factors by gcds of k-by-k minors, the Betti numbers
+of tree space and of its vertex links in closed form, and the Z/2
+torsion of the real projective plane.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
+    SpherePartition,
     betti_numbers,
     boundary_matrices,
     boundary_matrix,
     build_genus_zero_complex,
     f_vector,
     flag_from_adjacency,
+    link_of,
     rank_mod_p,
     simplex_basis,
     smith_normal_form,
@@ -79,10 +83,31 @@ def exact_det(m) -> int:
     return det.numerator
 
 
-small_matrices = st.lists(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
-    min_size=1, max_size=4,
-).filter(lambda rows: len({len(r) for r in rows}) == 1)
+def dense(d) -> list[list[int]]:
+    """The dense matrix of a sparse ChainBoundary, one entry per face."""
+    m = [[0] * len(d.cols) for _ in d.rows]
+    for j, column in enumerate(d.columns):
+        for i, sign in column:
+            assert m[i][j] == 0, "face entered twice"
+            m[i][j] = sign
+    return m
+
+
+def snf_from_minors(rows) -> tuple[int, ...]:
+    """Invariant factors as ratios d_k / d_(k-1) of minor gcds."""
+    d = [1] + [g for g in minor_gcds(rows, min(len(rows), len(rows[0]))) if g]
+    return tuple(b // a for a, b in zip(d, d[1:]))
+
+
+def matrices(entries):
+    return st.lists(
+        st.lists(entries, min_size=1, max_size=4), min_size=1, max_size=4,
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+
+
+small_matrices = matrices(st.integers(min_value=-9, max_value=9))
+# no +-1 entry: everything goes to the dense residual elimination
+unitless_matrices = matrices(st.sampled_from([0, 0, 2, -2, 3, -3, 4, 6, -6, 9, -10]))
 
 
 class TestSmithNormalForm:
@@ -130,6 +155,17 @@ class TestSmithNormalForm:
         else:
             assert factors[0] == g
 
+    @settings(max_examples=60)
+    @given(st.one_of(small_matrices, unitless_matrices))
+    def test_factors_are_minor_gcd_ratios(self, rows):
+        assert smith_normal_form(rows).factors == snf_from_minors(rows)
+
+    def test_unit_pivots_then_residual(self):
+        """Two unit pivots are cleared sparsely; a residual with no unit
+        entry is left for dense elimination."""
+        m = [[1, 2, 0, 0], [0, 2, 4, 0], [0, 0, 6, 4], [3, 0, 0, -1]]
+        assert smith_normal_form(m).factors == snf_from_minors(m) == (1, 1, 2, 54)
+
     def test_rank_mod_p(self):
         m = [[2, 0], [0, 3]]
         assert rank_mod_p(m, 5) == 2
@@ -153,17 +189,30 @@ class TestBoundaryMatrices:
     def test_shapes_follow_the_f_vector(self, c6):
         fv = f_vector(c6)
         for k, d in enumerate(boundary_matrices(c6, 2), start=1):
-            assert d.matrix.shape == (fv.counts[k - 1], fv.counts[k])
+            assert (len(d.rows), len(d.cols)) == (fv.counts[k - 1], fv.counts[k])
+            assert len(d.columns) == len(d.cols)
+            for simplex, column in zip(d.cols, d.columns):
+                faces = [(simplex[:j] + simplex[j + 1:], (-1) ** j)
+                         for j in range(k + 1)]
+                assert [(d.rows[i], sign) for i, sign in column] == faces
 
     def test_boundary_of_boundary_is_zero(self, c6):
-        d1, d2 = boundary_matrices(c6, 2)
-        assert not (d1.matrix @ d2.matrix).any()
+        c7 = build_genus_zero_complex(7)
+        for c, top in ((c6, 2), (c7, 3)):
+            ds = boundary_matrices(c, top)
+            for lower, upper in zip(ds, ds[1:]):
+                for column in upper.columns:
+                    image: dict[int, int] = {}
+                    for i, sign in column:
+                        for r, x in lower.columns[i]:
+                            image[r] = image.get(r, 0) + sign * x
+                    assert not any(image.values())
 
     def test_edge_boundary_signs(self):
         c = flag_from_adjacency(["a", "b"], [("a", "b")])
         d1 = boundary_matrix(c, 1)
         assert d1.rows == (("a",), ("b",)) and d1.cols == (("a", "b"),)
-        assert d1.matrix[:, 0].tolist() == [-1, 1]
+        assert [row[0] for row in dense(d1)] == [-1, 1]
 
 
 class TestBettiNumbers:
@@ -196,9 +245,51 @@ class TestBettiNumbers:
 
     def test_ranks_against_rational_oracle(self, c6):
         d1, d2 = boundary_matrices(c6, 2)
-        assert rank_over_q(d1.matrix.tolist()) == 24
-        assert rank_over_q(d2.matrix.tolist()) == 81
+        assert rank_over_q(dense(d1)) == 24
+        assert rank_over_q(dense(d2)) == 81
+        for d in (d1, d2):
+            assert smith_normal_form(d) == smith_normal_form(dense(d))
 
     def test_two_components(self):
         c = flag_from_adjacency(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert betti_numbers(c, 1).betti == (2, 0)
+
+    def test_projective_plane_has_z2_torsion(self):
+        """Barycentric subdivision of the 6-vertex RP^2: a flag complex
+        on its 31 faces, with H_1 = Z/2 and no free homology above H_0."""
+        triangles = ["123", "134", "145", "156", "162",
+                     "235", "346", "452", "563", "624"]
+        faces = {"".join(sorted(f)) for t in triangles
+                 for n in (1, 2, 3) for f in combinations(t, n)}
+        assert len(faces) == 31
+        comparable = [(f, g) for f in faces for g in faces
+                      if len(f) < len(g) and set(f) <= set(g)]
+        rep = betti_numbers(flag_from_adjacency(faces, comparable), 2)
+        assert rep.betti == (1, 0, 0)
+        assert rep.torsion == ((), (2,), ())
+
+
+class TestTreeSpaceClosedForm:
+    """The genus-zero complex is a wedge of (s-2)! spheres of dimension
+    s-4 (Vogtmann; Robinson & Whitehouse), and the link of a vertex whose
+    blocks have sizes a and b has reduced homology only in dimension
+    s-5, of rank (a-1)!(b-1)!."""
+
+    def test_s7_full(self):
+        rep = betti_numbers(build_genus_zero_complex(7), 3)
+        assert rep.betti == (1, 0, 0, 120)
+        assert all(t == () for t in rep.torsion)
+
+    def test_s8_full(self):
+        rep = betti_numbers(build_genus_zero_complex(8), 4)
+        assert rep.betti == (1, 0, 0, 0, 720)
+        assert all(t == () for t in rep.torsion)
+
+    def test_s7_vertex_links(self):
+        c7 = build_genus_zero_complex(7)
+        assert len(c7.vertices) == 56
+        for v in c7.vertices:
+            a = len(SpherePartition.from_vertex_id(v).block)
+            rep = betti_numbers(link_of(c7, [v]), 2)
+            assert rep.betti == (1, 0, factorial(a - 1) * factorial(7 - a - 1))
+            assert all(t == () for t in rep.torsion)
