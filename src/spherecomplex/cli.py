@@ -159,6 +159,17 @@ def _split_members(raw: str) -> list[str]:
     return parts
 
 
+def _pants_from_args(s: int, members: str) -> PantsDecomposition:
+    """The pants decomposition of the genus-zero complex named by a
+    --members value."""
+    c = build_genus_zero_complex(s)
+    parts = _split_members(members)
+    try:
+        return PantsDecomposition(c, parts)
+    except ValueError as exc:
+        raise InputError("not a pants decomposition: %s" % (exc,)) from exc
+
+
 # -- complex --------------------------------------------------------------
 
 def _cmd_complex_build(args) -> int:
@@ -258,12 +269,8 @@ def _cmd_pants_flip_graph(args) -> int:
 
 def _cmd_pants_dual(args) -> int:
     started = time.perf_counter()
-    c = build_genus_zero_complex(args.s)
+    P = _pants_from_args(args.s, args.members)
     members = _split_members(args.members)
-    try:
-        P = PantsDecomposition(c, members)
-    except (ValueError, AssertionError) as exc:
-        raise InputError("not a pants decomposition: %s" % (exc,)) from exc
     d = dual_of_pants(P)
     sig = signature_of_dual(d)
     results = {
@@ -295,11 +302,7 @@ def _cmd_dual_classify(args) -> int:
     else:
         if not (args.s and args.members):
             raise InputError("need --input FILE or both --s and --members")
-        c = build_genus_zero_complex(args.s)
-        try:
-            P = PantsDecomposition(c, _split_members(args.members))
-        except (ValueError, AssertionError) as exc:
-            raise InputError("not a pants decomposition: %s" % (exc,)) from exc
+        P = _pants_from_args(args.s, args.members)
         d = dual_of_pants(P)
         values = {"s": args.s, "members": list(P.sorted_members())}
     try:
@@ -430,12 +433,7 @@ def _cmd_rigidity_verify(args) -> int:
 
 def _cmd_rigidity_split(args) -> int:
     started = time.perf_counter()
-    c = build_genus_zero_complex(args.genus_zero)
-    members = _split_members(args.members)
-    try:
-        P = PantsDecomposition(c, members)
-    except (ValueError, AssertionError) as exc:
-        raise InputError("not a pants decomposition: %s" % (exc,)) from exc
+    P = _pants_from_args(args.genus_zero, args.members)
     if args.sphere not in P.members:
         raise InputError("--sphere must be a member of the decomposition")
     split = find_split_spheres(P, args.sphere)
@@ -454,12 +452,7 @@ def _cmd_rigidity_split(args) -> int:
 
 def _cmd_rigidity_xsigma(args) -> int:
     started = time.perf_counter()
-    c = build_genus_zero_complex(args.genus_zero)
-    members = _split_members(args.members)
-    try:
-        P = PantsDecomposition(c, members)
-    except (ValueError, AssertionError) as exc:
-        raise InputError("not a pants decomposition: %s" % (exc,)) from exc
+    P = _pants_from_args(args.genus_zero, args.members)
     x = build_x_sigma(P)
     results = {
         "s": args.genus_zero,

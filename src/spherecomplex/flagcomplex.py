@@ -291,24 +291,9 @@ def is_connected(c: FlagComplex) -> bool:
 
 
 def has_cycle(c: FlagComplex) -> bool:
-    """Whether the 1-skeleton contains a cycle (is not a forest)."""
-    n = c.n_vertices
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in _bits(c._adj[i]):
-            if j > i:
-                ra, rb = find(i), find(j)
-                if ra == rb:
-                    return True
-                parent[ra] = rb
-    return False
+    """Whether the 1-skeleton contains a cycle (is not a forest): a
+    forest has exactly one edge fewer than vertices per component."""
+    return c.n_edges > c.n_vertices - len(connected_components(c))
 
 
 def connected_components(c: FlagComplex) -> list[tuple[str, ...]]:

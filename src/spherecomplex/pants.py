@@ -10,6 +10,7 @@ one member.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -127,9 +128,9 @@ def pants_flip_graph(s: int) -> FlipGraph:
     def bfs(start: int) -> list[int]:
         dist = [-1] * len(nodes)
         dist[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            i = queue.pop(0)
+            i = queue.popleft()
             for j in adj[i]:
                 if dist[j] < 0:
                     dist[j] = dist[i] + 1

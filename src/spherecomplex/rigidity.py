@@ -21,7 +21,8 @@ from .flagcomplex import FlagComplex, is_connected, link_of, maximal_cliques
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
-from .search import VertexMap, automorphism_group, enumerate_locally_injective_maps
+from .search import (AutomorphismGroup, VertexMap, automorphism_group,
+                     enumerate_locally_injective_maps)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -70,9 +71,11 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     if mode == OVER_MAXIMAL_MAPS:
         inside = [q for q in maximal_cliques(ambient) if set(q) <= set(xs)]
         kwargs = {"require_maximal": True, "ambient_maximal_cliques": inside}
-    maps = enumerate_locally_injective_maps(X, ambient, **kwargs)
     group = automorphism_group(ambient)
-    assert group.elements is not None, "ambient automorphism group too large to list"
+    if group.elements is None:
+        raise ValueError("ambient automorphism group of order %d is too large "
+                         "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
+    maps = enumerate_locally_injective_maps(X, ambient, **kwargs)
     restrictions: dict[tuple[str, ...], list[int]] = {}
     for idx, aut in enumerate(group.elements):
         key = tuple(aut.assignment[v] for v in xs)

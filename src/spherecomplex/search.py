@@ -6,15 +6,34 @@ Isomorphisms preserve and reflect adjacency.  Locally injective maps are
 simplicial maps injective on every closed star, which for graphs is the
 same as being injective on every pair of vertices at distance at most 2.
 
+One engine, ``_placements``, serves all three.  It places source
+vertices in breadth-first order; a vertex's candidates are its degree
+feasibility mask, cut down by the adjacency masks of the images of its
+placed neighbors and by the images that its injectivity scope forbids
+(all placed vertices for embeddings and isomorphisms, placed vertices at
+distance 1 or 2 for locally injective maps).
+
+Isomorphisms need no check that non-adjacency is reflected: between
+complexes with equal vertex and edge counts (``_iso_precheck``), an
+adjacency-preserving bijection maps the E source edges injectively into
+the E target edges, so onto them, and no non-edge can map to an edge.
+
+Degree feasibility is sound for every search, locally injective maps
+included: such a map f sends N(v) injectively into N(f(v)), so
+deg f(v) >= deg v, and the neighbors of f(v) hit by N(v) dominate the
+neighbors of v degree by degree, so the sorted neighbor degrees of f(v)
+dominate those of v.
+
 All searches are deterministic: candidates are tried in canonical
 (lexicographic id) order and results are emitted in canonical order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from collections import deque
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .flagcomplex import FlagComplex, FVector, _bits, f_vector, has_cycle, maximal_cliques
+from .flagcomplex import FlagComplex, _bits, f_vector, has_cycle, maximal_cliques
 
 
 class VertexMap:
@@ -90,9 +109,9 @@ def _search_order(c: FlagComplex) -> list[int]:
         if seen[start]:
             continue
         seen[start] = True
-        queue = [start]
+        queue = deque([start])
         while queue:
-            i = queue.pop(0)
+            i = queue.popleft()
             order.append(i)
             nbrs = sorted(_bits(c._adj[i]), key=lambda j: (-degs[j], j))
             for j in nbrs:
@@ -103,9 +122,9 @@ def _search_order(c: FlagComplex) -> list[int]:
 
 
 def _degree_feasible(src: FlagComplex, dst: FlagComplex) -> list[int]:
-    """Candidate masks for an injective simplicial map: feasible[i] has
-    bit j set when source vertex i may map to target vertex j, judged by
-    degree and sorted neighbor-degree domination."""
+    """Candidate masks for a simplicial map injective on closed stars:
+    feasible[i] has bit j set when source vertex i may map to target
+    vertex j, judged by degree and sorted neighbor-degree domination."""
     ns, nt = src.n_vertices, dst.n_vertices
     sdeg = [src._adj[i].bit_count() for i in range(ns)]
     tdeg = [dst._adj[j].bit_count() for j in range(nt)]
@@ -124,6 +143,66 @@ def _degree_feasible(src: FlagComplex, dst: FlagComplex) -> list[int]:
     return feas
 
 
+def _placements(src: FlagComplex, dst: FlagComplex,
+                scope: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
+    """Every placement of src on dst that sends edges to edges, depth
+    first along ``_search_order`` with candidates in ascending order.
+
+    A placement is an index tuple: entry i is the image of source vertex
+    i.  With ``scope`` None placements are injective; otherwise vertex v
+    must differ in image from every vertex of the mask ``scope[v]``.
+    """
+    n = src.n_vertices
+    if n == 0:
+        yield ()
+        return
+    order = _search_order(src)
+    feas = _degree_feasible(src, dst)
+    adj_t = dst._adj
+    # per position: the already-placed neighbors and scope members
+    nbrs, scoped = [], []
+    done = 0
+    for v in order:
+        nbrs.append(tuple(_bits(src._adj[v] & done)))
+        scoped.append(tuple(_bits(scope[v] & done)) if scope is not None else ())
+        done |= 1 << v
+    placed = [0] * n
+    used = [0] * n    # used[pos]: images taken by positions before pos
+    cands = [0] * n
+
+    def candidates(pos: int) -> int:
+        cand = feas[order[pos]]
+        for u in nbrs[pos]:
+            cand &= adj_t[placed[u]]
+        if scope is None:
+            return cand & ~used[pos]
+        for u in scoped[pos]:
+            cand &= ~(1 << placed[u])
+        return cand
+
+    pos = 0
+    cands[0] = candidates(0)
+    while pos >= 0:
+        cand = cands[pos]
+        if not cand:
+            pos -= 1
+            continue
+        low = cand & -cand
+        cands[pos] = cand ^ low
+        placed[order[pos]] = low.bit_length() - 1
+        if pos == n - 1:
+            yield tuple(placed)
+        else:
+            pos += 1
+            used[pos] = used[pos - 1] | low
+            cands[pos] = candidates(pos)
+
+
+def _to_map(src: FlagComplex, dst: FlagComplex, placement: Sequence[int]) -> VertexMap:
+    return VertexMap(src, dst, {v: dst.vertices[j]
+                                for v, j in zip(src.vertices, placement)})
+
+
 def search_embedding(src: FlagComplex, dst: FlagComplex,
                      use_acyclicity_shortcut: bool = True) -> Optional[VertexMap]:
     """Find an injective simplicial map src -> dst, or certify absence.
@@ -137,35 +216,12 @@ def search_embedding(src: FlagComplex, dst: FlagComplex,
         return None
     if use_acyclicity_shortcut and not has_cycle(dst) and has_cycle(src):
         return None
-    n, order = src.n_vertices, _search_order(src)
-    if n == 0:
-        return VertexMap(src, dst, {})
-    feas = _degree_feasible(src, dst)
-    adj_s, adj_t = src._adj, dst._adj
-    full_t = (1 << dst.n_vertices) - 1
-    placed = [-1] * n
-
-    def backtrack(pos: int, used: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        cand = feas[v] & ~used
-        for u in _bits(adj_s[v]):
-            if placed[u] >= 0:
-                cand &= adj_t[placed[u]]
-        for w in _bits(cand & full_t):
-            placed[v] = w
-            if backtrack(pos + 1, used | (1 << w)):
-                return True
-            placed[v] = -1
-        return False
-
-    if backtrack(0, 0):
-        assignment = {src.vertices[i]: dst.vertices[placed[i]] for i in range(n)}
-        m = VertexMap(src, dst, assignment)
-        assert m.is_injective() and m.is_simplicial()
-        return m
-    return None
+    placement = next(_placements(src, dst), None)
+    if placement is None:
+        return None
+    m = _to_map(src, dst, placement)
+    assert m.is_injective() and m.is_simplicial()
+    return m
 
 
 def _iso_precheck(c1: FlagComplex, c2: FlagComplex) -> bool:
@@ -179,69 +235,18 @@ def _iso_precheck(c1: FlagComplex, c2: FlagComplex) -> bool:
     return f_vector(c1, dim) == f_vector(c2, dim)
 
 
-def _enumerate_isomorphisms(c1: FlagComplex, c2: FlagComplex,
-                            find_all: bool) -> list[list[int]]:
-    """Backtracking over bijections preserving and reflecting adjacency.
-    Returns placements (index arrays); all of them when find_all."""
-    n = c1.n_vertices
-    if n == 0:
-        return [[]]
-    order = _search_order(c1)
-    adj1, adj2 = c1._adj, c2._adj
-    deg1 = [m.bit_count() for m in adj1]
-    deg2 = [m.bit_count() for m in adj2]
-    full = (1 << n) - 1
-    placed = [-1] * n
-    results: list[list[int]] = []
-
-    def backtrack(pos: int, used: int) -> bool:
-        if pos == n:
-            results.append(placed[:])
-            return not find_all
-        v = order[pos]
-        cand = ~used & full
-        for u in _bits(adj1[v]):
-            if placed[u] >= 0:
-                cand &= adj2[placed[u]]
-        for w in _bits(cand):
-            if deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for u in range(n):
-                if placed[u] >= 0 and not ((adj1[v] >> u) & 1) and ((adj2[w] >> placed[u]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            placed[v] = w
-            if backtrack(pos + 1, used | (1 << w)):
-                return True
-            placed[v] = -1
-        return False
-
-    backtrack(0, 0)
-    return results
-
-
 def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[VertexMap]:
     """Find a bijection preserving and reflecting adjacency, or certify
     absence (after a cheap f-vector and degree-sequence precheck)."""
     if not _iso_precheck(c1, c2):
         return None
-    found = _enumerate_isomorphisms(c1, c2, find_all=False)
-    if not found:
-        return None
-    placed = found[0]
-    assignment = {c1.vertices[i]: c2.vertices[placed[i]] for i in range(c1.n_vertices)}
-    return VertexMap(c1, c2, assignment)
+    placement = next(_placements(c1, c2), None)
+    return None if placement is None else _to_map(c1, c2, placement)
 
 
 def enumerate_automorphisms(c: FlagComplex) -> list[VertexMap]:
     """All automorphisms, in canonical order."""
-    placements = _enumerate_isomorphisms(c, c, find_all=True)
-    maps = [VertexMap(c, c, {c.vertices[i]: c.vertices[p[i]]
-                             for i in range(c.n_vertices)})
-            for p in placements]
+    maps = [_to_map(c, c, p) for p in _placements(c, c)]
     maps.sort(key=VertexMap.key)
     return maps
 
@@ -334,53 +339,14 @@ def enumerate_locally_injective_maps(
     """
     if require_maximal and ambient_maximal_cliques is None:
         raise ValueError("require_maximal needs ambient_maximal_cliques")
-    n = X.n_vertices
-    if n == 0:
-        return [VertexMap(X, target, {})]
-    order = _search_order(X)
-    adj_x, adj_t = X._adj, target._adj
-    dist2 = _dist2_masks(X)
-    full_t = (1 << target.n_vertices) - 1
-    placed = [-1] * n
-    results: list[list[int]] = []
-
-    def backtrack(pos: int) -> None:
-        if pos == n:
-            results.append(placed[:])
-            return
-        v = order[pos]
-        cand = full_t
-        for u in _bits(adj_x[v]):
-            if placed[u] >= 0:
-                cand &= adj_t[placed[u]]
-        if cand:
-            forbidden = 0
-            for u in _bits(dist2[v]):
-                if placed[u] >= 0:
-                    forbidden |= 1 << placed[u]
-            cand &= ~forbidden
-        for w in _bits(cand):
-            placed[v] = w
-            backtrack(pos + 1)
-        placed[v] = -1
-
-    backtrack(0)
-
-    maps = [VertexMap(X, target, {X.vertices[i]: target.vertices[p[i]]
-                                  for i in range(n)})
-            for p in results]
+    placements: Iterable[tuple[int, ...]] = _placements(X, target, _dist2_masks(X))
     if require_maximal:
-        target_maximal = {frozenset(q) for q in maximal_cliques(target)}
-        kept = []
-        for m in maps:
-            ok = True
-            for clique in ambient_maximal_cliques:
-                image = frozenset(m.assignment[v] for v in clique)
-                if image not in target_maximal:
-                    ok = False
-                    break
-            if ok:
-                kept.append(m)
-        maps = kept
+        target_maximal = {frozenset(map(target.index_of, q))
+                          for q in maximal_cliques(target)}
+        inside = [tuple(map(X.index_of, q)) for q in ambient_maximal_cliques]
+        placements = (p for p in placements
+                      if all(frozenset(p[i] for i in q) in target_maximal
+                             for q in inside))
+    maps = [_to_map(X, target, p) for p in placements]
     maps.sort(key=VertexMap.key)
     return maps

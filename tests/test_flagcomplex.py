@@ -7,6 +7,7 @@ that tests every vertex subset directly.
 
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,8 +179,12 @@ class TestConnectivity:
     @settings(max_examples=60)
     @given(graphs())
     def test_has_cycle_matches_edge_count_criterion(self, g):
-        """A graph is a forest iff #edges = #vertices - #components."""
+        """has_cycle is the negation of networkx's forest test (the
+        empty graph counts as a forest)."""
         vs, pairs = g
         c = flag_from_adjacency(vs, pairs)
-        forest = c.n_edges == c.n_vertices - len(connected_components(c))
+        nxg = nx.Graph()
+        nxg.add_nodes_from(vs)
+        nxg.add_edges_from(pairs)
+        forest = not vs or nx.is_forest(nxg)
         assert has_cycle(c) == (not forest)

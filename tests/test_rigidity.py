@@ -3,7 +3,10 @@ automorphism list, split spheres and pairs, detectability witnesses,
 link equivalence classes, caterpillar witnesses, and the good-pair
 census."""
 
+import os
 import random
+import subprocess
+import sys
 from math import factorial
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spherecomplex import (
     OVER_MAXIMAL_MAPS,
     PLAIN,
+    AutomorphismGroup,
     CutLabeling,
     PantsDecomposition,
     SpherePartition,
@@ -71,6 +75,29 @@ class TestVerifyRigidity:
         cert = verify_rigidity(c5.vertices, c5, OVER_MAXIMAL_MAPS)
         assert cert.mode == OVER_MAXIMAL_MAPS
         assert cert.total_maps == 120 and cert.all_extend
+
+    def test_group_above_the_element_cap_raises(self, c5, monkeypatch):
+        monkeypatch.setattr(AutomorphismGroup, "ELEMENT_CAP", 10)
+        with pytest.raises(ValueError, match="too large to list"):
+            verify_rigidity(c5.vertices, c5, PLAIN)
+
+    def test_element_cap_check_runs_under_optimize(self):
+        """The cap check is not an assert, so ``python -O`` keeps it."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        code = (
+            "from spherecomplex import AutomorphismGroup, build_genus_zero_complex, verify_rigidity\n"
+            "AutomorphismGroup.ELEMENT_CAP = 10\n"
+            "c = build_genus_zero_complex(5)\n"
+            "try:\n"
+            "    verify_rigidity(c.vertices, c)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ValueError: ambient automorphism group")
 
     def test_single_vertex_is_not_rigid(self, c5):
         cert = verify_rigidity([c5.vertices[0]], c5, PLAIN)
@@ -162,6 +189,21 @@ class TestXSigma:
     def test_s4_neighborhood_is_everything(self, c4):
         sigma = PantsDecomposition(c4, [c4.vertices[0]])
         assert build_x_sigma(sigma).n_vertices == 3
+
+    @pytest.mark.parametrize("blocks, cherries, maps", [
+        (((1, 2), (1, 2, 3), (1, 2, 3, 4)), 2, 1440),
+        (((1, 2), (3, 4), (5, 6)), 3, 5040),
+    ])
+    def test_s6_map_count_follows_the_cherry_count(self, c6, blocks, cherries, maps):
+        """Locally injective maps of X_sigma into the s = 6 complex: 1440
+        for the two-cherry (caterpillar) tree, 5040 for the three-cherry
+        one.  A cherry is a member cutting off exactly two labels."""
+        assert sum(1 for b in blocks if min(len(b), 6 - len(b)) == 2) == cherries
+        sigma = PantsDecomposition(c6, [vid(6, *b) for b in blocks])
+        cert = verify_rigidity(build_x_sigma(sigma).vertices, c6, PLAIN)
+        assert cert.total_maps == maps
+        assert not cert.all_extend
+        assert cert.automorphism_order == 720
 
 
 class TestLinkClasses:

@@ -24,6 +24,7 @@ from spherecomplex import (
     search_embedding,
     search_isomorphism,
 )
+from spherecomplex.search import _iso_precheck
 
 
 def to_nx(c: FlagComplex) -> nx.Graph:
@@ -52,6 +53,30 @@ def small_graph(draw, lo, hi, prefix):
 
 sources = st.composite(lambda draw: small_graph(draw, 1, 4, "s"))
 targets = st.composite(lambda draw: small_graph(draw, 1, 6, "t"))
+graphs7 = st.composite(lambda draw: small_graph(draw, 1, 7, "g"))
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph and a relabelled copy, with one vertex pair's adjacency
+    toggled half of the time (so the two may or may not be isomorphic)."""
+    g = draw(graphs7())
+    n = g.n_vertices
+    perm = draw(st.permutations(range(n)))
+    ren = {v: "h%d" % perm[i] for i, v in enumerate(g.vertices)}
+    pairs = {frozenset((ren[u], ren[v])) for u, v in g.edges()}
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        pairs ^= {frozenset(("h%d" % i, "h%d" % j))}
+    h = flag_from_adjacency(["h%d" % i for i in range(n)],
+                            [tuple(sorted(p)) for p in pairs])
+    return g, h
+
+
+def cycle(n, prefix):
+    vs = ["%s%d" % (prefix, i) for i in range(n)]
+    return vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)]
 
 
 class TestVertexMap:
@@ -122,6 +147,27 @@ class TestIsomorphism:
     def test_distinguishes_k33_from_petersen(self, petersen):
         assert search_isomorphism(catalog("k33"), petersen) is None
 
+    @settings(max_examples=60)
+    @given(graph_pairs())
+    def test_matches_networkx(self, pair):
+        g, h = pair
+        m = search_isomorphism(g, h)
+        assert (m is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
+        if m is not None:
+            assert m.is_injective()
+            assert sorted(tuple(sorted((m[u], m[v]))) for u, v in g.edges()) == h.edges()
+
+    def test_c8_is_not_two_c4(self):
+        """Same vertex and edge counts, degrees and f-vector, so the
+        precheck passes and the search alone must refute it."""
+        c8 = flag_from_adjacency(*cycle(8, "a"))
+        va, ea = cycle(4, "b")
+        vb, eb = cycle(4, "c")
+        two_c4 = flag_from_adjacency(va + vb, ea + eb)
+        assert _iso_precheck(c8, two_c4)
+        assert search_isomorphism(c8, two_c4) is None
+        assert search_isomorphism(two_c4, c8) is None
+
     def test_relabelled_copy(self, petersen):
         renamed = flag_from_adjacency(
             ["x" + v for v in petersen.vertices],
@@ -141,6 +187,14 @@ class TestAutomorphisms:
         auts = enumerate_automorphisms(k33)
         gm = nx.algorithms.isomorphism.GraphMatcher(to_nx(k33), to_nx(k33))
         assert len(auts) == sum(1 for _ in gm.isomorphisms_iter()) == 72
+
+    @settings(max_examples=60)
+    @given(graphs7())
+    def test_count_matches_vf2_on_random_graphs(self, g):
+        auts = enumerate_automorphisms(g)
+        gm = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+        assert len(auts) == sum(1 for _ in gm.isomorphisms_iter())
+        assert len({a.key() for a in auts}) == len(auts)
 
     def test_group_closure(self, petersen):
         g = automorphism_group(petersen)
@@ -165,11 +219,20 @@ class TestLocallyInjectiveMaps:
         return sorted(out)
 
     @settings(max_examples=25)
-    @given(st.composite(lambda draw: small_graph(draw, 1, 3, "s"))(),
-           st.composite(lambda draw: small_graph(draw, 1, 4, "t"))())
+    @given(sources(), st.composite(lambda draw: small_graph(draw, 1, 5, "t"))())
     def test_matches_brute_force(self, X, target):
         got = sorted(m.key() for m in enumerate_locally_injective_maps(X, target))
         assert got == self.oracle(X, target)
+
+    def test_path_wraps_around_a_triangle(self):
+        """Maps injective on closed stars need not be injective: the
+        6-path has 3 * 2 maps into K3, each fixed by its first edge."""
+        path = flag_from_adjacency(
+            ["a", "b", "c", "d", "e", "f"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
+        maps = enumerate_locally_injective_maps(path, catalog("k3"))
+        assert len(maps) == 6
+        assert not any(m.is_injective() for m in maps)
 
     def test_all_results_validate(self, petersen):
         star = petersen.induced(["k:12", "k:34", "k:35", "k:45"])

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from spherecomplex import (
+    AutomorphismGroup,
     EdgeBijection,
     Multigraph,
     PantsDecomposition,
@@ -275,6 +276,14 @@ class TestCliErrors:
         bad.write_text("[1, 2, 3]\n")
         code, _ = run_cli(["whitney", "lift", "--map", str(bad)], tmp_path)
         assert code == 2
+
+    def test_group_above_the_element_cap_exits_two(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(AutomorphismGroup, "ELEMENT_CAP", 10)
+        code, report = run_cli(["rigidity", "verify", "--genus-zero", "5"], tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
