@@ -19,12 +19,12 @@ import sys
 import time
 
 from . import serialization as ser
-from .dual import DualMultigraph, classify_link, dual_of_pants, signature_of_dual
+from .dual import classify_link, dual_of_pants, signature_of_dual
 from .flagcomplex import (FlagComplex, f_vector, is_connected, maximal_cliques)
 from .genus_zero import (build_caterpillar_window, build_genus_zero_complex,
                          catalog, catalog_names)
 from .homology import betti_numbers, report_as_dict
-from .multigraph import dual_to_multigraph, random_connected_multigraph, scramble
+from .multigraph import random_connected_multigraph, scramble
 from .pants import PantsDecomposition, enumerate_pants, pants_flip_graph
 from .rigidity import (CutLabeling, caterpillar_witness, complex_id,
                        build_x_sigma, find_split_spheres, good_pair_census,
@@ -673,10 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

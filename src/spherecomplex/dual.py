@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .genus_zero import ManifoldSignature, SpherePartition
+from .flagcomplex import _bits, pair_components
+from .genus_zero import ManifoldSignature, _laminar_tree
 from .pants import PantsDecomposition
 
 
@@ -57,21 +58,21 @@ class DualMultigraph:
                 raise ValueError("pants id may not contain '.': %r" % (pid,))
         if self.bond_labels is not None and len(self.bond_labels) != len(self.bonds):
             raise ValueError("bond_labels length mismatch")
-        used: set[str] = set()
+        used: dict[str, str] = {}  # slot id -> pants id
         for pair in self.bonds:
             for sl in pair:
                 self._claim(sl, used)
         for sl, _ in self.legs:
             self._claim(sl, used)
         expected = {slot_id(p, k) for p in self.pants for k in range(3)}
-        if used != expected:
-            missing = sorted(expected - used)
-            extra = sorted(used - expected)
+        if used.keys() != expected:
+            missing = sorted(expected - used.keys())
+            extra = sorted(used.keys() - expected)
             raise ValueError("slots must be used exactly once each"
                              " (missing %r, extra %r)" % (missing, extra))
-        self._slot_pants = {sl: split_slot(sl)[0] for sl in used}
+        self._slot_pants = used
 
-    def _claim(self, sl: str, used: set[str]) -> None:
+    def _claim(self, sl: str, used: dict[str, str]) -> None:
         pid, idx = split_slot(sl)
         if pid not in self.pants:
             raise ValueError("slot on unknown pants: %r" % (sl,))
@@ -79,7 +80,7 @@ class DualMultigraph:
             raise ValueError("slot index out of range: %r" % (sl,))
         if sl in used:
             raise ValueError("slot used twice: %r" % (sl,))
-        used.add(sl)
+        used[sl] = pid
 
     # -- queries --------------------------------------------------------
 
@@ -104,22 +105,8 @@ class DualMultigraph:
         return [lb for sl, lb in self.legs if self._slot_pants[sl] == pants_id]
 
     def is_connected(self) -> bool:
-        if not self.pants:
-            return True
-        adj: dict[str, set[str]] = {p: set() for p in self.pants}
-        for i in range(len(self.bonds)):
-            u, v = self.bond_endpoints(i)
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {self.pants[0]}
-        frontier = [self.pants[0]]
-        while frontier:
-            p = frontier.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        return len(seen) == len(self.pants)
+        sp = self._slot_pants
+        return len(pair_components(self.pants, ((sp[a], sp[b]) for a, b in self.bonds))) <= 1
 
     def __repr__(self) -> str:
         return "DualMultigraph(%d pants, %d bonds, %d legs)" % (
@@ -164,43 +151,24 @@ def classify_link(d: DualMultigraph, eta: Iterable[int]) -> JoinDecomposition:
         if not 0 <= i < len(d.bonds):
             raise ValueError("bond index out of range: %r" % (i,))
 
-    parent = {p: p for p in d.pants}
-
-    def find(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    comps = pair_components(d.pants, (d.bond_endpoints(i) for i in eta_set))
+    comp_of = {d.pants[k]: c for c, m in enumerate(comps) for k in _bits(m)}
+    n_eta = [0] * len(comps)
+    n_boundary = [0] * len(comps)
     for i in eta_set:
-        u, v = d.bond_endpoints(i)
-        parent[find(u)] = find(v)
-
-    comp_pants: dict[str, int] = {}
-    comp_eta: dict[str, int] = {}
-    comp_boundary: dict[str, int] = {}
-    for p in d.pants:
-        r = find(p)
-        comp_pants[r] = comp_pants.get(r, 0) + 1
-        comp_eta.setdefault(r, 0)
-        comp_boundary.setdefault(r, 0)
-    for i in eta_set:
-        comp_eta[find(d.bond_endpoints(i)[0])] += 1
+        n_eta[comp_of[d.bond_endpoints(i)[0]]] += 1
     for sl, _ in d.legs:
-        comp_boundary[find(split_slot(sl)[0])] += 1
+        n_boundary[comp_of[split_slot(sl)[0]]] += 1
     for i in range(len(d.bonds)):
-        if i in eta_set:
-            continue
-        u, v = d.bond_endpoints(i)
-        comp_boundary[find(u)] += 1
-        comp_boundary[find(v)] += 1
+        if i not in eta_set:
+            for p in d.bond_endpoints(i):
+                n_boundary[comp_of[p]] += 1
 
     factors = []
-    for r in comp_pants:
-        rank = comp_eta[r] - comp_pants[r] + 1
-        boundary = comp_boundary[r]
-        if (rank, boundary) != (0, 3):
-            factors.append(ManifoldSignature(rank, boundary))
+    for c, m in enumerate(comps):
+        rank = n_eta[c] - m.bit_count() + 1
+        if (rank, n_boundary[c]) != (0, 3):
+            factors.append(ManifoldSignature(rank, n_boundary[c]))
     return JoinDecomposition(tuple(sorted(factors)))
 
 
@@ -219,74 +187,24 @@ def dual_of_pants(P: PantsDecomposition) -> DualMultigraph:
     if P.complex.meta.get("model") != "genus-zero" or s is None:
         raise ValueError("dual_of_pants needs a genus-zero pants decomposition")
     members = P.sorted_members()
-    blocks: list[tuple[frozenset[int], str]] = []
-    for vid in members:
-        sp = SpherePartition.from_vertex_id(vid)
-        blocks.append((sp.other_block, vid))
-    root = frozenset(range(1, s + 1))
-
-    # parent of each block: the smallest strictly containing block, else root
-    order = sorted(range(len(blocks)), key=lambda i: (len(blocks[i][0]), sorted(blocks[i][0])))
-    parent_of: dict[int, Optional[int]] = {}
-    for pos, i in enumerate(order):
-        parent_of[i] = None
-        best: Optional[int] = None
-        for j in order[pos + 1:]:
-            if blocks[i][0] < blocks[j][0]:
-                if best is None or len(blocks[j][0]) < len(blocks[best][0]):
-                    best = j
-        parent_of[i] = best
-
-    # regions: root plus one per block, canonically ordered by
-    # (descending size, label tuple); the root comes first
-    region_keys: list[Optional[int]] = [None] + sorted(
-        range(len(blocks)), key=lambda i: (-len(blocks[i][0]), sorted(blocks[i][0])))
-    region_id = {key: "q%d" % k for k, key in enumerate(region_keys)}
-
-    children: dict[Optional[int], list[int]] = {key: [] for key in region_keys}
-    for i in range(len(blocks)):
-        children[parent_of[i]].append(i)
-
-    # boundary items per region: ("bond", block index) and ("leg", label)
-    items: dict[Optional[int], list[tuple[str, object]]] = {}
-    for key in region_keys:
-        zone = root if key is None else blocks[key][0]
-        inner: set[int] = set()
-        for ch in children[key]:
-            inner |= blocks[ch][0]
-        own_labels = sorted(zone - inner)
-        entry: list[tuple[str, object]] = []
-        if key is not None:
-            entry.append(("bond-up", key))
-        for ch in sorted(children[key], key=lambda i: blocks[i][1]):
-            entry.append(("bond-down", ch))
-        for lb in own_labels:
-            entry.append(("leg", lb))
-        if len(entry) != 3:
-            raise AssertionError("region of a pants decomposition must be trivalent")
-        items[key] = entry
-
-    slot_of: dict[tuple[str, Optional[int], object], str] = {}
-    for key in region_keys:
-        for idx, (kind, payload) in enumerate(items[key]):
-            slot_of[(kind, key, payload)] = slot_id(region_id[key], idx)
-
-    bond_order = sorted(range(len(blocks)), key=lambda i: blocks[i][1])
-    bonds = []
-    labels = []
-    for i in bond_order:
-        up = slot_of[("bond-up", i, i)]
-        down = slot_of[("bond-down", parent_of[i], i)]
-        bonds.append((down, up))
-        labels.append(blocks[i][1])
+    _, regions = _laminar_tree(members, s)
+    pants_ids = ["q%d" % k for k in range(len(regions))]
+    up: dict[int, str] = {}
+    down: dict[int, str] = {}
     legs = []
-    for key in region_keys:
-        for kind, payload in items[key]:
-            if kind == "leg":
-                legs.append((slot_of[(kind, key, payload)], str(payload)))
+    for pid, (key, labels, children) in zip(pants_ids, regions):
+        if (key is not None) + len(children) + len(labels) != 3:
+            raise AssertionError("region of a pants decomposition must be trivalent")
+        # slots in order: parent sphere, child spheres, own labels
+        slots = (slot_id(pid, k) for k in range(3))
+        if key is not None:
+            up[key] = next(slots)
+        for ch in children:
+            down[ch] = next(slots)
+        legs += [(next(slots), str(lb)) for lb in labels]
     legs.sort(key=lambda t: int(t[1]))
-    pants_ids = [region_id[key] for key in region_keys]
-    return DualMultigraph(pants_ids, bonds, legs, labels)
+    bonds = [(down[i], up[i]) for i in range(len(members))]
+    return DualMultigraph(pants_ids, bonds, legs, members)
 
 
 def ih_flip(d: DualMultigraph, bond_index: int, pairing_choice: int) -> DualMultigraph:

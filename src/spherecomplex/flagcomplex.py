@@ -13,7 +13,7 @@ in that order, so repeated runs produce identical output.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class FlagComplex:
@@ -32,14 +32,18 @@ class FlagComplex:
         self._index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         self._adj: tuple[int, ...] = tuple(adj_masks)
         self.meta = dict(meta) if meta else {}
-        assert len(self._index) == len(self.vertices), "duplicate vertex ids"
-        assert list(self.vertices) == sorted(self.vertices), "vertices not in canonical order"
+        if len(self._index) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
+        if list(self.vertices) != sorted(self.vertices):
+            raise ValueError("vertices not in canonical order")
         for i, m in enumerate(self._adj):
-            assert not (m >> len(self.vertices)), "adjacency mask out of range"
-            assert not (m & (1 << i)), "self-adjacency is not allowed"
-            # symmetry
-        assert all(((self._adj[j] >> i) & 1) == ((self._adj[i] >> j) & 1)
-                   for i in range(len(self._adj)) for j in range(i)), "adjacency not symmetric"
+            if m >> len(self.vertices):
+                raise ValueError("adjacency mask out of range")
+            if m & (1 << i):
+                raise ValueError("self-adjacency is not allowed")
+        if not all(((self._adj[j] >> i) & 1) == ((self._adj[i] >> j) & 1)
+                   for i in range(len(self._adj)) for j in range(i)):
+            raise ValueError("adjacency not symmetric")
 
     # -- basic queries -------------------------------------------------
 
@@ -274,43 +278,50 @@ def f_vector(c: FlagComplex, max_dim: Optional[int] = None) -> FVector:
     return FVector(counts)
 
 
+def mask_components(adj: Sequence[int]) -> list[int]:
+    """Connected components of the graph with symmetric bitmask
+    adjacency ``adj`` (set self bits are ignored), as vertex masks in
+    order of their lowest vertex."""
+    full = (1 << len(adj)) - 1
+    seen = 0
+    comps = []
+    while seen != full:
+        comp = todo = ~seen & (seen + 1)
+        while todo:
+            new = adj[(todo & -todo).bit_length() - 1] & ~comp
+            todo = (todo & (todo - 1)) | new
+            comp |= new
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def pair_components(vertices: Sequence[Hashable],
+                    pairs: Iterable[tuple[Hashable, Hashable]]) -> list[int]:
+    """Connected components of a multigraph given by vertex ids and edge
+    endpoint pairs (loops and parallel pairs allowed), as masks over
+    positions in ``vertices``, in order of their lowest position."""
+    index = {v: k for k, v in enumerate(vertices)}
+    adj = [0] * len(vertices)
+    for u, v in pairs:
+        i, j = index[u], index[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return mask_components(adj)
+
+
 def is_connected(c: FlagComplex) -> bool:
     """Connectivity of the 1-skeleton.  The empty complex counts as
     connected."""
-    n = c.n_vertices
-    if n == 0:
-        return True
-    seen = 1
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in _bits(c._adj[i] & ~seen):
-            seen |= 1 << j
-            frontier.append(j)
-    return seen == (1 << n) - 1
+    return len(mask_components(c._adj)) <= 1
 
 
 def has_cycle(c: FlagComplex) -> bool:
     """Whether the 1-skeleton contains a cycle (is not a forest): a
     forest has exactly one edge fewer than vertices per component."""
-    return c.n_edges > c.n_vertices - len(connected_components(c))
+    return c.n_edges > c.n_vertices - len(mask_components(c._adj))
 
 
 def connected_components(c: FlagComplex) -> list[tuple[str, ...]]:
     """Vertex sets of the connected components, canonically ordered."""
-    n = c.n_vertices
-    seen = 0
-    comps = []
-    for start in range(n):
-        if (seen >> start) & 1:
-            continue
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in _bits(c._adj[i] & ~comp):
-                comp |= 1 << j
-                frontier.append(j)
-        seen |= comp
-        comps.append(tuple(c.vertices[i] for i in _bits(comp)))
-    return comps
+    return [tuple(c.vertices[i] for i in _bits(m)) for m in mask_components(c._adj)]

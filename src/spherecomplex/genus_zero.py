@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .flagcomplex import FlagComplex, flag_from_adjacency
 
@@ -121,6 +121,43 @@ def all_spheres(s: int) -> list[SpherePartition]:
     return out
 
 
+def _innermost_block(block: frozenset[int],
+                     blocks: Sequence[frozenset[int]]) -> Optional[int]:
+    """Index of the smallest of ``blocks`` strictly containing ``block``,
+    or None when none does (the root region).  In a laminar family the
+    strictly containing blocks form a chain, so the smallest is unique."""
+    best: Optional[int] = None
+    for i, b in enumerate(blocks):
+        if block < b and (best is None or len(b) < len(blocks[best])):
+            best = i
+    return best
+
+
+def _laminar_tree(members: Iterable[str], s: int):
+    """The dual tree of a genus-zero sphere system.
+
+    The members' blocks away from label 1 are pairwise nested or
+    disjoint; with the root {1..s} they form a tree whose nodes are the
+    complementary regions.  Returns (blocks, regions): blocks in member
+    vertex-id order, and one region (key, labels, children) per node,
+    the root (key None) first, then the region inside each block (key =
+    block index) by descending size and label tuple.  ``labels`` are the
+    region's own boundary labels, ascending; ``children`` the indices of
+    the blocks directly inside it, ascending.
+    """
+    blocks = [SpherePartition.from_vertex_id(v).other_block for v in sorted(members)]
+    keys = [None, *sorted(range(len(blocks)), key=lambda i: (-len(blocks[i]), sorted(blocks[i])))]
+    children: dict[Optional[int], list[int]] = {key: [] for key in keys}
+    for i, b in enumerate(blocks):
+        children[_innermost_block(b, blocks)].append(i)
+    regions = []
+    for key in keys:
+        zone = frozenset(range(1, s + 1)) if key is None else blocks[key]
+        labels = zone.difference(*(blocks[ch] for ch in children[key]))
+        regions.append((key, tuple(sorted(labels)), tuple(children[key])))
+    return blocks, regions
+
+
 def build_genus_zero_complex(s: int) -> FlagComplex:
     """The sphere complex of the s-holed genus-zero model as a flag
     complex.  s = 3 yields the empty complex (a pair of pants contains
@@ -168,7 +205,8 @@ class CaterpillarWindow:
 
     def spine_index(self, vid: str) -> int:
         kind, k = vid.split(":", 1)
-        assert kind in ("z", "w")
+        if kind not in ("z", "w"):
+            raise ValueError("not a caterpillar vertex id: %r" % (vid,))
         return int(k)
 
     def is_spine(self, vid: str) -> bool:

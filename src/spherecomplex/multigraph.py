@@ -13,6 +13,7 @@ import random
 from typing import Iterable, Mapping, Optional
 
 from .dual import DualMultigraph
+from .flagcomplex import pair_components
 
 
 class Multigraph:
@@ -63,21 +64,7 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         """Connectivity on vertices; the empty graph is connected."""
-        if not self.vertices:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges.values():
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(self.vertices)
+        return len(pair_components(self.vertices, self.edges.values())) <= 1
 
     def relabel(self, vertex_map: Mapping[str, str],
                 edge_map: Optional[Mapping[str, str]] = None) -> "Multigraph":

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
-from .flagcomplex import FlagComplex, is_connected, link_of, maximal_cliques
+from .flagcomplex import (FlagComplex, _bits, is_connected, link_of, mask_components,
+                          maximal_cliques)
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
-                         build_genus_zero_complex)
+                         _innermost_block, _laminar_tree, build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
 from .search import (AutomorphismGroup, VertexMap, automorphism_group,
                      enumerate_locally_injective_maps)
@@ -218,56 +219,20 @@ class LinkClasses:
         return [cl.members for cl in self.classes]
 
 
-def _laminar_regions(sigma: SphereSystem, s: int):
-    """Regions of the complement of a sphere system in the genus-zero
-    model.  Returns (blocks, regions) where blocks are the members'
-    away-from-1 label blocks and each region is a tuple
-    (key, labels, spheres, boundary_count) with key None for the root
-    region or the index of the member block bounding it from outside."""
-    blocks = []
-    for vid in sorted(sigma.members):
-        sp = SpherePartition.from_vertex_id(vid)
-        blocks.append((sp.other_block, vid))
-    root = frozenset(range(1, s + 1))
-    parent_of: dict[int, Optional[int]] = {}
-    for i in range(len(blocks)):
-        best: Optional[int] = None
-        for j in range(len(blocks)):
-            if blocks[i][0] < blocks[j][0]:
-                if best is None or len(blocks[j][0]) < len(blocks[best][0]):
-                    best = j
-        parent_of[i] = best
-    children: dict[Optional[int], list[int]] = {None: []}
-    for i in range(len(blocks)):
-        children.setdefault(i, [])
-        children.setdefault(parent_of[i], []).append(i)
+def _regions(sigma: SphereSystem, what: str):
+    """The member blocks of a genus-zero sphere system and its
+    complementary regions, each as (key, labels, spheres, boundary
+    count); see :func:`genus_zero._laminar_tree` for keys and order."""
+    s = sigma.complex.meta.get("s")
+    if sigma.complex.meta.get("model") != "genus-zero" or s is None:
+        raise ValueError("%s needs the genus-zero model" % what)
+    vids = sorted(sigma.members)
+    blocks, tree = _laminar_tree(vids, s)
     regions = []
-    for key in [None] + sorted(range(len(blocks)),
-                               key=lambda i: (-len(blocks[i][0]), sorted(blocks[i][0]))):
-        zone = root if key is None else blocks[key][0]
-        inner: set[int] = set()
-        for ch in children.get(key, []):
-            inner |= blocks[ch][0]
-        labels = tuple(sorted(zone - inner))
-        spheres = []
-        if key is not None:
-            spheres.append(blocks[key][1])
-        spheres.extend(blocks[ch][1] for ch in children.get(key, []))
-        boundary = len(labels) + len(spheres)
-        regions.append((key, labels, tuple(sorted(spheres)), boundary))
+    for key, labels, children in tree:
+        spheres = [vids[ch] for ch in children] + ([] if key is None else [vids[key]])
+        regions.append((key, labels, tuple(sorted(spheres)), len(labels) + len(spheres)))
     return blocks, regions
-
-
-def _region_of_link_vertex(vid: str, blocks) -> Optional[int]:
-    """The region key (None = root) a link sphere lies in: the minimal
-    member block strictly containing its canonical away-from-1 block."""
-    b = SpherePartition.from_vertex_id(vid).other_block
-    best: Optional[int] = None
-    for i, (blk, _) in enumerate(blocks):
-        if b < blk:
-            if best is None or len(blk) < len(blocks[best][0]):
-                best = i
-    return best
 
 
 def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
@@ -276,60 +241,39 @@ def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
     instance and failure is a hard error; each class is annotated with
     the complementary region it fills and that region's factor.
     """
-    c = sigma.complex
-    s = c.meta.get("s")
-    if c.meta.get("model") != "genus-zero" or s is None:
-        raise ValueError("link_equivalence_classes needs the genus-zero model")
-    lk = link_of(c, sigma.members)
-    verts = list(lk.vertices)
+    blocks, regions = _regions(sigma, "link_equivalence_classes")
+    lk = link_of(sigma.complex, sigma.members)
+    verts = lk.vertices
     n = len(verts)
-    if n == 0:
-        return LinkClasses(())
 
     # a ~ b  iff  some c in the link is non-adjacent to both (c = a or
     # c = b is allowed; adjacency is irreflexive, so the relation is
-    # reflexive by taking c = a)
+    # reflexive by taking c = a); nonadj[i] therefore contains i
     nonadj = []
     full = (1 << n) - 1
     for i, v in enumerate(verts):
-        nonadj.append(full & ~lk.adjacency_mask(v) & ~(1 << i))
+        nonadj.append(full & ~lk.adjacency_mask(v))
     related = [0] * n
     for i in range(n):
         for j in range(i, n):
-            if (nonadj[i] | (1 << i)) & (nonadj[j] | (1 << j)):
+            if nonadj[i] & nonadj[j]:
                 related[i] |= 1 << j
                 related[j] |= 1 << i
 
-    # transitivity check: related components must be cliques of ~
-    comp = [-1] * n
-    comps = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = comps
-        while stack:
-            i = stack.pop()
-            m = related[i]
-            for j in range(n):
-                if (m >> j) & 1 and comp[j] < 0:
-                    comp[j] = comps
-                    stack.append(j)
-        comps += 1
-    for i in range(n):
-        for j in range(n):
-            if comp[i] == comp[j] and not ((related[i] >> j) & 1):
-                raise TransitivityError(
-                    "link relation not transitive between %r and %r"
-                    % (verts[i], verts[j]))
-
-    blocks, regions = _laminar_regions(sigma, s)
     region_info = {key: (labels, spheres, boundary)
                    for key, labels, spheres, boundary in regions}
     classes = []
-    for cid in range(comps):
-        members = tuple(sorted(verts[i] for i in range(n) if comp[i] == cid))
-        keys = {_region_of_link_vertex(v, blocks) for v in members}
+    for comp in mask_components(related):
+        # transitivity: each component of ~ must be a clique of ~
+        for i in _bits(comp):
+            j = next(_bits(comp & ~related[i]), None)
+            if j is not None:
+                raise TransitivityError(
+                    "link relation not transitive between %r and %r"
+                    % (verts[i], verts[j]))
+        members = tuple(verts[i] for i in _bits(comp))
+        keys = {_innermost_block(SpherePartition.from_vertex_id(v).other_block, blocks)
+                for v in members}
         if len(keys) != 1:
             raise TransitivityError(
                 "class %r spans several complementary regions" % (members,))
@@ -343,11 +287,7 @@ def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
 def nonpants_regions(sigma: SphereSystem) -> list[tuple[tuple[int, ...], tuple[str, ...], int]]:
     """The complementary regions of sigma with more than three boundary
     items (the ones that can still contain spheres)."""
-    c = sigma.complex
-    s = c.meta.get("s")
-    if c.meta.get("model") != "genus-zero" or s is None:
-        raise ValueError("nonpants_regions needs the genus-zero model")
-    _, regions = _laminar_regions(sigma, s)
+    _, regions = _regions(sigma, "nonpants_regions")
     return [(labels, spheres, boundary)
             for _, labels, spheres, boundary in regions if boundary >= 4]
 

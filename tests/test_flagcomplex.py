@@ -5,6 +5,9 @@ The clique enumerators are cross-checked against a brute-force oracle
 that tests every vertex subset directly.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -75,6 +78,40 @@ class TestConstruction:
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
             flag_from_adjacency(["a", "b"], [("a", "a")])
+
+    @pytest.mark.parametrize("vertices, masks, message", [
+        (["a", "a"], [0, 0], "duplicate vertex ids"),
+        (["b", "a"], [0, 0], "vertices not in canonical order"),
+        (["a", "b"], [0b100, 0], "adjacency mask out of range"),
+        (["a", "b"], [0b01, 0], "self-adjacency is not allowed"),
+        (["a", "b"], [0b10, 0], "adjacency not symmetric"),
+    ], ids=["duplicate", "unsorted", "out-of-range", "self-adjacent", "asymmetric"])
+    def test_raw_constructor_validates(self, vertices, masks, message):
+        with pytest.raises(ValueError, match=message):
+            FlagComplex(vertices, masks)
+
+    def test_validation_runs_under_optimize(self):
+        """The constructor's checks are not asserts, so ``python -O``
+        keeps them."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        code = (
+            "from spherecomplex import FlagComplex\n"
+            "for vs, masks in [(['b', 'a'], [0, 0]), (['a', 'b'], [0b10, 0]),\n"
+            "                  (['a', 'b'], [0b01, 0])]:\n"
+            "    try:\n"
+            "        FlagComplex(vs, masks)\n"
+            "    except ValueError as exc:\n"
+            "        print('ValueError:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ValueError: vertices not in canonical order",
+            "ValueError: adjacency not symmetric",
+            "ValueError: self-adjacency is not allowed",
+        ]
 
     def test_neighbors_and_degree(self):
         c = catalog("k13")

@@ -116,6 +116,8 @@ class TestCaterpillarWindow:
         assert win.is_spine("z:2") and not win.is_spine("w:0")
         assert win.spine_index("z:-2") == -2
         assert win.spine_index("w:1") == 1
+        with pytest.raises(ValueError, match="not a caterpillar vertex id"):
+            win.spine_index("x:1")
 
     def test_interior_excludes_frontier(self):
         win = build_caterpillar_window(2)

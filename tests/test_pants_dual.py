@@ -1,6 +1,10 @@
 """Pants decompositions, the flip graph, dual multigraphs, and link
 classification."""
 
+import random
+from itertools import combinations
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +24,8 @@ from spherecomplex import (
     maximal_cliques,
     pants_flip_graph,
     signature_of_dual,
+    slot_id,
+    split_slot,
 )
 
 
@@ -27,6 +33,54 @@ def chain_pants(c6) -> PantsDecomposition:
     """The nested chain {1,2} < {1,2,3} < {1,2,3,4} in S(M_{0,6})."""
     return PantsDecomposition(
         c6, ["p:1,2|s=6", "p:1,2,3|s=6", "p:1,2,3,4|s=6"])
+
+
+def random_dual(rng: random.Random, n_pants: int, n_bonds: int) -> DualMultigraph:
+    """A trivalent multigraph with legs: bonds on random slot pairs, so
+    loops and parallel bonds occur, and the remaining slots as legs."""
+    pants = ["u%d" % k for k in range(n_pants)]
+    slots = [slot_id(p, k) for p in pants for k in range(3)]
+    rng.shuffle(slots)
+    bonds = [(slots[2 * i], slots[2 * i + 1]) for i in range(n_bonds)]
+    legs = [(sl, str(k + 1)) for k, sl in enumerate(slots[2 * n_bonds:])]
+    return DualMultigraph(pants, bonds, legs)
+
+
+def without_bond(d: DualMultigraph, i: int) -> DualMultigraph:
+    """Delete bond i, turning its two ends into legs."""
+    a, b = d.bonds[i]
+    legs = list(d.legs) + [(a, "x"), (b, "y")]
+    return DualMultigraph(d.pants, d.bonds[:i] + d.bonds[i + 1:], legs)
+
+
+def eta_multigraph(d: DualMultigraph, eta) -> nx.MultiGraph:
+    g = nx.MultiGraph()
+    g.add_nodes_from(d.pants)
+    g.add_edges_from(d.bond_endpoints(i) for i in eta)
+    return g
+
+
+def oracle_classify(d: DualMultigraph, eta) -> list[tuple[int, int]]:
+    """Factors from networkx's components of the eta-subgraph: rank is
+    the component's cycle rank (edges - vertices + 1, loops and parallel
+    bonds counted), boundary its legs plus the non-eta bond ends in it."""
+    g = eta_multigraph(d, eta)
+    factors = []
+    for comp in nx.connected_components(g):
+        rank = g.subgraph(comp).number_of_edges() - len(comp) + 1
+        boundary = sum(split_slot(sl)[0] in comp for sl, _ in d.legs)
+        boundary += sum(p in comp for i in range(len(d.bonds)) if i not in eta
+                        for p in d.bond_endpoints(i))
+        if (rank, boundary) != (0, 3):
+            factors.append((rank, boundary))
+    return sorted(factors)
+
+
+def assert_every_bond_subset_matches(duals) -> None:
+    for d in duals:
+        for k in range(len(d.bonds) + 1):
+            for eta in combinations(range(len(d.bonds)), k):
+                assert classify_link(d, eta).as_pairs() == oracle_classify(d, eta)
 
 
 class TestPantsEnumeration:
@@ -125,6 +179,18 @@ class TestDualMultigraph:
         g = dual_to_multigraph(d)
         assert g.n_edges == g.n_vertices - 1
 
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_is_connected_matches_networkx(self, seed):
+        """Random duals with loops and parallel bonds, and each of them
+        with one bond deleted, against networkx's components."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        d = random_dual(rng, n, rng.randint(0, 3 * n // 2))
+        for h in [d] + [without_bond(d, i) for i in range(len(d.bonds))]:
+            oracle = eta_multigraph(h, range(len(h.bonds)))
+            assert h.is_connected() == nx.is_connected(oracle), f"seed {seed}"
+
     def test_trivalence_enforced(self):
         with pytest.raises(ValueError):
             DualMultigraph(["q0"], [("q0.0", "q0.1")], [])  # q0.2 unused
@@ -178,6 +244,25 @@ class TestClassifyLink:
         d = dual_of_pants(chain_pants(c6))
         dec = classify_link(d, [0, 2])
         assert dec.factors == tuple(sorted(dec.factors))
+
+    @pytest.mark.parametrize("s", [6, 7])
+    def test_every_bond_subset_matches_networkx(self, s):
+        rng = random.Random(s)
+        duals = [dual_of_pants(P) for P in rng.sample(enumerate_pants(s), 12)]
+        duals += [ih_flip(d, 0, 1) for d in duals[:4]]
+        assert_every_bond_subset_matches(duals)
+
+    def test_loop_and_bigon_duals_match_networkx(self):
+        rng = random.Random(5)
+        duals = [
+            DualMultigraph(["q0"], [("q0.0", "q0.1")], [("q0.2", "1")]),
+            DualMultigraph(["u", "v"], [("u.0", "v.0"), ("u.1", "v.1")],
+                           [("u.2", "1"), ("v.2", "2")]),
+            DualMultigraph(["u", "v"], [("u.0", "v.0"), ("u.1", "v.1"), ("u.2", "v.2")], []),
+        ]
+        duals += [random_dual(rng, n, rng.randint(n, 3 * n // 2)) for n in (2, 3, 4, 5) * 5]
+        assert any(d.is_loop_bond(i) for d in duals[3:] for i in range(len(d.bonds)))
+        assert_every_bond_subset_matches(duals)
 
     def test_bad_bond_index(self):
         with pytest.raises(ValueError):

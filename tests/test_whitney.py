@@ -7,6 +7,7 @@ bijection recovers the scrambling vertex map exactly.
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +39,26 @@ def three_star() -> Multigraph:
 
 def identity_bijection(g: Multigraph) -> EdgeBijection:
     return EdgeBijection(g, g, {e: e for e in g.edge_ids})
+
+
+class TestConnectivity:
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_is_connected_matches_networkx(self, seed):
+        """Connected random multigraphs (loops and parallel edges
+        included) and copies with random edges deleted, against
+        networkx's components of the same multigraph."""
+        rng = random.Random(seed)
+        g = random_connected_multigraph(rng, 1, 9)
+        kept = rng.sample(g.edge_ids, rng.randint(0, g.n_edges))
+        for h in (g, Multigraph(g.vertices, {e: g.edges[e] for e in kept})):
+            oracle = nx.MultiGraph()
+            oracle.add_nodes_from(h.vertices)
+            oracle.add_edges_from(h.edges.values())
+            assert h.is_connected() == nx.is_connected(oracle), f"seed {seed}"
+
+    def test_empty_graph_is_connected(self):
+        assert Multigraph([], {}).is_connected()
 
 
 class TestPairType:
