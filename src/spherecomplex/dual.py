@@ -122,7 +122,8 @@ class JoinDecomposition:
     factors: tuple[ManifoldSignature, ...]
 
     def __post_init__(self):
-        assert tuple(sorted(self.factors)) == self.factors
+        if tuple(sorted(self.factors)) != self.factors:
+            raise ValueError("join factors not in canonical order")
 
     def as_pairs(self) -> list[tuple[int, int]]:
         return [f.as_pair() for f in self.factors]

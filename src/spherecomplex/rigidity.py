@@ -22,8 +22,8 @@ from .flagcomplex import (FlagComplex, _bits, is_connected, link_of, mask_compon
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree, build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
-from .search import (AutomorphismGroup, VertexMap, automorphism_group,
-                     enumerate_locally_injective_maps)
+from .search import (AutomorphismGroup, VertexMap, _locally_injective_placements,
+                     _search_order, automorphism_group)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -63,44 +63,70 @@ def complex_id(c: FlagComplex) -> str:
 def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
                     mode: str = PLAIN) -> RigidityCertificate:
     """Enumerate all locally injective simplicial maps of the induced
-    subcomplex into the ambient complex and test unique extension."""
+    subcomplex into the ambient complex and test unique extension.
+
+    The search fixes the image of its first vertex to one orbit minimum
+    r per orbit of Aut(ambient); every other map is g∘p for a found map
+    p and one automorphism g per image g(r).  Post-composing with an
+    automorphism is a bijection from the maps with first image r onto
+    those with first image g(r), and it preserves local injectivity, the
+    over-maximal condition and extendability (McKay 1981).
+    """
     if mode not in (PLAIN, OVER_MAXIMAL_MAPS):
         raise ValueError("unknown mode: %r" % (mode,))
     xs = sorted(set(X_vertices))
     X = ambient.induced(xs)
-    kwargs = {}
+    inside = None
     if mode == OVER_MAXIMAL_MAPS:
         inside = [q for q in maximal_cliques(ambient) if set(q) <= set(xs)]
-        kwargs = {"require_maximal": True, "ambient_maximal_cliques": inside}
     group = automorphism_group(ambient)
     if group.elements is None:
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
-    maps = enumerate_locally_injective_maps(X, ambient, **kwargs)
-    restrictions: dict[tuple[str, ...], list[int]] = {}
-    for idx, aut in enumerate(group.elements):
-        key = tuple(aut.assignment[v] for v in xs)
-        restrictions.setdefault(key, []).append(idx)
+    index = ambient.index_of
+    perms = [tuple(map(index, g.key())) for g in group.elements]
 
-    extensions: list[Optional[int]] = []
+    # transversal[r][t]: the first element, in canonical order, sending
+    # the orbit minimum r to t
+    transversal: dict[int, dict[int, tuple[int, ...]]] = {}
+    covered = 0
+    for r in range(ambient.n_vertices):
+        if covered >> r & 1:
+            continue
+        images: dict[int, tuple[int, ...]] = {}
+        for g in perms:
+            images.setdefault(g[r], g)
+        transversal[r] = images
+        covered |= sum(1 << t for t in images)
+
+    order = _search_order(X)
+    found = _locally_injective_placements(
+        X, ambient, inside, sum(1 << r for r in transversal))
+    if order:
+        # vertex ids are sorted, so index order is the canonical map order
+        maps = sorted(tuple(map(g.__getitem__, p))
+                      for p in found for g in transversal[p[order[0]]].values())
+    else:  # the empty X has only the empty map
+        maps = list(found)
+
+    # the element restricting to each map, None when several do
+    extending: dict[tuple[int, ...], Optional[int]] = {}
+    xi = [index(v) for v in xs]
+    for k, g in enumerate(perms):
+        key = tuple(g[i] for i in xi)
+        extending[key] = None if key in extending else k
+    extensions = tuple(extending.get(m) for m in maps)
     counterexample: Optional[dict[str, str]] = None
-    for m in maps:
-        key = tuple(m.assignment[v] for v in xs)
-        matches = restrictions.get(key, [])
-        if len(matches) == 1:
-            extensions.append(matches[0])
-        else:
-            extensions.append(None)
-            if counterexample is None:
-                counterexample = dict(m.assignment)
-    all_extend = all(e is not None for e in extensions)
+    failing = next((m for m, e in zip(maps, extensions) if e is None), None)
+    if failing is not None:
+        counterexample = dict(zip(xs, (ambient.vertices[j] for j in failing)))
     return RigidityCertificate(
         subcomplex_id=";".join(xs),
         ambient_id=complex_id(ambient),
         mode=mode,
         total_maps=len(maps),
-        all_extend=all_extend,
-        extensions=tuple(extensions),
+        all_extend=failing is None,
+        extensions=extensions,
         counterexample=counterexample,
         automorphism_order=group.order,
     )

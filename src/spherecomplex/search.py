@@ -144,13 +144,16 @@ def _degree_feasible(src: FlagComplex, dst: FlagComplex) -> list[int]:
 
 
 def _placements(src: FlagComplex, dst: FlagComplex,
-                scope: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
+                scope: Optional[Sequence[int]] = None,
+                first_images: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Every placement of src on dst that sends edges to edges, depth
     first along ``_search_order`` with candidates in ascending order.
 
     A placement is an index tuple: entry i is the image of source vertex
     i.  With ``scope`` None placements are injective; otherwise vertex v
     must differ in image from every vertex of the mask ``scope[v]``.
+    With ``first_images`` set, the first vertex of ``_search_order``
+    may only map into that mask.
     """
     n = src.n_vertices
     if n == 0:
@@ -182,6 +185,8 @@ def _placements(src: FlagComplex, dst: FlagComplex,
 
     pos = 0
     cands[0] = candidates(0)
+    if first_images is not None:
+        cands[0] &= first_images
     while pos >= 0:
         cand = cands[pos]
         if not cand:
@@ -324,6 +329,22 @@ def _dist2_masks(c: FlagComplex) -> list[int]:
     return out
 
 
+def _locally_injective_placements(
+        X: FlagComplex, target: FlagComplex,
+        inside: Optional[Iterable[Sequence[str]]] = None,
+        first_images: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Placements of X on target injective on closed stars.  With
+    ``inside`` given (cliques of X as vertex sequences), only placements
+    carrying each of them onto a maximal clique of target are kept."""
+    placements = _placements(X, target, _dist2_masks(X), first_images)
+    if inside is None:
+        return placements
+    target_maximal = {frozenset(map(target.index_of, q)) for q in maximal_cliques(target)}
+    cliques = [tuple(map(X.index_of, q)) for q in inside]
+    return (p for p in placements
+            if all(frozenset(p[i] for i in q) in target_maximal for q in cliques))
+
+
 def enumerate_locally_injective_maps(
         X: FlagComplex, target: FlagComplex,
         require_maximal: bool = False,
@@ -339,14 +360,8 @@ def enumerate_locally_injective_maps(
     """
     if require_maximal and ambient_maximal_cliques is None:
         raise ValueError("require_maximal needs ambient_maximal_cliques")
-    placements: Iterable[tuple[int, ...]] = _placements(X, target, _dist2_masks(X))
-    if require_maximal:
-        target_maximal = {frozenset(map(target.index_of, q))
-                          for q in maximal_cliques(target)}
-        inside = [tuple(map(X.index_of, q)) for q in ambient_maximal_cliques]
-        placements = (p for p in placements
-                      if all(frozenset(p[i] for i in q) in target_maximal
-                             for q in inside))
+    placements = _locally_injective_placements(
+        X, target, ambient_maximal_cliques if require_maximal else None)
     maps = [_to_map(X, target, p) for p in placements]
     maps.sort(key=VertexMap.key)
     return maps

@@ -1,7 +1,10 @@
 """Pants decompositions, the flip graph, dual multigraphs, and link
 classification."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
     DualMultigraph,
+    JoinDecomposition,
     ManifoldSignature,
     PantsDecomposition,
     SphereSystem,
@@ -215,6 +219,29 @@ class TestClassifyLink:
         return DualMultigraph(
             ["u", "v"], [("u.0", "v.0")],
             [("u.1", "1"), ("u.2", "2"), ("v.1", "3"), ("v.2", "4")])
+
+    def test_unsorted_join_factors_rejected(self):
+        with pytest.raises(ValueError, match="canonical order"):
+            JoinDecomposition((ManifoldSignature(1, 1), ManifoldSignature(0, 4)))
+        ok = JoinDecomposition((ManifoldSignature(0, 4), ManifoldSignature(1, 1)))
+        assert ok.as_pairs() == [(0, 4), (1, 1)]
+
+    def test_join_validation_runs_under_optimize(self):
+        """The factor-order check is not an assert, so ``python -O``
+        keeps it."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        code = (
+            "from spherecomplex import JoinDecomposition, ManifoldSignature\n"
+            "try:\n"
+            "    JoinDecomposition((ManifoldSignature(1, 1), ManifoldSignature(0, 4)))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["ValueError: join factors not in canonical order"]
 
     def test_empty_system_gives_no_factors(self):
         d = self.two_pants_bridge()

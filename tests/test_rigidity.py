@@ -3,6 +3,8 @@ automorphism list, split spheres and pairs, detectability witnesses,
 link equivalence classes, caterpillar witnesses, and the good-pair
 census."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -18,15 +20,21 @@ from spherecomplex import (
     AutomorphismGroup,
     CutLabeling,
     PantsDecomposition,
+    RigidityCertificate,
     SpherePartition,
     SphereSystem,
     automorphism_group,
     build_caterpillar_window,
     build_genus_zero_complex,
     build_x_sigma,
+    catalog,
     caterpillar_witness,
+    complex_id,
     detect_x_detectable,
     enumerate_automorphisms,
+    enumerate_locally_injective_maps,
+    enumerate_pants,
+    flag_from_adjacency,
     find_split_pairs,
     find_split_spheres,
     good_pair_census,
@@ -108,6 +116,129 @@ class TestVerifyRigidity:
     def test_unknown_mode_rejected(self, c5):
         with pytest.raises(ValueError):
             verify_rigidity(c5.vertices, c5, "fancy")
+
+
+def reference_certificate(X_vertices, ambient, mode):
+    """The certificate as the unpruned search gives it: every locally
+    injective map from the public enumerator, each looked up among the
+    restrictions of every element of the automorphism group."""
+    xs = sorted(set(X_vertices))
+    X = ambient.induced(xs)
+    kwargs = {}
+    if mode == OVER_MAXIMAL_MAPS:
+        inside = [q for q in maximal_cliques(ambient) if set(q) <= set(xs)]
+        kwargs = {"require_maximal": True, "ambient_maximal_cliques": inside}
+    group = automorphism_group(ambient)
+    restrictions = {}
+    for k, g in enumerate(group.elements):
+        restrictions.setdefault(tuple(g[v] for v in xs), []).append(k)
+    extensions, counterexample = [], None
+    for m in enumerate_locally_injective_maps(X, ambient, **kwargs):
+        ks = restrictions.get(tuple(m[v] for v in xs), [])
+        extensions.append(ks[0] if len(ks) == 1 else None)
+        if len(ks) != 1 and counterexample is None:
+            counterexample = dict(m.assignment)
+    return RigidityCertificate(
+        ";".join(xs), complex_id(ambient), mode, len(extensions),
+        None not in extensions, tuple(extensions), counterexample, group.order)
+
+
+def cherries(members, s):
+    """Members cutting off exactly two labels."""
+    sizes = [len(SpherePartition.from_vertex_id(v).block) for v in members]
+    return sum(1 for b in sizes if min(b, s - b) == 2)
+
+
+def certificate_digest(cert):
+    payload = json.dumps([cert.total_maps, list(cert.extensions), cert.counterexample],
+                         sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@st.composite
+def ambient_and_subset(draw):
+    """A random graph on at most 7 vertices and a vertex subset of it."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vs = ["g%d" % i for i in range(n)]
+    pairs = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    xs = draw(st.lists(st.sampled_from(vs), unique=True))
+    return flag_from_adjacency(vs, pairs), xs
+
+
+class TestOrbitPruning:
+    """The orbit-pruned certificate equals the unpruned reference field
+    for field: maps, their order, extensions and the counterexample."""
+
+    @pytest.mark.parametrize("s", [4, 5, 6])
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_whole_complex(self, s, mode):
+        c = build_genus_zero_complex(s)
+        assert verify_rigidity(c.vertices, c, mode) == reference_certificate(c.vertices, c, mode)
+
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_every_x_sigma_at_five(self, c5, mode):
+        for P in enumerate_pants(5):
+            xs = build_x_sigma(P).vertices
+            assert verify_rigidity(xs, c5, mode) == reference_certificate(xs, c5, mode)
+
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_sampled_x_sigma_at_six(self, c6, mode):
+        pants = enumerate_pants(6)
+        sample = random.Random(6).sample(pants, 3)
+        sample.append(next(P for P in pants if cherries(P.members, 6) == 3))
+        for P in sample:
+            xs = build_x_sigma(P).vertices
+            assert verify_rigidity(xs, c6, mode) == reference_certificate(xs, c6, mode)
+
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_small_subsets(self, c5, mode):
+        """A disconnected X (two crossing spheres plus a third), one
+        vertex, and the empty set."""
+        a, b = vid(5, 1, 2), vid(5, 1, 3)
+        assert not c5.adjacent(a, b)
+        for xs in ([a, b], [a, b, vid(5, 4, 5)], [a], []):
+            assert verify_rigidity(xs, c5, mode) == reference_certificate(xs, c5, mode)
+        # no constraint ties the two components: any pair of images
+        disconnected = verify_rigidity([a, b], c5, mode)
+        assert disconnected.total_maps == 10 * 10 and not disconnected.all_extend
+
+    @pytest.mark.parametrize("name", ["petersen", "k13", "k33"])
+    def test_catalog_complexes(self, name):
+        c = catalog(name)
+        xs = c.vertices[:4]
+        for mode in (PLAIN, OVER_MAXIMAL_MAPS):
+            assert verify_rigidity(xs, c, mode) == reference_certificate(xs, c, mode)
+
+    @settings(max_examples=60)
+    @given(ambient_and_subset(), st.sampled_from([PLAIN, OVER_MAXIMAL_MAPS]))
+    def test_random_ambients(self, case, mode):
+        """Random ambients have several orbits, trivial groups and
+        disconnected subsets."""
+        ambient, xs = case
+        assert verify_rigidity(xs, ambient, mode) == reference_certificate(xs, ambient, mode)
+
+
+class TestFrozenCertificates:
+    """sha256 of (total_maps, extensions, counterexample), recorded from
+    the unpruned search before orbit pruning."""
+
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_whole_s6(self, c6, mode):
+        cert = verify_rigidity(c6.vertices, c6, mode)
+        assert certificate_digest(cert) == (
+            "72b443eb7d486ced5554f32f77139f95dd5d3ee0ecff1b7aa706a47a1a02656b")
+
+    def test_x_sigma_s7(self):
+        """The first three-cherry pants decomposition at s = 7, as in the
+        benchmark's rigidity workload."""
+        P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
+        assert sorted(P.members) == [vid(7, 1, 2, 3, 4, 5), vid(7, 1, 2, 3, 4),
+                                     vid(7, 1, 2, 5, 6, 7), vid(7, 1, 2)]
+        cert = verify_rigidity(build_x_sigma(P).vertices, P.complex, PLAIN)
+        assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == (50400, False, 5040)
+        assert certificate_digest(cert) == (
+            "96cf5b2698d9b3b72da8502efedc1c6931bed6f9c011d605fdd724b3e50af110")
 
 
 class TestSplitSpheres:

@@ -24,7 +24,7 @@ from spherecomplex import (
     search_embedding,
     search_isomorphism,
 )
-from spherecomplex.search import _iso_precheck
+from spherecomplex.search import _dist2_masks, _iso_precheck, _placements, _search_order
 
 
 def to_nx(c: FlagComplex) -> nx.Graph:
@@ -244,3 +244,17 @@ class TestLocallyInjectiveMaps:
     def test_require_maximal_needs_cliques(self, petersen):
         with pytest.raises(ValueError):
             enumerate_locally_injective_maps(petersen, petersen, require_maximal=True)
+
+
+class TestFirstImageMask:
+    @settings(max_examples=60)
+    @given(graphs7(), graphs7(), st.integers(min_value=0, max_value=(1 << 7) - 1),
+           st.booleans())
+    def test_keeps_exactly_the_masked_placements(self, src, dst, mask, local):
+        """Restricting the first placed vertex yields the unrestricted
+        placements whose first image lies in the mask, in the same
+        order, for injective and for locally injective placements."""
+        scope = _dist2_masks(src) if local else None
+        first = _search_order(src)[0]
+        want = [p for p in _placements(src, dst, scope) if mask >> p[first] & 1]
+        assert list(_placements(src, dst, scope, mask)) == want
