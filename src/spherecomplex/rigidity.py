@@ -22,8 +22,8 @@ from .flagcomplex import (FlagComplex, _bits, is_connected, link_of, mask_compon
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree, build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
-from .search import (AutomorphismGroup, VertexMap, _locally_injective_placements,
-                     _search_order, automorphism_group)
+from .search import (AutomorphismGroup, VertexMap, _degree_feasible,
+                     _locally_injective_placements, _search_order, automorphism_group)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -80,11 +80,10 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     if mode == OVER_MAXIMAL_MAPS:
         inside = [q for q in maximal_cliques(ambient) if set(q) <= set(xs)]
     group = automorphism_group(ambient)
-    if group.elements is None:
+    perms = group._perms  # the elements as index tuples, in canonical order
+    if perms is None:
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
-    index = ambient.index_of
-    perms = [tuple(map(index, g.key())) for g in group.elements]
 
     # transversal[r][t]: the first element, in canonical order, sending
     # the orbit minimum r to t
@@ -100,8 +99,10 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         covered |= sum(1 << t for t in images)
 
     order = _search_order(X)
-    found = _locally_injective_placements(
-        X, ambient, inside, sum(1 << r for r in transversal))
+    masks = _degree_feasible(X, ambient)
+    if order:
+        masks[order[0]] &= sum(1 << r for r in transversal)
+    found = _locally_injective_placements(X, ambient, inside, masks)
     if order:
         # vertex ids are sorted, so index order is the canonical map order
         maps = sorted(tuple(map(g.__getitem__, p))
@@ -111,7 +112,7 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
 
     # the element restricting to each map, None when several do
     extending: dict[tuple[int, ...], Optional[int]] = {}
-    xi = [index(v) for v in xs]
+    xi = [ambient.index_of(v) for v in xs]
     for k, g in enumerate(perms):
         key = tuple(g[i] for i in xi)
         extending[key] = None if key in extending else k

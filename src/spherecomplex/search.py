@@ -24,6 +24,13 @@ deg f(v) >= deg v, and the neighbors of f(v) hit by N(v) dominate the
 neighbors of v degree by degree, so the sorted neighbor degrees of f(v)
 dominate those of v.
 
+Automorphism groups are built as a stabiliser chain (Sims 1970; Seress,
+*Permutation Group Algorithms*, 2003): along a base b_1, b_2, ... taken
+in search order, level i holds one automorphism fixing b_1..b_{i-1} for
+each point of the orbit of b_i, each found by one first-hit search of
+the same engine (McKay & Piperno 2014).  Candidate images are cut down
+by adjacency to the fixed base points, which automorphisms reflect.
+
 All searches are deterministic: candidates are tried in canonical
 (lexicographic id) order and results are emitted in canonical order.
 """
@@ -31,6 +38,7 @@ All searches are deterministic: candidates are tried in canonical
 from __future__ import annotations
 
 from collections import deque
+from math import prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .flagcomplex import FlagComplex, _bits, f_vector, has_cycle, maximal_cliques
@@ -145,22 +153,24 @@ def _degree_feasible(src: FlagComplex, dst: FlagComplex) -> list[int]:
 
 def _placements(src: FlagComplex, dst: FlagComplex,
                 scope: Optional[Sequence[int]] = None,
-                first_images: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+                masks: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
     """Every placement of src on dst that sends edges to edges, depth
     first along ``_search_order`` with candidates in ascending order.
 
     A placement is an index tuple: entry i is the image of source vertex
     i.  With ``scope`` None placements are injective; otherwise vertex v
     must differ in image from every vertex of the mask ``scope[v]``.
-    With ``first_images`` set, the first vertex of ``_search_order``
-    may only map into that mask.
+    With ``masks`` given, source vertex v may only map into the target
+    vertices of ``masks[v]``; the masks then replace ``_degree_feasible``,
+    so a caller restricting the search starts from it once and ANDs its
+    restrictions in.
     """
     n = src.n_vertices
     if n == 0:
         yield ()
         return
     order = _search_order(src)
-    feas = _degree_feasible(src, dst)
+    feas = _degree_feasible(src, dst) if masks is None else masks
     adj_t = dst._adj
     # per position: the already-placed neighbors and scope members
     nbrs, scoped = [], []
@@ -185,8 +195,6 @@ def _placements(src: FlagComplex, dst: FlagComplex,
 
     pos = 0
     cands[0] = candidates(0)
-    if first_images is not None:
-        cands[0] &= first_images
     while pos >= 0:
         cand = cands[pos]
         if not cand:
@@ -249,72 +257,161 @@ def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[VertexMap]:
     return None if placement is None else _to_map(c1, c2, placement)
 
 
+def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """g∘h on index permutations: apply h, then g."""
+    return tuple(map(g.__getitem__, h))
+
+
+def _fix(c: FlagComplex, masks: Sequence[int], v: int, t: int) -> list[int]:
+    """``masks`` cut down to automorphisms sending v to t: v maps to t
+    alone, and every other vertex only to vertices whose adjacency to t
+    matches its own adjacency to v."""
+    row = c._adj[t]
+    off = ~(row | 1 << t)
+    out = [m & (row if c._adj[u] >> v & 1 else off) for u, m in enumerate(masks)]
+    out[v] = 1 << t
+    return out
+
+
+def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]:
+    """The transversals of a stabiliser chain of Aut(c), and the number
+    of first-hit searches that found them.
+
+    The base b_1, b_2, ... is ``_search_order``.  Level i's transversal
+    holds, for each point t of the orbit of b_i under the pointwise
+    stabiliser of b_1..b_{i-1}, one element of that stabiliser sending
+    b_i to t, the identity first.  Levels whose only candidate image is
+    b_i itself are left out.  Levels are solved deepest first, so the
+    generators found below close orbits above without a search; every
+    candidate left over gets one search, which finds an element or
+    proves the candidate outside the orbit.
+    """
+    masks = _degree_feasible(c, c)
+    levels = []
+    for b in _search_order(c):
+        if masks[b] != 1 << b:
+            levels.append((b, masks))
+        masks = _fix(c, masks, b, b)
+    identity = tuple(range(c.n_vertices))
+    gens: list[tuple[int, ...]] = []
+    chain = []
+    searches = 0
+    for b, masks in reversed(levels):
+        orbit = {b: identity}
+        for t in _bits(masks[b]):
+            if t in orbit:
+                continue
+            searches += 1
+            g = next(_placements(c, c, None, _fix(c, masks, b, t)), None)
+            if g is None:
+                continue
+            gens.append(g)
+            queue = list(orbit)
+            while queue:
+                x = queue.pop()
+                for h in gens:
+                    y = h[x]
+                    if y not in orbit:
+                        orbit[y] = _compose(h, orbit[x])
+                        queue.append(y)
+        if len(orbit) > 1:
+            chain.append(list(orbit.values()))
+    chain.reverse()
+    return chain, searches
+
+
+def _chain_elements(c: FlagComplex, chain: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Every product u_1∘u_2∘...∘u_k of one element per transversal,
+    that is every automorphism once, sorted.  Vertex ids are sorted, so
+    index order is the canonical order."""
+    perms = [tuple(range(c.n_vertices))]
+    for transversal in reversed(chain):
+        perms = [_compose(u, p) for u in transversal for p in perms]
+    perms.sort()
+    return perms
+
+
+def _greedy_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Walking the sorted elements, each one outside the subgroup
+    generated so far, until that subgroup is the whole group.
+
+    Adding g to the subgroup H closes it incrementally: the coset g∘H
+    lies outside H, and a breadth-first search from it under all
+    generators reaches the rest of the new subgroup.  The walk stops as
+    soon as the closure holds more than half of the elements, since no
+    proper subgroup does.
+    """
+    half = len(perms) // 2
+    gens: list[tuple[int, ...]] = []
+    closure = {perms[0]}  # the identity sorts first
+    for p in perms:
+        if len(closure) > half:
+            break
+        if p in closure:
+            continue
+        gens.append(p)
+        queue = deque(_compose(p, h) for h in closure)
+        closure.update(queue)
+        images = [g.__getitem__ for g in gens]
+        while queue and len(closure) <= half:
+            a = queue.popleft()
+            for image in images:
+                b = tuple(map(image, a))
+                if b not in closure:
+                    closure.add(b)
+                    queue.append(b)
+    return gens
+
+
 def enumerate_automorphisms(c: FlagComplex) -> list[VertexMap]:
     """All automorphisms, in canonical order."""
-    maps = [_to_map(c, c, p) for p in _placements(c, c)]
-    maps.sort(key=VertexMap.key)
-    return maps
+    return [_to_map(c, c, p) for p in _chain_elements(c, _stabiliser_chain(c)[0])]
 
 
 class AutomorphismGroup:
-    """The automorphism group of a finite flag complex.
+    """The automorphism group of a finite flag complex, held as the
+    transversals of a stabiliser chain.
 
-    ``elements`` is the full list when the order is at most
+    ``order`` is the product of the orbit lengths.  ``elements`` is the
+    full list, in canonical order, when the order is at most
     ``ELEMENT_CAP``, else None.  Generators are chosen greedily in
-    canonical element order, so they are deterministic.
+    canonical element order, so they are deterministic.  Both lists are
+    built on first access.
     """
 
     ELEMENT_CAP = 10_000
 
-    __slots__ = ("complex", "order", "generators", "elements")
+    __slots__ = ("complex", "order", "_chain", "_perms", "_elements", "_generators")
 
-    def __init__(self, complex_: FlagComplex, order: int,
-                 generators: list[VertexMap], elements: Optional[list[VertexMap]]):
+    def __init__(self, complex_: FlagComplex, chain: list[list[tuple[int, ...]]]):
         self.complex = complex_
-        self.order = order
-        self.generators = generators
-        self.elements = elements
+        self.order = prod(map(len, chain))
+        self._chain = chain
+        # the elements as sorted index tuples, up to the cap
+        self._perms = (_chain_elements(complex_, chain)
+                       if self.order <= self.ELEMENT_CAP else None)
+        self._elements: Optional[list[VertexMap]] = None
+        self._generators: Optional[list[VertexMap]] = None
+
+    @property
+    def elements(self) -> Optional[list[VertexMap]]:
+        if self._elements is None and self._perms is not None:
+            c = self.complex
+            self._elements = [_to_map(c, c, p) for p in self._perms]
+        return self._elements
+
+    @property
+    def generators(self) -> list[VertexMap]:
+        if self._generators is None:
+            c = self.complex
+            perms = self._perms if self._perms is not None else _chain_elements(c, self._chain)
+            self._generators = [_to_map(c, c, p) for p in _greedy_generators(perms)]
+        return self._generators
 
 
 def automorphism_group(c: FlagComplex) -> AutomorphismGroup:
-    """Compute the automorphism group by exhaustive backtracking."""
-    elements = enumerate_automorphisms(c)
-    order = len(elements)
-    verts = c.vertices
-    perms = [tuple(m.assignment[v] for v in verts) for m in elements]
-    perm_set = set(perms)
-    identity = tuple(verts)
-    index = {v: i for i, v in enumerate(verts)}
-
-    def compose(p: tuple[str, ...], q: tuple[str, ...]) -> tuple[str, ...]:
-        # apply q after p
-        return tuple(q[index[x]] for x in p)
-
-    def close(gens: list[tuple[str, ...]]) -> set[tuple[str, ...]]:
-        closure = {identity}
-        queue = [identity]
-        while queue:
-            a = queue.pop()
-            for g in gens:
-                b = compose(a, g)
-                if b not in closure:
-                    closure.add(b)
-                    queue.append(b)
-        return closure
-
-    generators: list[tuple[str, ...]] = []
-    closure = {identity}
-    for p in perms:
-        if p in closure:
-            continue
-        generators.append(p)
-        closure = close(generators)
-        if len(closure) == order:
-            break
-    assert closure <= perm_set and len(closure) == order
-    gen_maps = [VertexMap(c, c, dict(zip(verts, p))) for p in generators]
-    kept = elements if order <= AutomorphismGroup.ELEMENT_CAP else None
-    return AutomorphismGroup(c, order, gen_maps, kept)
+    """Compute the automorphism group as a stabiliser chain."""
+    return AutomorphismGroup(c, _stabiliser_chain(c)[0])
 
 
 def _dist2_masks(c: FlagComplex) -> list[int]:
@@ -332,11 +429,12 @@ def _dist2_masks(c: FlagComplex) -> list[int]:
 def _locally_injective_placements(
         X: FlagComplex, target: FlagComplex,
         inside: Optional[Iterable[Sequence[str]]] = None,
-        first_images: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Placements of X on target injective on closed stars.  With
-    ``inside`` given (cliques of X as vertex sequences), only placements
-    carrying each of them onto a maximal clique of target are kept."""
-    placements = _placements(X, target, _dist2_masks(X), first_images)
+        masks: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
+    """Placements of X on target injective on closed stars, each vertex
+    restricted to its ``masks`` entry when given.  With ``inside`` given
+    (cliques of X as vertex sequences), only placements carrying each of
+    them onto a maximal clique of target are kept."""
+    placements = _placements(X, target, _dist2_masks(X), masks)
     if inside is None:
         return placements
     target_maximal = {frozenset(map(target.index_of, q)) for q in maximal_cliques(target)}

@@ -126,17 +126,6 @@ def multigraph_from_dict(doc: Mapping) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
-def multigraph_to_dot(g: Multigraph, name: str = "multigraph") -> str:
-    lines = ["graph %s {" % dot_quote(name)]
-    for v in g.vertices:
-        lines.append("  %s;" % dot_quote(v))
-    for eid in g.edge_ids:
-        u, v = g.endpoints(eid)
-        lines.append("  %s -- %s [label=%s];" % (dot_quote(u), dot_quote(v), dot_quote(eid)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def edge_map_to_dict(source: Multigraph, target: Multigraph,
                      mapping: Mapping[str, str]) -> dict:
     return {

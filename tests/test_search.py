@@ -1,12 +1,15 @@
 """Backtracking search: embeddings, isomorphisms, automorphism groups,
 and locally injective map enumeration.
 
-Automorphism counts are cross-checked against networkx's VF2 matcher;
-embeddings and locally injective maps against brute force over all
+Automorphism counts and element sets are cross-checked against
+networkx's VF2 matcher, and the groups of fixed complexes against
+digests recorded from the element-listing implementation; embeddings and locally injective maps against brute force over all
 vertex assignments on small instances.
 """
 
+import hashlib
 from itertools import permutations, product
+from math import factorial, prod
 
 import networkx as nx
 import pytest
@@ -17,6 +20,7 @@ from spherecomplex import (
     VertexMap,
     automorphism_group,
     build_caterpillar_window,
+    build_genus_zero_complex,
     catalog,
     enumerate_automorphisms,
     enumerate_locally_injective_maps,
@@ -24,7 +28,7 @@ from spherecomplex import (
     search_embedding,
     search_isomorphism,
 )
-from spherecomplex.search import _dist2_masks, _iso_precheck, _placements, _search_order
+from spherecomplex.search import _dist2_masks, _iso_precheck, _placements, _stabiliser_chain
 
 
 def to_nx(c: FlagComplex) -> nx.Graph:
@@ -207,6 +211,100 @@ class TestAutomorphisms:
         g = automorphism_group(petersen)
         assert 1 <= len(g.generators) < g.order
 
+    @staticmethod
+    def assert_matches_vf2(c: FlagComplex):
+        """The chain's order and element set against VF2's isomorphisms."""
+        gm = nx.algorithms.isomorphism.GraphMatcher(to_nx(c), to_nx(c))
+        vf2 = {tuple(iso[v] for v in c.vertices) for iso in gm.isomorphisms_iter()}
+        group = automorphism_group(c)
+        assert group.order == len(vf2)
+        keys = [a.key() for a in group.elements]
+        assert keys == sorted(vf2)
+        assert [a.key() for a in enumerate_automorphisms(c)] == keys
+
+    @settings(max_examples=60)
+    @given(graphs7())
+    def test_chain_matches_vf2_on_random_graphs(self, g):
+        self.assert_matches_vf2(g)
+
+    @settings(max_examples=60)
+    @given(st.composite(lambda draw: small_graph(draw, 1, 3, "a"))(),
+           st.composite(lambda draw: small_graph(draw, 1, 4, "b"))())
+    def test_chain_matches_vf2_on_disjoint_unions(self, g, h):
+        """Two random graphs side by side: disconnected, often with
+        isolated vertices and isomorphic components."""
+        self.assert_matches_vf2(flag_from_adjacency(
+            g.vertices + h.vertices, list(g.edges()) + list(h.edges())))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_edgeless_graphs_and_the_empty_complex(self, n):
+        """n isolated vertices: the full symmetric group, one element
+        for the empty complex (n = 0)."""
+        self.assert_matches_vf2(flag_from_adjacency(["v%d" % i for i in range(n)], []))
+
+
+def index_digest(c: FlagComplex, maps) -> str:
+    """sha256 of the maps as index tuples, in the given order."""
+    return hashlib.sha256(repr([tuple(map(c.index_of, m.key())) for m in maps]).encode()).hexdigest()
+
+
+def complex_named(name: str) -> FlagComplex:
+    return build_genus_zero_complex(int(name)) if name.isdigit() else catalog(name)
+
+
+class TestFrozenGroups:
+    """Digests recorded from the element-listing implementation that the
+    stabiliser chain replaced: the same elements in the same canonical
+    order, and the same greedy generators, which `rigidity aut` prints."""
+
+    ELEMENTS = {
+        "5": "3c337e55cc8f51b53b14cfce5e71b32979c963651f2190aa53dfbde5527622ab",
+        "6": "30e784c7ebe4f83f18643ad306cf03c468a89a71e5668675ad263043901acf10",
+        "7": "f3024f8fdc8963b7c81369a115817deb8e191699dc40a945c3826c97d70f3c01",
+    }
+    GENERATORS = {
+        "5": "82308ef6e8f85b5fe7ad84b5d811b27e5866c464e46cafcd8925f33223e1f08a",
+        "6": "385cd328a362e5d6e57a23298dd916d30168ee573074464380f8130570e46f77",
+        "7": "965df8eacc0bb3774a80cd22a48fa85f0b2fc4e87ef88eba7c5a894e84c71b60",
+        "petersen": "fb0fbe2179818fcce7264aedd8557521eccd153abcbcf6506079c10e776ece82",
+        "k33": "7b732b74ca3f4e6cfb909d592fa04920ccb2e2ba419c52990e937aea2c15db88",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ELEMENTS))
+    def test_elements(self, name):
+        c = complex_named(name)
+        assert index_digest(c, automorphism_group(c).elements) == self.ELEMENTS[name]
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generators(self, name):
+        c = complex_named(name)
+        assert index_digest(c, automorphism_group(c).generators) == self.GENERATORS[name]
+
+    def test_order_at_eight_builds_no_element_list(self):
+        """Above ``ELEMENT_CAP`` the order comes from the chain alone:
+        no elements and no generators are built."""
+        group = automorphism_group(build_genus_zero_complex(8))
+        assert group.order == 40320
+        assert group._perms is None and group._generators is None
+        assert group.elements is None
+
+
+class TestStabiliserChain:
+    @pytest.mark.parametrize("s, orbits, searches", [
+        (5, [10, 3, 2, 2], 4),
+        (6, [15, 6, 4, 2], 7),
+        (7, [21, 10, 6, 2, 2], 8),
+        (8, [28, 15, 8, 3, 2, 2], 10),
+    ])
+    def test_orbits_and_search_counts(self, s, orbits, searches):
+        """The orbit lengths multiply to s!, and the number of first-hit
+        searches is exact: it guards the adjacency-to-base filter and
+        the orbit closure against regression."""
+        chain, n = _stabiliser_chain(build_genus_zero_complex(s))
+        assert [len(t) for t in chain] == orbits
+        assert n == searches
+        assert prod(orbits) == factorial(s)
+
 
 class TestLocallyInjectiveMaps:
     def oracle(self, X: FlagComplex, target: FlagComplex):
@@ -247,14 +345,23 @@ class TestLocallyInjectiveMaps:
 
 
 class TestFirstImageMask:
-    @settings(max_examples=60)
-    @given(graphs7(), graphs7(), st.integers(min_value=0, max_value=(1 << 7) - 1),
+    """Per-vertex candidate masks, which generalise the old first-image
+    mask: they replace degree feasibility, which only prunes, so any
+    masks must give exactly the masked subset of the unrestricted
+    search."""
+
+    @settings(max_examples=80)
+    @given(graphs7(), graphs7(),
+           st.lists(st.one_of(st.just((1 << 7) - 1), st.integers(0, (1 << 7) - 1)),
+                    min_size=7, max_size=7),
            st.booleans())
-    def test_keeps_exactly_the_masked_placements(self, src, dst, mask, local):
-        """Restricting the first placed vertex yields the unrestricted
-        placements whose first image lies in the mask, in the same
-        order, for injective and for locally injective placements."""
+    def test_keeps_exactly_the_masked_placements(self, src, dst, masks, local):
+        """Restricting every source vertex to its mask yields the
+        unrestricted placements whose every image lies in its vertex's
+        mask, in the same order, for injective and for locally injective
+        placements."""
         scope = _dist2_masks(src) if local else None
-        first = _search_order(src)[0]
-        want = [p for p in _placements(src, dst, scope) if mask >> p[first] & 1]
-        assert list(_placements(src, dst, scope, mask)) == want
+        masks = [m & ((1 << dst.n_vertices) - 1) for m in masks[:src.n_vertices]]
+        want = [p for p in _placements(src, dst, scope)
+                if all(m >> j & 1 for m, j in zip(masks, p))]
+        assert list(_placements(src, dst, scope, masks)) == want
