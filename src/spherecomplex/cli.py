@@ -5,7 +5,9 @@ with a ``results`` section that is byte-identical across runs on equal
 inputs; ``timing`` is excluded from that guarantee.  Exit status is 0
 when the command's check passes, 1 on a check failure, and 2 on usage
 errors or malformed input files.  Relative ``--out``/``--json``/``--dot``
-paths resolve against ``SPHERECOMPLEX_OUT_DIR`` when it is set.
+paths resolve against ``SPHERECOMPLEX_OUT_DIR`` when it is set.  Each
+``_cmd_*`` returns ``(values, results, passed)``; ``main`` builds every
+report from it.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class InputError(Exception):
-    """Malformed input file or unusable argument combination."""
-
-
 def _resolve_out(path: str) -> str:
     if os.path.isabs(path):
         return path
@@ -67,34 +65,15 @@ def _read_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from exc
+        raise ValueError("cannot read %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
-        raise InputError("%s: top-level JSON value must be an object" % path)
+        raise ValueError("%s: top-level JSON value must be an object" % path)
     return doc
 
 
 def _digest(command: str, values: dict) -> str:
     blob = ser.dumps({"command": command, "values": values})
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _report(command: str, values: dict, results: dict, passed: bool,
-            started: float) -> dict:
-    return {
-        "command": command,
-        "inputs": {"digest": _digest(command, values), "values": values},
-        "results": results,
-        "pass": passed,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-    }
-
-
-def _emit(report: dict, out: str | None) -> None:
-    text = ser.dumps(report)
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_output_flags(p: argparse.ArgumentParser, artifact: bool = True,
@@ -148,14 +127,14 @@ def _complex_from_spec(spec: str) -> tuple[FlagComplex, dict]:
     if os.path.exists(spec):
         doc = _read_json(spec)
         return ser.complex_from_dict(doc), {"input_document": doc}
-    raise InputError("unknown complex %r: not a catalog name, "
+    raise ValueError("unknown complex %r: not a catalog name, "
                      "genus-zero:S, caterpillar:M, or file" % (spec,))
 
 
 def _split_members(raw: str) -> list[str]:
     parts = [x.strip() for x in raw.split(";") if x.strip()]
     if not parts:
-        raise InputError("empty member list")
+        raise ValueError("empty member list")
     return parts
 
 
@@ -167,13 +146,12 @@ def _pants_from_args(s: int, members: str) -> PantsDecomposition:
     try:
         return PantsDecomposition(c, parts)
     except ValueError as exc:
-        raise InputError("not a pants decomposition: %s" % (exc,)) from exc
+        raise ValueError("not a pants decomposition: %s" % (exc,)) from exc
 
 
 # -- complex --------------------------------------------------------------
 
-def _cmd_complex_build(args) -> int:
-    started = time.perf_counter()
+def _cmd_complex_build(args) -> tuple[dict, dict, bool]:
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     results = {
@@ -187,12 +165,10 @@ def _cmd_complex_build(args) -> int:
         _write_text(args.json, ser.dumps(ser.complex_to_dict(c)))
     if args.dot:
         _write_text(args.dot, ser.complex_to_dot(c, name=complex_id(c)))
-    _emit(_report("complex build", values, results, True, started), args.out)
-    return EXIT_PASS
+    return values, results, True
 
 
-def _cmd_complex_stats(args) -> int:
-    started = time.perf_counter()
+def _cmd_complex_stats(args) -> tuple[dict, dict, bool]:
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     cliques = maximal_cliques(c)
@@ -207,12 +183,10 @@ def _cmd_complex_stats(args) -> int:
         "degree_min": min(degs, default=0),
         "degree_max": max(degs, default=0),
     }
-    _emit(_report("complex stats", values, results, True, started), args.out)
-    return EXIT_PASS
+    return values, results, True
 
 
-def _cmd_complex_homology(args) -> int:
-    started = time.perf_counter()
+def _cmd_complex_homology(args) -> tuple[dict, dict, bool]:
     c, values = _complex_from_args(args)
     if args.max_dim is not None:
         values["max_dim"] = args.max_dim
@@ -223,14 +197,12 @@ def _cmd_complex_homology(args) -> int:
     results = report_as_dict(report)
     if args.json:
         _write_text(args.json, ser.dumps(results))
-    _emit(_report("complex homology", values, results, True, started), args.out)
-    return EXIT_PASS
+    return values, results, True
 
 
 # -- pants ----------------------------------------------------------------
 
-def _cmd_pants_enumerate(args) -> int:
-    started = time.perf_counter()
+def _cmd_pants_enumerate(args) -> tuple[dict, dict, bool]:
     systems = enumerate_pants(args.s)
     results = {
         "s": args.s,
@@ -238,13 +210,10 @@ def _cmd_pants_enumerate(args) -> int:
         "system_size": args.s - 3,
         "systems": [list(P.sorted_members()) for P in systems],
     }
-    _emit(_report("pants enumerate", {"s": args.s}, results, True, started),
-          args.out)
-    return EXIT_PASS
+    return {"s": args.s}, results, True
 
 
-def _cmd_pants_flip_graph(args) -> int:
-    started = time.perf_counter()
+def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool]:
     fg = pants_flip_graph(args.s)
     results = {
         "s": args.s,
@@ -253,7 +222,6 @@ def _cmd_pants_flip_graph(args) -> int:
         "connected": fg.connected,
         "diameter": fg.diameter,
     }
-    passed = fg.connected if args.check_connected else True
     if args.dot:
         lines = ["graph flip_graph {"]
         for node in fg.nodes:
@@ -263,19 +231,17 @@ def _cmd_pants_flip_graph(args) -> int:
         lines.append("}")
         _write_text(args.dot, "\n".join(lines) + "\n")
     values = {"s": args.s, "check_connected": bool(args.check_connected)}
-    _emit(_report("pants flip-graph", values, results, passed, started), args.out)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return values, results, fg.connected if args.check_connected else True
 
 
-def _cmd_pants_dual(args) -> int:
-    started = time.perf_counter()
+def _cmd_pants_dual(args) -> tuple[dict, dict, bool]:
     P = _pants_from_args(args.s, args.members)
-    members = _split_members(args.members)
+    members = list(P.sorted_members())
     d = dual_of_pants(P)
     sig = signature_of_dual(d)
     results = {
         "s": args.s,
-        "members": sorted(members),
+        "members": members,
         "dual": ser.dual_to_dict(d),
         "signature": list(sig.as_pair()),
     }
@@ -283,51 +249,45 @@ def _cmd_pants_dual(args) -> int:
         _write_text(args.json, ser.dumps(ser.dual_to_dict(d)))
     if args.dot:
         _write_text(args.dot, ser.dual_to_dot(d))
-    values = {"s": args.s, "members": sorted(members)}
-    _emit(_report("pants dual", values, results, True, started), args.out)
-    return EXIT_PASS
+    return {"s": args.s, "members": members}, results, True
 
 
 # -- dual -----------------------------------------------------------------
 
-def _cmd_dual_classify(args) -> int:
-    started = time.perf_counter()
+def _cmd_dual_classify(args) -> tuple[dict, dict, bool]:
     if args.input:
         doc = _read_json(args.input)
-        try:
-            d = ser.dual_from_dict(doc)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        d = ser.dual_from_dict(doc)
         values = {"input_document": doc}
     else:
         if not (args.s and args.members):
-            raise InputError("need --input FILE or both --s and --members")
+            raise ValueError("need --input FILE or both --s and --members")
         P = _pants_from_args(args.s, args.members)
         d = dual_of_pants(P)
         values = {"s": args.s, "members": list(P.sorted_members())}
     try:
-        eta = [int(x) for x in args.edges.split(",") if x.strip() != ""]
+        eta = sorted({int(x) for x in args.edges.split(",") if x.strip() != ""})
     except ValueError as exc:
-        raise InputError("--edges must be comma-separated bond indices") from exc
+        raise ValueError("--edges must be comma-separated bond indices") from exc
     if not all(0 <= i < len(d.bonds) for i in eta):
-        raise InputError("bond index out of range (have %d bonds)" % len(d.bonds))
-    values["edges"] = sorted(eta)
+        raise ValueError("bond index out of range (have %d bonds)" % len(d.bonds))
+    values["edges"] = eta
     dec = classify_link(d, eta)
     results = {
-        "eta": sorted(eta),
-        "eta_labels": [d.bond_label(i) for i in sorted(eta)],
+        "eta": eta,
+        "eta_labels": [d.bond_label(i) for i in eta],
         "factors": [list(f) for f in dec.as_pairs()],
     }
-    _emit(_report("dual classify", values, results, True, started), args.out)
-    return EXIT_PASS
+    return values, results, True
 
 
 # -- whitney --------------------------------------------------------------
 
-def _cmd_whitney_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_whitney_check(args) -> tuple[dict, dict, bool]:
     if args.random_roundtrip is not None:
         trials = args.random_roundtrip
+        if trials < 0:
+            raise ValueError("--random-roundtrip N needs N >= 0")
         seed = args.seed if args.seed is not None else 0
         rng = random.Random(seed)
         failures = []
@@ -351,36 +311,24 @@ def _cmd_whitney_check(args) -> int:
             "all_recovered": not failures,
             "failures": failures,
         }
-        values = {"random_roundtrip": trials, "seed": seed}
-        passed = not failures
-        _emit(_report("whitney check", values, results, passed, started), args.out)
-        return EXIT_PASS if passed else EXIT_CHECK_FAILED
+        return {"random_roundtrip": trials, "seed": seed}, results, not failures
     if not args.map:
-        raise InputError("need --map FILE or --random-roundtrip N")
+        raise ValueError("need --map FILE or --random-roundtrip N")
     doc = _read_json(args.map)
-    try:
-        psi = ser.edge_bijection_from_dict(doc)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    psi = ser.edge_bijection_from_dict(doc)
     ok = is_edge_isomorphism(psi)
     results = {"edge_isomorphism": ok}
     if ok:
         pair = find_k3_k13_pair(psi)
         results["k3_k13_pair"] = list(pair) if pair else None
-    values = {"input_document": doc}
-    _emit(_report("whitney check", values, results, ok, started), args.out)
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return {"input_document": doc}, results, ok
 
 
-def _cmd_whitney_lift(args) -> int:
-    started = time.perf_counter()
+def _cmd_whitney_lift(args) -> tuple[dict, dict, bool]:
     doc = _read_json(args.map)
-    try:
-        psi = ser.edge_bijection_from_dict(doc)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    psi = ser.edge_bijection_from_dict(doc)
     if not is_edge_isomorphism(psi):
-        raise InputError("--map is not an edge isomorphism; run `whitney check`")
+        raise ValueError("--map is not an edge isomorphism; run `whitney check`")
     res = lift_edge_isomorphism(psi)
     results = {
         "verdict": res.verdict,
@@ -392,16 +340,12 @@ def _cmd_whitney_lift(args) -> int:
             "vertices": list(psi.source.vertices),
             "map": dict(res.vertex_map),
         }))
-    passed = res.verdict == LIFTED
-    values = {"input_document": doc}
-    _emit(_report("whitney lift", values, results, passed, started), args.out)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return {"input_document": doc}, results, res.verdict == LIFTED
 
 
 # -- rigidity -------------------------------------------------------------
 
-def _cmd_rigidity_aut(args) -> int:
-    started = time.perf_counter()
+def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool]:
     c, values = _complex_from_args(args)
     group = automorphism_group(c)
     results = {
@@ -410,53 +354,48 @@ def _cmd_rigidity_aut(args) -> int:
         "n_generators": len(group.generators),
         "generators": [dict(g.assignment) for g in group.generators],
     }
-    _emit(_report("rigidity aut", values, results, True, started), args.out)
-    return EXIT_PASS
+    return values, results, True
 
 
-def _cmd_rigidity_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool]:
     c, values = _complex_from_args(args)
     xs = _split_members(args.subcomplex) if args.subcomplex else list(c.vertices)
     unknown = [v for v in xs if v not in c]
     if unknown:
-        raise InputError("subcomplex vertices not in the ambient: %r" % unknown)
+        raise ValueError("subcomplex vertices not in the ambient: %r" % unknown)
     values.update({"subcomplex": sorted(xs), "mode": args.mode})
     cert = verify_rigidity(xs, c, mode=args.mode)
     results = ser.certificate_to_dict(cert)
     if args.json:
         _write_text(args.json, ser.dumps(results))
-    passed = cert.all_extend
-    _emit(_report("rigidity verify", values, results, passed, started), args.out)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return values, results, cert.all_extend
 
 
-def _cmd_rigidity_split(args) -> int:
-    started = time.perf_counter()
+def _cmd_rigidity_split(args) -> tuple[dict, dict, bool]:
     P = _pants_from_args(args.genus_zero, args.members)
     if args.sphere not in P.members:
-        raise InputError("--sphere must be a member of the decomposition")
+        raise ValueError("--sphere must be a member of the decomposition")
+    members = list(P.sorted_members())
     split = find_split_spheres(P, args.sphere)
     results = {
         "s": args.genus_zero,
-        "pants": list(P.sorted_members()),
+        "pants": members,
         "sphere": args.sphere,
         "split_spheres": sorted(split),
         "count": len(split),
     }
-    values = {"genus_zero": args.genus_zero, "members": list(P.sorted_members()),
+    values = {"genus_zero": args.genus_zero, "members": members,
               "sphere": args.sphere}
-    _emit(_report("rigidity split", values, results, True, started), args.out)
-    return EXIT_PASS
+    return values, results, True
 
 
-def _cmd_rigidity_xsigma(args) -> int:
-    started = time.perf_counter()
+def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool]:
     P = _pants_from_args(args.genus_zero, args.members)
+    members = list(P.sorted_members())
     x = build_x_sigma(P)
     results = {
         "s": args.genus_zero,
-        "sigma": list(P.sorted_members()),
+        "sigma": members,
         "vertices": list(x.vertices),
         "n_vertices": x.n_vertices,
         "n_edges": x.n_edges,
@@ -465,31 +404,22 @@ def _cmd_rigidity_xsigma(args) -> int:
         _write_text(args.json, ser.dumps(ser.complex_to_dict(x)))
     if args.dot:
         _write_text(args.dot, ser.complex_to_dot(x, name="x_sigma"))
-    values = {"genus_zero": args.genus_zero, "members": list(P.sorted_members())}
-    _emit(_report("rigidity xsigma", values, results, True, started), args.out)
-    return EXIT_PASS
+    return {"genus_zero": args.genus_zero, "members": members}, results, True
 
 
-def _cmd_rigidity_witness(args) -> int:
-    started = time.perf_counter()
+def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool]:
     window = build_caterpillar_window(args.m)
     xs = _split_members(args.x)
-    try:
-        w = caterpillar_witness(xs, window)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    w = caterpillar_witness(xs, window)
     results = ser.witness_to_dict(w)
     if args.json:
         _write_text(args.json, ser.dumps(results))
-    values = {"m": args.m, "x": sorted(xs)}
-    _emit(_report("rigidity witness", values, results, True, started), args.out)
-    return EXIT_PASS
+    return {"m": args.m, "x": sorted(xs)}, results, True
 
 
 # -- nonembed, census, catalog ---------------------------------------------
 
-def _cmd_nonembed(args) -> int:
-    started = time.perf_counter()
+def _cmd_nonembed(args) -> tuple[dict, dict, bool]:
     src, src_rec = _complex_from_spec(args.source)
     dst, dst_rec = _complex_from_spec(args.target)
     shortcut = not args.no_shortcut
@@ -502,38 +432,28 @@ def _cmd_nonembed(args) -> int:
         "acyclicity_shortcut": shortcut,
         "verdict": "embedding found" if found else "no embedding",
     }
-    passed = found is None
     values = {"source": src_rec, "target": dst_rec,
               "acyclicity_shortcut": shortcut}
-    _emit(_report("nonembed", values, results, passed, started), args.out)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return values, results, found is None
 
 
-def _cmd_census_good_pairs(args) -> int:
-    started = time.perf_counter()
-    try:
-        cut = CutLabeling.from_signature(args.n, args.s)
-        census = good_pair_census(cut, args.pair)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool]:
+    cut = CutLabeling.from_signature(args.n, args.s)
+    census = good_pair_census(cut, args.pair)
     results = ser.census_to_dict(census, args.n, args.s)
     if args.json:
         _write_text(args.json, ser.dumps(results))
-    passed = census.nonempty == census.threshold_met
     values = {"n": args.n, "s": args.s, "pair": args.pair}
-    _emit(_report("census good-pairs", values, results, passed, started), args.out)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return values, results, census.nonempty == census.threshold_met
 
 
-def _cmd_catalog(args) -> int:
-    started = time.perf_counter()
+def _cmd_catalog(args) -> tuple[dict, dict, bool]:
     entries = {}
     for name in catalog_names():
         c = catalog(name)
         entries[name] = {"n_vertices": c.n_vertices, "n_edges": c.n_edges}
     results = {"names": list(catalog_names()), "complexes": entries}
-    _emit(_report("catalog", {}, results, True, started), args.out)
-    return EXIT_PASS
+    return {}, results, True
 
 
 # -- parser ----------------------------------------------------------------
@@ -669,13 +589,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.group, getattr(args, "action", None))))
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (InputError, ValueError) as exc:
+        values, results, passed = args.func(args)
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    report = {
+        "command": command,
+        "inputs": {"digest": _digest(command, values), "values": values},
+        "results": results,
+        "pass": passed,
+        "timing": {"seconds": round(time.perf_counter() - started, 6)},
+    }
+    if args.out:
+        _write_text(args.out, ser.dumps(report))
+    else:
+        sys.stdout.write(ser.dumps(report))
+    return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -101,9 +101,6 @@ class DualMultigraph:
             return self.bond_labels[i]
         return "b%d" % i
 
-    def legs_at(self, pants_id: str) -> list[str]:
-        return [lb for sl, lb in self.legs if self._slot_pants[sl] == pants_id]
-
     def is_connected(self) -> bool:
         sp = self._slot_pants
         return len(pair_components(self.pants, ((sp[a], sp[b]) for a, b in self.bonds))) <= 1

@@ -52,9 +52,6 @@ class Multigraph:
         u, v = self.edges[eid]
         return u == v
 
-    def incident_edges(self, v: str) -> list[str]:
-        return [e for e in self.edge_ids if v in self.edges[e]]
-
     def degree(self, v: str) -> int:
         """Loops count twice."""
         d = 0

@@ -49,7 +49,13 @@ def complex_from_dict(d: Mapping) -> FlagComplex:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed complex document: %s" % (exc,)) from exc
     meta = d.get("meta")
-    return flag_from_adjacency(vertices, edges, meta=dict(meta) if meta else None)
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError("malformed complex document: meta must be an object")
+    for model, size in (("genus-zero", "s"), ("caterpillar", "m")):
+        if meta and meta.get("model") == model and type(meta.get(size)) is not int:
+            raise ValueError("malformed complex document: a %s model needs "
+                             "an integer %r in meta" % (model, size))
+    return flag_from_adjacency(vertices, edges, meta=meta)
 
 
 def complex_to_dot(c: FlagComplex, name: str = "complex") -> str:
@@ -83,6 +89,9 @@ def dual_from_dict(doc: Mapping) -> DualMultigraph:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed dual multigraph document: %s" % (exc,)) from exc
     labels = doc.get("bond_labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("malformed dual multigraph document: "
+                         "bond_labels must be an array")
     return DualMultigraph(pants, bonds, legs,
                           bond_labels=[str(x) for x in labels] if labels else None)
 

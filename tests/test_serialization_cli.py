@@ -4,6 +4,8 @@ Every exported document is validated against the shipped JSON schema for
 its type, and the CLI is driven in-process through ``cli.main``.
 """
 
+import argparse
+import hashlib
 import json
 
 import jsonschema
@@ -20,7 +22,9 @@ from spherecomplex import (
     scramble,
 )
 from spherecomplex import serialization as ser
-from spherecomplex.cli import main
+from spherecomplex.cli import build_parser, main
+
+M6 = "p:1,2|s=6;p:1,2,3|s=6;p:1,2,3,4|s=6"
 
 
 def run_cli(argv, tmp_path, name="report.json"):
@@ -32,6 +36,11 @@ def run_cli(argv, tmp_path, name="report.json"):
         return int(exc.code), None
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def validate(doc, schema_name):
@@ -255,6 +264,91 @@ class TestCliReports:
         assert code == 0
         assert "petersen" in rep["results"]["names"]
 
+    def test_repeated_members_and_edges_are_deduplicated(self, tmp_path):
+        def report(argv, name):
+            code, rep = run_cli(argv, tmp_path, name)
+            assert code == 0
+            del rep["timing"]
+            return rep
+
+        dual = ["pants", "dual", "--s", "6", "--members"]
+        once = report([*dual, M6], "a.json")
+        twice = report([*dual, M6 + ";p:1,2|s=6"], "b.json")
+        assert twice == once and len(twice["results"]["members"]) == 3
+        classify = ["dual", "classify", "--s", "6", "--members", M6, "--edges"]
+        once = report([*classify, "0"], "c.json")
+        twice = report([*classify, "0,0"], "d.json")
+        assert twice == once and twice["results"]["eta"] == [0]
+
+
+# sha256 of each report minus ``timing``, one command per subcommand,
+# recorded from version 0.1.0's reports so that any change to the report
+# envelope, a command name or a results section shows here.  ``whitney
+# lift`` reads k3_to_star_doc() from --map.
+FROZEN_REPORTS = {
+    "complex build": (["--genus-zero", "5"], 0,
+                      "73088e89c9272dafd143e5c3cf932d9f35ecd1811855ff8b6e118e862ebb5651"),
+    "complex stats": (["--catalog", "petersen"], 0,
+                      "586a7b6585662f17fab5856e4f121c561fdfb4a916e676f68cc176ccc5d4fbbf"),
+    "complex homology": (["--genus-zero", "5"], 0,
+                         "c8c10d77bf844422c2af44d930298d2af058f7dc3d372fad1ebbca2f97fa648a"),
+    "pants enumerate": (["--s", "5"], 0,
+                        "70010adde8f66cd5c17d6946b822b76a727a86da28c05bf380e393caca345249"),
+    "pants flip-graph": (["--s", "5", "--check-connected"], 0,
+                         "1f45ccbc8af50f11b3f0dc66e52fe28c5868c5cbda04ce657ece12ee7ea37ce1"),
+    "pants dual": (["--s", "6", "--members", M6], 0,
+                   "aeeb7bad08fb5794399454f7814e7ca9509b1350d955485d1321720b75dee4c8"),
+    "dual classify": (["--s", "6", "--members", M6, "--edges", "0,2"], 0,
+                      "5fe4bfcccb4dc5e8872532b24896bd32e35fb85c3753fc00f0ef134c35e54b00"),
+    "whitney check": (["--random-roundtrip", "5", "--seed", "3"], 0,
+                      "b2863597377f74d0fd4299f797aed66122336e343aeadea3238c5b7ab97f9d0f"),
+    "whitney lift": (["--map"], 1,
+                     "a68be58160a6120839ca8fd6f368306e7ca0f08839da14c3ad2f2c8de3b037c4"),
+    "rigidity aut": (["--catalog", "petersen"], 0,
+                     "ae339e3640db17e1951fe3a6cc95831fea1defccb3937d0a5fc83eb6d32a0a6e"),
+    "rigidity verify": (["--genus-zero", "5"], 0,
+                        "b9e13b253a9a75595250ddde6c63d5f6ae3be18115d513a06ec2877d47fd6294"),
+    "rigidity split": (["--genus-zero", "6", "--members", M6, "--sphere", "p:1,2|s=6"], 0,
+                       "3166e87979da7210efc28f9cf6f2e01a606ab0c8c2fe6137b3f676a68ab107eb"),
+    "rigidity xsigma": (["--genus-zero", "6", "--members", M6], 0,
+                        "81d64cf74ce9716fb7edcb9671131dac92c9e9181b5e14865da5c4094b2bcc16"),
+    "rigidity witness": (["--m", "4", "--x", "z:0;w:0"], 0,
+                         "183248430c32ba0a5f70455dcea0de661de0366e8a2814c9a513189ce7f108a4"),
+    "nonembed": (["--source", "k33", "--target", "petersen"], 0,
+                 "f30eec2ba5d754980e7904a7e47e8e6a17a93251cb8ea54776009b3e5b7eaef1"),
+    "census good-pairs": (["--n", "1", "--s", "4"], 0,
+                          "06959ae7b2a0b4a3242967d62f0a20c5b76a75442efbabe84d89601aab2fde9a"),
+    "catalog": ([], 0,
+                "9fa95b57ea52ec3afae107a1bf37cb9756c2e95ea1dd747fb3b5bbef17545080"),
+}
+
+
+def registered_commands(parser, prefix=()):
+    """Every leaf command name of the parser, e.g. 'complex build'."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(prefix)]
+    return [name for key, sub in subs[0].choices.items()
+            for name in registered_commands(sub, (*prefix, key))]
+
+
+class TestFrozenReports:
+    def test_every_registered_command_is_frozen(self):
+        assert sorted(registered_commands(build_parser())) == sorted(FROZEN_REPORTS)
+
+    @pytest.mark.parametrize("command", sorted(FROZEN_REPORTS))
+    def test_report_digest(self, command, tmp_path):
+        args, expected_code, digest = FROZEN_REPORTS[command]
+        if command == "whitney lift":
+            doc_path = tmp_path / "map.json"
+            doc_path.write_text(ser.dumps(k3_to_star_doc()))
+            args = [*args, str(doc_path)]
+        code, rep = run_cli([*command.split(), *args], tmp_path)
+        assert code == expected_code
+        assert rep["command"] == command
+        del rep["timing"]
+        assert hashlib.sha256(ser.dumps(rep).encode("utf-8")).hexdigest() == digest
+
 
 class TestCliErrors:
     def test_missing_input_file(self, tmp_path):
@@ -282,8 +376,37 @@ class TestCliErrors:
         monkeypatch.setattr(AutomorphismGroup, "ELEMENT_CAP", 10)
         code, report = run_cli(["rigidity", "verify", "--genus-zero", "5"], tmp_path)
         assert code == 2 and report is None
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["complex", "build", "--input"], "meta", [1, 2]),
+        (["complex", "build", "--input"], "meta", {"model": "genus-zero"}),
+        (["complex", "stats", "--input"], "meta", {"model": "genus-zero"}),
+        (["rigidity", "verify", "--input"], "meta", {"model": "genus-zero"}),
+        (["nonembed", "--target", "petersen", "--source"], "meta",
+         {"model": "genus-zero"}),
+        (["complex", "build", "--input"], "meta", {"model": "caterpillar", "m": "x"}),
+        (["dual", "classify", "--edges", "0", "--input"], "bond_labels", 5),
+    ])
+    def test_malformed_document_exits_two(self, argv, key, value, tmp_path,
+                                          capsys, c5, c6):
+        if key == "bond_labels":
+            P = PantsDecomposition(c6, M6.split(";"))
+            doc = ser.dual_to_dict(dual_of_pants(P))
+        else:
+            doc = ser.complex_to_dict(c5)
+        doc[key] = value
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        code, report = run_cli([*argv, str(doc_path)], tmp_path)
+        assert code == 2 and report is None
+        assert_one_error_line(capsys)
+
+    def test_negative_roundtrip_count_exits_two(self, tmp_path, capsys):
+        code, report = run_cli(
+            ["whitney", "check", "--random-roundtrip", "-3"], tmp_path)
+        assert code == 2 and report is None
+        assert_one_error_line(capsys)
 
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
