@@ -119,11 +119,16 @@ def _complex_from_spec(spec: str) -> tuple[FlagComplex, dict]:
     `caterpillar:M`, or a JSON file path."""
     if spec in catalog_names():
         return catalog(spec), {"catalog": spec}
-    if spec.startswith("genus-zero:"):
-        return build_genus_zero_complex(int(spec.split(":", 1)[1])), {"spec": spec}
-    if spec.startswith("caterpillar:"):
-        return (build_caterpillar_window(int(spec.split(":", 1)[1])).complex,
-                {"spec": spec})
+    model, sep, size = spec.partition(":")
+    if sep and model in ("genus-zero", "caterpillar"):
+        try:
+            n = int(size)
+        except ValueError:
+            raise ValueError("bad complex spec %r: expected genus-zero:S or "
+                             "caterpillar:M with an integer S or M" % (spec,)) from None
+        if model == "genus-zero":
+            return build_genus_zero_complex(n), {"spec": spec}
+        return build_caterpillar_window(n).complex, {"spec": spec}
     if os.path.exists(spec):
         doc = _read_json(spec)
         return ser.complex_from_dict(doc), {"input_document": doc}
@@ -363,7 +368,7 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool]:
     unknown = [v for v in xs if v not in c]
     if unknown:
         raise ValueError("subcomplex vertices not in the ambient: %r" % unknown)
-    values.update({"subcomplex": sorted(xs), "mode": args.mode})
+    values.update({"subcomplex": sorted(set(xs)), "mode": args.mode})
     cert = verify_rigidity(xs, c, mode=args.mode)
     results = ser.certificate_to_dict(cert)
     if args.json:
@@ -414,7 +419,7 @@ def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool]:
     results = ser.witness_to_dict(w)
     if args.json:
         _write_text(args.json, ser.dumps(results))
-    return {"m": args.m, "x": sorted(xs)}, results, True
+    return {"m": args.m, "x": sorted(set(xs))}, results, True
 
 
 # -- nonembed, census, catalog ---------------------------------------------

@@ -159,12 +159,17 @@ def link_of(c: FlagComplex, simplex: Iterable[str]) -> FlagComplex:
     s = sorted(set(simplex))
     if not c.is_clique(s):
         raise ValueError("not a clique: %r" % (s,))
-    if not s:
-        return c.induced(c.vertices)
+    return c.induced(c.vertices[i] for i in _bits(_link_mask(c, s)))
+
+
+def _link_mask(c: FlagComplex, ids: Iterable[str]) -> int:
+    """Mask of the vertices adjacent to every vertex in ``ids``: all
+    vertices for the empty set, and never a vertex of a nonempty
+    ``ids`` (adjacency is irreflexive)."""
     common = (1 << c.n_vertices) - 1
-    for v in s:
-        common &= c.adjacency_mask(v)
-    return c.induced(c.vertices[i] for i in _bits(common))
+    for v in ids:
+        common &= c._adj[c._index[v]]
+    return common
 
 
 def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:

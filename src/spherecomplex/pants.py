@@ -10,11 +10,10 @@ one member.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .flagcomplex import FlagComplex, link_of, maximal_cliques
+from .flagcomplex import FlagComplex, _bits, _link_mask, mask_components, maximal_cliques
 from .genus_zero import build_genus_zero_complex
 
 
@@ -47,14 +46,7 @@ class SphereSystem:
 
 def is_maximal_system(sys: SphereSystem) -> bool:
     """Whether no ambient vertex is disjoint from every member."""
-    c = sys.complex
-    full = (1 << c.n_vertices) - 1
-    common = full
-    for v in sys.members:
-        common &= c.adjacency_mask(v)
-    for v in sys.members:
-        common &= ~(1 << c.index_of(v))
-    return common == 0
+    return _link_mask(sys.complex, sys.members) == 0
 
 
 class PantsDecomposition(SphereSystem):
@@ -85,9 +77,9 @@ def flip_partners(P: PantsDecomposition, a: str) -> tuple[str, ...]:
     """
     if a not in P.members:
         raise ValueError("%r is not a member of the decomposition" % (a,))
-    rest = P.members - {a}
-    lk = link_of(P.complex, rest)
-    return tuple(v for v in lk.vertices if v not in P.members)
+    c = P.complex
+    partners = _link_mask(c, P.members - {a}) & ~(1 << c.index_of(a))
+    return tuple(c.vertices[i] for i in _bits(partners))
 
 
 @dataclass(frozen=True)
@@ -103,51 +95,33 @@ class FlipGraph:
 
 
 def pants_flip_graph(s: int) -> FlipGraph:
-    """Build the flip graph and check its connectivity by breadth-first
-    search; the diameter is computed when connected."""
-    decomps = enumerate_pants(s)
-    by_id = {P.system_id(): P.sorted_members() for P in decomps}
-    nodes = tuple(sorted(by_id))
-    edge_set: set[tuple[str, str]] = set()
-    for P in decomps:
-        pid = P.system_id()
+    """Build the flip graph and check its connectivity; the diameter is
+    the largest breadth-first eccentricity when connected."""
+    decomps = sorted(enumerate_pants(s), key=PantsDecomposition.system_id)
+    nodes = tuple(P.system_id() for P in decomps)
+    index = {P.members: i for i, P in enumerate(decomps)}
+    adj = [0] * len(nodes)
+    for i, P in enumerate(decomps):
         for a in P.sorted_members():
             for b in flip_partners(P, a):
-                other = ";".join(sorted((P.members - {a}) | {b}))
-                assert other in by_id, "flip produced a non-maximal system"
-                if other != pid:
-                    edge_set.add(tuple(sorted((pid, other))))
-    edges = tuple(sorted(edge_set))
+                adj[i] |= 1 << index[P.members - {a} | {b}]
+    edges = tuple((nodes[i], nodes[j]) for i, m in enumerate(adj)
+                  for j in _bits(m) if j > i)
+    connected = len(mask_components(adj)) <= 1
+    diameter = max((_eccentricity(adj, i) for i in range(len(adj))),
+                   default=0) if connected else None
+    members = {u: P.sorted_members() for u, P in zip(nodes, decomps)}
+    return FlipGraph(nodes, members, edges, connected, diameter)
 
-    index = {v: i for i, v in enumerate(nodes)}
-    adj: list[list[int]] = [[] for _ in nodes]
-    for u, v in edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
 
-    def bfs(start: int) -> list[int]:
-        dist = [-1] * len(nodes)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        return dist
-
-    connected = True
-    diameter: Optional[int] = 0
-    if nodes:
-        ecc = []
-        for i in range(len(nodes)):
-            dist = bfs(i)
-            if min(dist) < 0:
-                connected = False
-                diameter = None
-                break
-            ecc.append(max(dist))
-        else:
-            diameter = max(ecc) if ecc else 0
-    return FlipGraph(nodes, by_id, edges, connected, diameter)
+def _eccentricity(adj: list[int], start: int) -> int:
+    """The number of breadth-first layers beyond ``start`` on ``adj``."""
+    seen = layer = 1 << start
+    depth = -1
+    while layer:
+        reach = 0
+        for i in _bits(layer):
+            reach |= adj[i]
+        layer, depth = reach & ~seen, depth + 1
+        seen |= layer
+    return depth

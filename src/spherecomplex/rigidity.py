@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
-from .flagcomplex import (FlagComplex, _bits, is_connected, link_of, mask_components,
-                          maximal_cliques)
+from .flagcomplex import (FlagComplex, _bits, _link_mask, is_connected, link_of,
+                          mask_components, maximal_cliques)
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree, build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
@@ -160,16 +160,8 @@ def find_split_spheres(P: PantsDecomposition, a: str) -> list[str]:
     member of P they intersect."""
     if a not in P.members:
         raise ValueError("%r is not a member of the decomposition" % (a,))
-    c = P.complex
-    out = []
-    for b in c.vertices:
-        if b in P.members:
-            continue
-        if c.adjacent(a, b):
-            continue  # b is disjoint from a, not a split sphere
-        if all(c.adjacent(b, m) for m in P.members if m != a):
-            out.append(b)
-    return out
+    # a flip partner b misses a, or P + b would be a larger clique
+    return list(flip_partners(P, a))
 
 
 def find_split_pairs(a: str, X_vertices: Iterable[str],
@@ -217,11 +209,10 @@ def build_x_sigma(sigma: PantsDecomposition) -> FlagComplex:
     set sigma minus a.  In genus zero each such link has exactly three
     vertices: a and its two flip partners."""
     c = sigma.complex
-    vs = set(sigma.members)
+    vs = 0
     for a in sigma.members:
-        lk = link_of(c, sigma.members - {a})
-        vs.update(lk.vertices)
-    return c.induced(vs)
+        vs |= _link_mask(c, sigma.members - {a})
+    return c.induced(c.vertices[i] for i in _bits(vs))
 
 
 class TransitivityError(AssertionError):

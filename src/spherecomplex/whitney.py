@@ -153,8 +153,8 @@ def lift_edge_isomorphism(psi: EdgeBijection) -> LiftResult:
     src, dst = psi.source, psi.target
     if not src.is_connected() or src.n_vertices == 0:
         raise ValueError("source must be connected and nonempty")
-    if not dst.is_connected():
-        raise ValueError("target must be connected")
+    if not dst.is_connected() or dst.n_vertices == 0:
+        raise ValueError("target must be connected and nonempty")
     obstruction = find_k3_k13_pair(psi)  # validates the edge isomorphism
     if obstruction is not None:
         return LiftResult(OBSTRUCTED, psi, obstruction=obstruction)

@@ -1,6 +1,9 @@
 """Pants decompositions, the flip graph, dual multigraphs, and link
 classification."""
 
+import dataclasses
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -22,6 +25,7 @@ from spherecomplex import (
     dual_of_pants,
     dual_to_multigraph,
     enumerate_pants,
+    flag_from_adjacency,
     flip_partners,
     ih_flip,
     is_maximal_system,
@@ -113,6 +117,10 @@ class TestPantsEnumeration:
         sub = SphereSystem(c6, ["p:1,2|s=6"])
         assert not is_maximal_system(sub)
 
+    def test_empty_system_is_maximal_only_in_the_empty_complex(self, c5):
+        assert is_maximal_system(SphereSystem(flag_from_adjacency([], []), []))
+        assert not is_maximal_system(SphereSystem(c5, []))
+
     def test_non_clique_rejected(self, c6):
         with pytest.raises(ValueError):
             SphereSystem(c6, ["p:1,2|s=6", "p:1,3|s=6"])
@@ -157,6 +165,18 @@ class TestFlipMoves:
         fg = pants_flip_graph(6)
         assert len(fg.nodes) == 105 and len(fg.edges) == 315
         assert fg.connected and fg.diameter == 5
+
+    @pytest.mark.parametrize("s, digest", [
+        (6, "7722ed210545c5ab70fb73069b04fcb4c1acbb520e24c62f889d4c2c8616acf9"),
+        (7, "587cd065ebc4ed174f08734e45aec280500ff2176ff6e9ffe066f2e6d7e516f1"),
+    ])
+    def test_flip_graph_digest(self, s, digest):
+        """sha256 of all five fields as sorted-key JSON, so a change to
+        the nodes, members, edges or their order, connectivity or
+        diameter shows here."""
+        fg = pants_flip_graph(s)
+        text = json.dumps(dataclasses.asdict(fg), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDualMultigraph:

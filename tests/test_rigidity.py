@@ -28,6 +28,7 @@ from spherecomplex import (
     build_genus_zero_complex,
     build_x_sigma,
     catalog,
+    catalog_names,
     caterpillar_witness,
     complex_id,
     detect_x_detectable,
@@ -37,6 +38,7 @@ from spherecomplex import (
     flag_from_adjacency,
     find_split_pairs,
     find_split_spheres,
+    flip_partners,
     good_pair_census,
     label_action_automorphisms,
     link_equivalence_classes,
@@ -48,6 +50,19 @@ from spherecomplex import (
 
 def vid(s, *labels):
     return SpherePartition(s, labels).vertex_id()
+
+
+def assert_split_spheres_are_flip_partners(P):
+    """A vertex outside the maximal clique P that is adjacent to every
+    member but a cannot be adjacent to a, or P would not be maximal; so
+    the split spheres of a are its flip partners, and X_sigma is P plus
+    the partners of every member."""
+    partners = set()
+    for a in sorted(P.members):
+        found = find_split_spheres(P, a)
+        assert found == list(flip_partners(P, a))
+        partners.update(found)
+    assert build_x_sigma(P) == P.complex.induced(P.members | partners)
 
 
 class TestLabelAction:
@@ -272,6 +287,18 @@ class TestSplitSpheres:
                 if b not in P.members and not c5.adjacent(a, b)
                 and all(c5.adjacent(b, m) for m in P.members if m != a)]
         assert sorted(find_split_spheres(P, a)) == sorted(want)
+
+
+    @pytest.mark.parametrize("s", [4, 5, 6, 7])
+    def test_are_the_flip_partners(self, s):
+        for P in enumerate_pants(s):
+            assert_split_spheres_are_flip_partners(P)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_are_the_flip_partners_on_the_catalog(self, name):
+        c = catalog(name)
+        for q in maximal_cliques(c):
+            assert_split_spheres_are_flip_partners(PantsDecomposition(c, q))
 
 
 class TestSplitPairs:

@@ -280,6 +280,21 @@ class TestCliReports:
         twice = report([*classify, "0,0"], "d.json")
         assert twice == once and twice["results"]["eta"] == [0]
 
+    @pytest.mark.parametrize("argv, key, repeated, plain", [
+        (["rigidity", "verify", "--genus-zero", "5"], "subcomplex",
+         "p:1,2|s=5;p:1,2|s=5", "p:1,2|s=5"),
+        (["rigidity", "witness", "--m", "4"], "x", "z:0;w:0;w:0", "w:0;z:0"),
+    ])
+    def test_repeated_vertices_count_once(self, argv, key, repeated, plain, tmp_path):
+        """Equal vertex sets give equal reports, input digest included."""
+        reports = []
+        for k, raw in enumerate((repeated, plain)):
+            code, rep = run_cli([*argv, "--" + key, raw], tmp_path, "%d.json" % k)
+            del rep["timing"]
+            reports.append((code, rep))
+        assert reports[0] == reports[1]
+        assert reports[0][1]["inputs"]["values"][key] == sorted(set(plain.split(";")))
+
 
 # sha256 of each report minus ``timing``, one command per subcommand,
 # recorded from version 0.1.0's reports so that any change to the report
@@ -370,6 +385,24 @@ class TestCliErrors:
         bad.write_text("[1, 2, 3]\n")
         code, _ = run_cli(["whitney", "lift", "--map", str(bad)], tmp_path)
         assert code == 2
+
+    def test_lift_onto_an_empty_target_exits_two(self, tmp_path, capsys):
+        # an edgeless vertex onto no vertices is an edge isomorphism
+        doc = tmp_path / "map.json"
+        doc.write_text(ser.dumps(ser.edge_map_to_dict(
+            Multigraph(["x"], {}), Multigraph([], {}), {})))
+        code, report = run_cli(["whitney", "lift", "--map", str(doc)], tmp_path)
+        assert code == 2 and report is None
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("spec", ["genus-zero:x", "caterpillar:", "genus-zero:5.0"])
+    def test_malformed_size_spec_names_the_form(self, spec, tmp_path, capsys):
+        code, report = run_cli(["nonembed", "--source", spec, "--target", "petersen"],
+                               tmp_path)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(spec) in err and "genus-zero:S" in err and "caterpillar:M" in err
 
     def test_group_above_the_element_cap_exits_two(self, tmp_path, capsys,
                                                    monkeypatch):
