@@ -364,7 +364,7 @@ def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool]:
 
 def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool]:
     c, values = _complex_from_args(args)
-    xs = _split_members(args.subcomplex) if args.subcomplex else list(c.vertices)
+    xs = _split_members(args.subcomplex) if args.subcomplex is not None else list(c.vertices)
     unknown = [v for v in xs if v not in c]
     if unknown:
         raise ValueError("subcomplex vertices not in the ambient: %r" % unknown)

@@ -216,30 +216,30 @@ def maximal_cliques(c: FlagComplex) -> list[tuple[str, ...]]:
     return cliques
 
 
+def _clique_levels(c: FlagComplex, top: int) -> list[list[tuple[str, ...]]]:
+    """The cliques with at most ``top`` vertices, from one preorder walk
+    of increasing index sequences: ``levels[k]`` lists the k-cliques for
+    k = 0..top as sorted id tuples, in canonical order because ids are."""
+    levels: list[list[tuple[str, ...]]] = [[()]] + [[] for _ in range(top)]
+    vertices, adj = c.vertices, c._adj
+
+    def extend(prefix: tuple[str, ...], candidates: int) -> None:
+        for v in _bits(candidates):
+            clique = prefix + (vertices[v],)
+            levels[len(clique)].append(clique)
+            if len(clique) < top:
+                extend(clique, candidates & adj[v] & ~((2 << v) - 1))
+
+    extend((), (1 << c.n_vertices) - 1 if top else 0)
+    return levels
+
+
 def cliques_of_size(c: FlagComplex, k: int) -> list[tuple[str, ...]]:
     """All cliques with exactly k vertices, as sorted id tuples in
     canonical order.  k = 0 yields the empty simplex."""
     if k < 0:
         raise ValueError("negative clique size")
-    if k == 0:
-        return [()]
-    n = c.n_vertices
-    adj = c._adj
-    out: list[tuple[str, ...]] = []
-    stack: list[int] = []
-
-    def extend(start_mask: int, depth: int) -> None:
-        if depth == k:
-            out.append(tuple(c.vertices[i] for i in stack))
-            return
-        for v in _bits(start_mask):
-            stack.append(v)
-            higher = ~((1 << (v + 1)) - 1)
-            extend(start_mask & adj[v] & higher, depth + 1)
-            stack.pop()
-
-    extend((1 << n) - 1, 0)
-    return out
+    return _clique_levels(c, k)[k]
 
 
 class FVector:
@@ -268,19 +268,11 @@ def f_vector(c: FlagComplex, max_dim: Optional[int] = None) -> FVector:
     dimension of the complex when omitted)."""
     if max_dim is not None and max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    counts = []
-    k = 1
-    while True:
-        n = len(cliques_of_size(c, k))
-        if max_dim is None and n == 0:
-            break
-        counts.append(n)
-        if max_dim is not None and k == max_dim + 1:
-            break
-        k += 1
-    if max_dim is None and not counts:
-        counts = [0]
-    return FVector(counts)
+    levels = _clique_levels(c, c.n_vertices if max_dim is None else max_dim + 1)[1:]
+    if max_dim is None:
+        # cliques are closed under subsets, so the nonempty levels come first
+        levels = [level for level in levels if level] or [[]]
+    return FVector(map(len, levels))
 
 
 def mask_components(adj: Sequence[int]) -> list[int]:

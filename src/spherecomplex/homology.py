@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .flagcomplex import FlagComplex, cliques_of_size
+from .flagcomplex import FlagComplex, _clique_levels, cliques_of_size
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,27 @@ def boundary_matrix(c: FlagComplex, k: int) -> ChainBoundary:
     """The single boundary map in dimension k >= 1."""
     if k < 1:
         raise ValueError("boundary matrices start at dimension 1")
-    rows = simplex_basis(c, k - 1)
-    cols = simplex_basis(c, k)
-    row_index = {s: i for i, s in enumerate(rows)}
-    columns = tuple(
-        tuple((row_index[simplex[:omit] + simplex[omit + 1:]], -1 if omit % 2 else 1)
-              for omit in range(len(simplex)))
-        for simplex in cols)
-    return ChainBoundary(k, tuple(rows), tuple(cols), columns)
+    return _boundary(_clique_levels(c, k + 1), k)
 
 
 def boundary_matrices(c: FlagComplex, max_dim: int) -> list[ChainBoundary]:
-    """Boundary maps for dimensions 1..max_dim."""
+    """Boundary maps for dimensions 1..max_dim, from one clique pass."""
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
-    return [boundary_matrix(c, k) for k in range(1, max_dim + 1)]
+    levels = _clique_levels(c, max_dim + 1)
+    return [_boundary(levels, k) for k in range(1, max_dim + 1)]
+
+
+def _boundary(levels: list[list[tuple[str, ...]]], k: int) -> ChainBoundary:
+    """d_k from one clique pass: its columns are the k-simplices
+    ``levels[k + 1]`` and its rows the (k-1)-simplices ``levels[k]``."""
+    rows, cols = levels[k], levels[k + 1]
+    row_index = {s: i for i, s in enumerate(rows)}
+    columns = tuple(
+        tuple((row_index[simplex[:omit] + simplex[omit + 1:]], -1 if omit % 2 else 1)
+              for omit in range(k + 1))
+        for simplex in cols)
+    return ChainBoundary(k, tuple(rows), tuple(cols), columns)
 
 
 @dataclass(frozen=True)
@@ -280,19 +286,13 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    counts = []
-    snf: dict[int, SNFResult] = {}
-    ranks = [0]  # rank of d_0
-    for k in range(1, max_dim + 2):
-        d = boundary_matrix(c, k)
-        counts.append(len(d.rows))
-        snf[k] = smith_normal_form(d)
-        ranks.append(snf[k].rank)
-    betti = []
-    torsion = []
-    for k in range(max_dim + 1):
-        betti.append(counts[k] - ranks[k] - ranks[k + 1])
-        torsion.append(tuple(f for f in snf[k + 1].factors if f not in (0, 1)))
+    ds = boundary_matrices(c, max_dim + 1)
+    counts = [len(d.rows) for d in ds]
+    # snf[k] is d_k's; popping frees each map once reduced (~200 MB at s = 9)
+    snf = [SNFResult(0, ())] + [smith_normal_form(ds.pop(0)) for _ in counts]
+    ranks = [r.rank for r in snf]
+    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
+    torsion = [tuple(f for f in r.factors if f not in (0, 1)) for r in snf[1:]]
     euler_from_f = sum((-1) ** k * f for k, f in enumerate(counts))
     alt = sum((-1) ** k * b for k, b in enumerate(betti))
     return HomologyReport(max_dim, tuple(counts), tuple(ranks), tuple(betti),

@@ -25,7 +25,7 @@ class SphereSystem:
     def __init__(self, complex_: FlagComplex, members: Iterable[str]):
         self.complex = complex_
         self.members: frozenset[str] = frozenset(members)
-        for v in self.members:
+        for v in sorted(self.members):
             if v not in complex_:
                 raise ValueError("unknown vertex id: %r" % (v,))
         if not complex_.is_clique(self.members):

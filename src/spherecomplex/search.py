@@ -41,7 +41,7 @@ from collections import deque
 from math import prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .flagcomplex import FlagComplex, _bits, f_vector, has_cycle, maximal_cliques
+from .flagcomplex import FlagComplex, _bits, _link_mask, f_vector, has_cycle
 
 
 class VertexMap:
@@ -437,10 +437,15 @@ def _locally_injective_placements(
     placements = _placements(X, target, _dist2_masks(X), masks)
     if inside is None:
         return placements
-    target_maximal = {frozenset(map(target.index_of, q)) for q in maximal_cliques(target)}
+    # a placement carries a clique onto a clique of the same size, which
+    # is maximal when no target vertex is adjacent to all of it
+    inside = [tuple(q) for q in inside]
+    if not all(map(X.is_clique, inside)):
+        raise ValueError("not a clique of the source")
+    ids = target.vertices
     cliques = [tuple(map(X.index_of, q)) for q in inside]
     return (p for p in placements
-            if all(frozenset(p[i] for i in q) in target_maximal for q in cliques))
+            if not any(_link_mask(target, [ids[p[i]] for i in q]) for q in cliques))
 
 
 def enumerate_locally_injective_maps(
@@ -452,9 +457,9 @@ def enumerate_locally_injective_maps(
     stars, in canonical order.
 
     When ``require_maximal`` is set, the caller supplies the maximal
-    sphere systems of the ambient complex that lie inside X (as vertex
-    sequences); only maps carrying each of them onto a maximal clique of
-    the target are kept.
+    sphere systems of the ambient complex that lie inside X (cliques of
+    X, as vertex sequences); only maps carrying each of them onto a
+    maximal clique of the target are kept.
     """
     if require_maximal and ambient_maximal_cliques is None:
         raise ValueError("require_maximal needs ambient_maximal_cliques")

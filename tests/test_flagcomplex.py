@@ -168,12 +168,14 @@ class TestCliqueEnumeration:
         assert got == oracle_maximal_cliques(c), f"mismatch on {len(vs)} vertices"
 
     @settings(max_examples=40)
-    @given(graphs(), st.integers(min_value=1, max_value=4))
+    @given(graphs(), st.integers(min_value=0, max_value=4))
     def test_cliques_of_size_match_combinations(self, g, k):
+        """The list itself, not only its set: canonical order is the
+        order in which combinations() walks the sorted vertices."""
         vs, pairs = g
         c = flag_from_adjacency(vs, pairs)
-        want = sorted(sub for sub in combinations(c.vertices, k) if c.is_clique(sub))
-        assert sorted(cliques_of_size(c, k)) == want
+        want = [sub for sub in combinations(c.vertices, k) if c.is_clique(sub)]
+        assert cliques_of_size(c, k) == want
 
     def test_petersen_maximal_cliques_are_the_edges(self, petersen):
         qs = maximal_cliques(petersen)
@@ -189,6 +191,22 @@ class TestFVector:
 
     def test_truncation(self, petersen):
         assert f_vector(petersen, max_dim=0).counts == (10,)
+
+    def test_pads_with_zeros_above_the_dimension(self, petersen):
+        assert f_vector(petersen, max_dim=3).counts == (10, 15, 0, 0)
+
+    def test_empty_complex(self):
+        empty = flag_from_adjacency([], [])
+        assert f_vector(empty).counts == (0,)
+        assert f_vector(empty, max_dim=1).counts == (0, 0)
+
+    @settings(max_examples=40)
+    @given(graphs(max_n=7), st.integers(min_value=0, max_value=5))
+    def test_counts_are_the_clique_levels(self, g, max_dim):
+        vs, pairs = g
+        c = flag_from_adjacency(vs, pairs)
+        want = tuple(len(cliques_of_size(c, k + 1)) for k in range(max_dim + 1))
+        assert f_vector(c, max_dim).counts == want
 
     @settings(max_examples=40)
     @given(graphs(max_n=6))

@@ -7,10 +7,13 @@ torsion of the real projective plane.
 """
 
 from fractions import Fraction
+import hashlib
+import json
 from itertools import combinations
 from math import factorial, gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
@@ -19,6 +22,7 @@ from spherecomplex import (
     boundary_matrices,
     boundary_matrix,
     build_genus_zero_complex,
+    catalog,
     f_vector,
     flag_from_adjacency,
     link_of,
@@ -207,6 +211,36 @@ class TestBoundaryMatrices:
                         for r, x in lower.columns[i]:
                             image[r] = image.get(r, 0) + sign * x
                     assert not any(image.values())
+
+    @pytest.mark.parametrize("spec, digest", [
+        ("genus-zero:4", "c8a1209ba82165db754d5b7bf2befa14a1240c137ff3ac4c344fb4e108b079b2"),
+        ("genus-zero:5", "ac83ba0ee36315a04b0f918b329da967f90e07426f0a73c74ac999d65210f55c"),
+        ("genus-zero:6", "89257dfaf6c76ab3f2530a1373ea251a1bd0985c16493d5731cb48d7afbedfac"),
+        ("genus-zero:7", "f0cc81436e54a9cc9d3db855703caf6238aa643e8e7b31011270524ee643d028"),
+        ("k13", "a33b27c7ef1493c68fbedd3c045653aca88afa0effa00fc41a0a0e90ceb3cbb5"),
+        ("k3", "c9aa6c405ec42f6a8a0541309ce80bb535b7e19044bd2606708d12a16e14cd7f"),
+        ("k33", "640c0b0257351f34fd4b7aa0a4a4bf3faab522e61043471b5214d8a2c7e67746"),
+        ("m04", "267c4aba24c9b5b8c867c944b9c13be0e8df9b198c2a457781f3f98014856435"),
+        ("m11", "6639efdb2d26e45e3dc97696ed2593b0a64c9ef944fdeac422eb160822a53fff"),
+        ("petersen", "6fd20b9e49e4b74e7dff5d591ad003ea7cb10d6b12d0b291e40d3ce5aeaf11f1"),
+    ])
+    def test_boundary_matrices_digest(self, spec, digest):
+        """sha256 of every map up to one above the top dimension (dim,
+        rows, cols, columns as JSON), recorded from the implementation
+        that enumerated each basis separately, so a change to a basis,
+        its order or a sign shows here."""
+        name, _, size = spec.partition(":")
+        c = build_genus_zero_complex(int(size)) if size else catalog(name)
+        ds = boundary_matrices(c, len(f_vector(c).counts))
+        text = json.dumps([[d.dim, d.rows, d.cols, d.columns] for d in ds])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_single_maps_match_the_list(self, c6):
+        """Above the top dimension the maps are empty."""
+        ds = boundary_matrices(c6, 4)
+        assert [boundary_matrix(c6, k) for k in range(1, 5)] == ds
+        assert (len(ds[2].rows), ds[2].cols) == (105, ())
+        assert ds[3].rows == ds[3].cols == ()
 
     def test_edge_boundary_signs(self):
         c = flag_from_adjacency(["a", "b"], [("a", "b")])

@@ -125,6 +125,13 @@ class TestPantsEnumeration:
         with pytest.raises(ValueError):
             SphereSystem(c6, ["p:1,2|s=6", "p:1,3|s=6"])
 
+    def test_first_unknown_member_is_named(self, c6):
+        """Members are checked in sorted order, so with several unknown
+        ids the error names the least, whatever the set order."""
+        members = ["p:5,6|s=7", "p:1,2|s=6", "p:3,4|s=7", "p:4,5|s=7"]
+        with pytest.raises(ValueError, match=r"unknown vertex id: 'p:3,4\|s=7'"):
+            SphereSystem(c6, members)
+
 
 class TestFlipMoves:
     @settings(max_examples=50)

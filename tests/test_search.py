@@ -25,6 +25,7 @@ from spherecomplex import (
     enumerate_automorphisms,
     enumerate_locally_injective_maps,
     flag_from_adjacency,
+    maximal_cliques,
     search_embedding,
     search_isomorphism,
 )
@@ -307,20 +308,30 @@ class TestStabiliserChain:
 
 
 class TestLocallyInjectiveMaps:
-    def oracle(self, X: FlagComplex, target: FlagComplex):
+    def oracle(self, X: FlagComplex, target: FlagComplex, require_maximal: bool):
+        """Brute force; over-maximal maps carry every maximal clique of
+        X onto a maximal clique of the target."""
+        target_maximal = set(maximal_cliques(target))
         out = []
         for images in product(target.vertices, repeat=X.n_vertices):
             phi = dict(zip(X.vertices, images))
             m = VertexMap(X, target, phi)
-            if m.is_simplicial() and m.is_locally_injective():
-                out.append(m.key())
+            if not (m.is_simplicial() and m.is_locally_injective()):
+                continue
+            if require_maximal and not all(
+                    tuple(sorted(phi[v] for v in q)) in target_maximal
+                    for q in maximal_cliques(X)):
+                continue
+            out.append(m.key())
         return sorted(out)
 
-    @settings(max_examples=25)
-    @given(sources(), st.composite(lambda draw: small_graph(draw, 1, 5, "t"))())
-    def test_matches_brute_force(self, X, target):
-        got = sorted(m.key() for m in enumerate_locally_injective_maps(X, target))
-        assert got == self.oracle(X, target)
+    @settings(max_examples=50)
+    @given(sources(), st.composite(lambda draw: small_graph(draw, 1, 5, "t"))(),
+           st.booleans())
+    def test_matches_brute_force(self, X, target, require_maximal):
+        got = sorted(m.key() for m in enumerate_locally_injective_maps(
+            X, target, require_maximal, maximal_cliques(X)))
+        assert got == self.oracle(X, target, require_maximal)
 
     def test_path_wraps_around_a_triangle(self):
         """Maps injective on closed stars need not be injective: the
@@ -342,6 +353,11 @@ class TestLocallyInjectiveMaps:
     def test_require_maximal_needs_cliques(self, petersen):
         with pytest.raises(ValueError):
             enumerate_locally_injective_maps(petersen, petersen, require_maximal=True)
+
+    def test_require_maximal_rejects_a_non_clique(self, petersen):
+        with pytest.raises(ValueError, match="not a clique"):
+            enumerate_locally_injective_maps(petersen, petersen, require_maximal=True,
+                                             ambient_maximal_cliques=[("k:12", "k:13")])
 
 
 class TestFirstImageMask:

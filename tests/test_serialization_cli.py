@@ -7,6 +7,10 @@ its type, and the CLI is driven in-process through ``cli.main``.
 import argparse
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -386,6 +390,14 @@ class TestCliErrors:
         code, _ = run_cli(["whitney", "lift", "--map", str(bad)], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("subcomplex", ["", " ; "])
+    def test_empty_subcomplex_exits_two(self, subcomplex, tmp_path, capsys):
+        """An empty --subcomplex is an error, not the whole complex."""
+        code, report = run_cli(["rigidity", "verify", "--catalog", "petersen",
+                                "--subcomplex", subcomplex], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == "error: empty member list\n"
+
     def test_lift_onto_an_empty_target_exits_two(self, tmp_path, capsys):
         # an edgeless vertex onto no vertices is an edge isomorphism
         doc = tmp_path / "map.json"
@@ -462,3 +474,30 @@ class TestOutDirEnv:
                      "--out", str(target)])
         assert code == 0
         assert target.exists()
+
+
+class TestHashSeedDeterminism:
+    """Reports (minus ``timing``) and error messages are byte-identical
+    under different string hash seeds, so set iteration order never
+    reaches the output.  Each command runs as a fresh process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["complex", "homology", "--genus-zero", "6"],
+        ["rigidity", "verify", "--genus-zero", "5", "--mode", "over-maximal-maps"],
+        ["pants", "flip-graph", "--s", "5"],
+        # several unknown members: the error names the first in sorted order
+        ["rigidity", "xsigma", "--genus-zero", "7", "--members",
+         "p:1,2|s=7;p:3,4|s=7;p:5,6|s=7;p:1,2,3,4|s=7"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        runs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "spherecomplex.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            stdout = re.sub(r'"timing": \{[^}]*\}', '"timing": {}', proc.stdout)
+            runs.append((proc.returncode, stdout, proc.stderr))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 2) and (runs[0][1] or runs[0][2])
