@@ -4,10 +4,10 @@ Every subcommand writes a JSON report to standard output (or ``--out``)
 with a ``results`` section that is byte-identical across runs on equal
 inputs; ``timing`` is excluded from that guarantee.  Exit status is 0
 when the command's check passes, 1 on a check failure, and 2 on usage
-errors or malformed input files.  Relative ``--out``/``--json``/``--dot``
-paths resolve against ``SPHERECOMPLEX_OUT_DIR`` when it is set.  Each
-``_cmd_*`` returns ``(values, results, passed)``; ``main`` builds every
-report from it.
+errors, malformed input files or unwritable output paths.  Relative
+``--out``/``--json``/``--dot`` paths resolve against
+``SPHERECOMPLEX_OUT_DIR`` when it is set.  Each ``_cmd_*`` returns
+``(values, results, passed)``; ``main`` builds every report from it.
 """
 
 from __future__ import annotations
@@ -54,10 +54,13 @@ def _resolve_out(path: str) -> str:
 def _write_text(path: str, text: str) -> None:
     full = _resolve_out(path)
     parent = os.path.dirname(full)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(full, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _read_json(path: str) -> dict:
@@ -166,9 +169,9 @@ def _cmd_complex_build(args) -> tuple[dict, dict, bool]:
         "f_vector": list(fv.counts),
         "euler": fv.euler,
     }
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(ser.complex_to_dict(c)))
-    if args.dot:
+    if args.dot is not None:
         _write_text(args.dot, ser.complex_to_dot(c, name=complex_id(c)))
     return values, results, True
 
@@ -200,7 +203,7 @@ def _cmd_complex_homology(args) -> tuple[dict, dict, bool]:
         max_dim = max(len(f_vector(c).counts) - 1, 0)
     report = betti_numbers(c, max_dim=max_dim)
     results = report_as_dict(report)
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(results))
     return values, results, True
 
@@ -227,7 +230,7 @@ def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool]:
         "connected": fg.connected,
         "diameter": fg.diameter,
     }
-    if args.dot:
+    if args.dot is not None:
         lines = ["graph flip_graph {"]
         for node in fg.nodes:
             lines.append("  %s;" % ser.dot_quote(node))
@@ -250,9 +253,9 @@ def _cmd_pants_dual(args) -> tuple[dict, dict, bool]:
         "dual": ser.dual_to_dict(d),
         "signature": list(sig.as_pair()),
     }
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(ser.dual_to_dict(d)))
-    if args.dot:
+    if args.dot is not None:
         _write_text(args.dot, ser.dual_to_dot(d))
     return {"s": args.s, "members": members}, results, True
 
@@ -260,7 +263,7 @@ def _cmd_pants_dual(args) -> tuple[dict, dict, bool]:
 # -- dual -----------------------------------------------------------------
 
 def _cmd_dual_classify(args) -> tuple[dict, dict, bool]:
-    if args.input:
+    if args.input is not None:
         doc = _read_json(args.input)
         d = ser.dual_from_dict(doc)
         values = {"input_document": doc}
@@ -340,7 +343,7 @@ def _cmd_whitney_lift(args) -> tuple[dict, dict, bool]:
         "vertex_map": dict(res.vertex_map) if res.vertex_map else None,
         "obstruction": list(res.obstruction) if res.obstruction else None,
     }
-    if args.json and res.vertex_map:
+    if args.json is not None and res.vertex_map:
         _write_text(args.json, ser.dumps({
             "vertices": list(psi.source.vertices),
             "map": dict(res.vertex_map),
@@ -371,7 +374,7 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool]:
     values.update({"subcomplex": sorted(set(xs)), "mode": args.mode})
     cert = verify_rigidity(xs, c, mode=args.mode)
     results = ser.certificate_to_dict(cert)
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(results))
     return values, results, cert.all_extend
 
@@ -405,9 +408,9 @@ def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool]:
         "n_vertices": x.n_vertices,
         "n_edges": x.n_edges,
     }
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(ser.complex_to_dict(x)))
-    if args.dot:
+    if args.dot is not None:
         _write_text(args.dot, ser.complex_to_dot(x, name="x_sigma"))
     return {"genus_zero": args.genus_zero, "members": members}, results, True
 
@@ -417,7 +420,7 @@ def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool]:
     xs = _split_members(args.x)
     w = caterpillar_witness(xs, window)
     results = ser.witness_to_dict(w)
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(results))
     return {"m": args.m, "x": sorted(set(xs))}, results, True
 
@@ -446,7 +449,7 @@ def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool]:
     cut = CutLabeling.from_signature(args.n, args.s)
     census = good_pair_census(cut, args.pair)
     results = ser.census_to_dict(census, args.n, args.s)
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, ser.dumps(results))
     values = {"n": args.n, "s": args.s, "pair": args.pair}
     return values, results, census.nonempty == census.threshold_met
@@ -599,20 +602,20 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         values, results, passed = args.func(args)
+        report = {
+            "command": command,
+            "inputs": {"digest": _digest(command, values), "values": values},
+            "results": results,
+            "pass": passed,
+            "timing": {"seconds": round(time.perf_counter() - started, 6)},
+        }
+        if args.out is not None:
+            _write_text(args.out, ser.dumps(report))
+        else:
+            sys.stdout.write(ser.dumps(report))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    report = {
-        "command": command,
-        "inputs": {"digest": _digest(command, values), "values": values},
-        "results": results,
-        "pass": passed,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-    }
-    if args.out:
-        _write_text(args.out, ser.dumps(report))
-    else:
-        sys.stdout.write(ser.dumps(report))
     return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 

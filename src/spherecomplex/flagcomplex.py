@@ -187,33 +187,31 @@ def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:
 
 def maximal_cliques(c: FlagComplex) -> list[tuple[str, ...]]:
     """All inclusion-maximal cliques, each a sorted id tuple, in
-    canonical (lexicographic) order.
+    canonical (lexicographic) order.  The empty complex has the empty
+    clique as its unique maximal clique."""
+    return _maximal_cliques(c, c.vertices)
 
-    Bron-Kerbosch with pivoting on bitmask adjacency.  The empty complex
-    has the empty clique as its unique maximal clique.
-    """
-    n = c.n_vertices
-    if n == 0:
-        return [()]
-    adj = c._adj
-    out: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot_candidates = p | x
-        pivot = max(_bits(pivot_candidates), key=lambda i: (adj[i] & p).bit_count())
-        for v in _bits(p & ~adj[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
+def _maximal_cliques(c: FlagComplex, ids: Iterable[str]) -> list[tuple[str, ...]]:
+    """The maximal cliques of ``c`` whose vertices all lie in ``ids``,
+    in canonical order because ids are sorted: one preorder walk of
+    increasing index sequences over ``ids`` that carries each clique's
+    common-neighbour mask and emits the clique when that mask is 0.
+    Ids that are not vertices of ``c`` are ignored."""
+    vertices, adj = c.vertices, c._adj
+    inside = set(ids)
+    out: list[tuple[str, ...]] = []
 
-    expand(0, (1 << n) - 1, 0)
-    cliques = [tuple(c.vertices[i] for i in _bits(m)) for m in out]
-    cliques.sort()
-    return cliques
+    def extend(clique: tuple[str, ...], common: int, candidates: int) -> None:
+        if not common:
+            out.append(clique)
+        for v in _bits(candidates):
+            extend(clique + (vertices[v],), common & adj[v],
+                   candidates & adj[v] & ~((2 << v) - 1))
+
+    extend((), (1 << c.n_vertices) - 1,
+           sum(1 << i for i, v in enumerate(vertices) if v in inside))
+    return out
 
 
 def _clique_levels(c: FlagComplex, top: int) -> list[list[tuple[str, ...]]]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
-from .flagcomplex import (FlagComplex, _bits, _link_mask, is_connected, link_of,
-                          mask_components, maximal_cliques)
+from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
+                          is_connected, link_of, mask_components)
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree, build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
@@ -76,14 +76,12 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         raise ValueError("unknown mode: %r" % (mode,))
     xs = sorted(set(X_vertices))
     X = ambient.induced(xs)
-    inside = None
-    if mode == OVER_MAXIMAL_MAPS:
-        inside = [q for q in maximal_cliques(ambient) if set(q) <= set(xs)]
     group = automorphism_group(ambient)
     perms = group._perms  # the elements as index tuples, in canonical order
     if perms is None:
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
+    inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
 
     # transversal[r][t]: the first element, in canonical order, sending
     # the orbit minimum r to t
@@ -173,8 +171,8 @@ def find_split_pairs(a: str, X_vertices: Iterable[str],
     if a not in xs:
         raise ValueError("a must lie in X")
     candidates: set[str] = set()
-    for q in maximal_cliques(ambient):
-        if a in q and set(q) <= xs:
+    for q in _maximal_cliques(ambient, xs):
+        if a in q:
             candidates.update(find_split_spheres(PantsDecomposition(ambient, q), a))
     pairs = [(b1, b2) for b1, b2 in combinations(sorted(candidates), 2)
              if ambient.adjacent(b1, b2)]
@@ -192,15 +190,15 @@ def detect_x_detectable(X_vertices: Iterable[str], ambient: FlagComplex,
         raise ValueError("a and a2 must lie in X")
     if a == a2:
         raise ValueError("a and a2 must differ")
-    for q in maximal_cliques(ambient):
-        if a not in q or not set(q) <= xs:
+    for q in _maximal_cliques(ambient, xs):
+        if a not in q:
             continue
         P = PantsDecomposition(ambient, q)
         if a2 in flip_partners(P, a):
             other = tuple(sorted((P.members - {a}) | {a2}))
             assert not ambient.adjacent(a, a2), \
                 "flip-related spheres must intersect"
-            return (tuple(sorted(q)), other)
+            return (q, other)
     return None
 
 

@@ -5,6 +5,8 @@ The clique enumerators are cross-checked against a brute-force oracle
 that tests every vertex subset directly.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
     FlagComplex,
+    build_genus_zero_complex,
+    build_x_sigma,
     catalog,
     cliques_of_size,
     connected_components,
+    enumerate_pants,
     f_vector,
     flag_from_adjacency,
     has_cycle,
@@ -27,6 +32,7 @@ from spherecomplex import (
     link_of,
     maximal_cliques,
 )
+from spherecomplex.flagcomplex import _maximal_cliques
 
 
 def random_graph(draw, max_n=8):
@@ -161,11 +167,60 @@ class TestCliqueEnumeration:
     @settings(max_examples=60)
     @given(graphs())
     def test_maximal_cliques_match_brute_force(self, g):
-        """Bron-Kerbosch output equals the all-subsets oracle."""
+        """The clique walk equals the all-subsets oracle, list for
+        list: canonical order is part of the contract."""
         vs, pairs = g
         c = flag_from_adjacency(vs, pairs)
-        got = sorted(tuple(sorted(q)) for q in maximal_cliques(c))
-        assert got == oracle_maximal_cliques(c), f"mismatch on {len(vs)} vertices"
+        assert maximal_cliques(c) == oracle_maximal_cliques(c), f"mismatch on {len(vs)} vertices"
+
+    @settings(max_examples=60)
+    @given(graphs(), st.data())
+    def test_restricted_walk_is_the_filtered_list(self, g, data):
+        """The walk over ids lists exactly the maximal cliques inside
+        ids, in order, for a random subset (with an id that is not a
+        vertex), the empty set and every vertex."""
+        vs, pairs = g
+        c = flag_from_adjacency(vs, pairs)
+        sub = [v for v in vs if data.draw(st.booleans())]
+        for ids in (sub + ["not-a-vertex"], [], vs):
+            want = [q for q in maximal_cliques(c) if set(q) <= set(ids)]
+            assert _maximal_cliques(c, ids) == want
+
+    def test_restricted_walk_on_the_empty_complex(self):
+        empty = flag_from_adjacency([], [])
+        assert maximal_cliques(empty) == [()]
+        assert _maximal_cliques(empty, []) == [()]
+
+    @pytest.mark.parametrize("s", [5, 6])
+    def test_restricted_walk_on_every_x_sigma(self, s):
+        c = build_genus_zero_complex(s)
+        cliques = maximal_cliques(c)
+        for P in enumerate_pants(s):
+            ids = build_x_sigma(P).vertices
+            got = _maximal_cliques(c, ids)
+            assert got == [q for q in cliques if set(q) <= set(ids)]
+            assert tuple(sorted(P.members)) in got
+
+    @pytest.mark.parametrize("source, digest", [
+        ("genus-zero:4", "58767db160318d5a50521e00e57fd7d760bf2c70f2f1d78478b1d4e18f9fdeeb"),
+        ("genus-zero:5", "5e42309b77bc6146d1b11b69d127e2ceb698b3b5d3b8a08c53c159e07ca87922"),
+        ("genus-zero:6", "0a84d0a8f7e76af9636ddf778360dedb223f8dcb86fb9feffb7c012ee23fb570"),
+        ("genus-zero:7", "c0295725845dbc7d92b94c45696dd1f4bcfee3e211364e0976fc7ca7a747dacb"),
+        ("genus-zero:8", "adc957020da5e099acd360b5dcb166a580779edb0917be00fe51f38653a69ef0"),
+        ("k13", "ff4b4b2d08413e1fd2288f1801fc4c5408403beb2011d223a3a0dadb50c04608"),
+        ("k3", "0ec61dd53e953e661526835dbc09465647f4495894c01901715cde38a1799ec3"),
+        ("k33", "1759234881030a7992cbba8d63aa90fc15e3bd3d80498f6088174f8ffafd2759"),
+        ("m04", "5e9e3bc565616dc528a123def884087e451d3215c2831bfc343e2181e200a94c"),
+        ("m11", "9056d7275092ae5a3605ebfec360b4354d321e1d33de2dfec7f88efef6a97806"),
+        ("petersen", "a099c752217eff9a984fefa9c9eab669a45a7aad904e784b298bc29d4099397a"),
+    ])
+    def test_frozen_maximal_cliques(self, source, digest):
+        """sha256 of the JSON list, recorded from the Bron-Kerbosch
+        implementation, so list and order are both pinned."""
+        model, _, s = source.partition(":")
+        c = build_genus_zero_complex(int(s)) if s else catalog(model)
+        got = hashlib.sha256(json.dumps(maximal_cliques(c)).encode()).hexdigest()
+        assert got == digest
 
     @settings(max_examples=40)
     @given(graphs(), st.integers(min_value=0, max_value=4))

@@ -319,6 +319,29 @@ class TestSplitPairs:
             assert find_split_pairs(a, c6.vertices, c6)
 
 
+class TestFrozenSplitAndDetect:
+    """find_split_pairs for every member a of every sigma, and
+    detect_x_detectable for a against every other vertex of X_sigma,
+    with X = X_sigma; sha256 of the JSON list, recorded from the
+    implementation that filtered every maximal clique of the ambient."""
+
+    @pytest.mark.parametrize("s, pairs, witnesses, digest", [
+        (5, 180, 60, "8797e92d0b907843dc639c8b751287021c87160782a7147e68a278a77709396c"),
+        (6, 6840, 630, "967a5efb8185dac2bdc99aae3b795de8cb7168f6810058122b97626aafbf85d9"),
+    ])
+    def test_every_member_of_every_x_sigma(self, s, pairs, witnesses, digest):
+        c = build_genus_zero_complex(s)
+        out = []
+        for P in enumerate_pants(s):
+            xs = build_x_sigma(P).vertices
+            for a in P.sorted_members():
+                out.append([find_split_pairs(a, xs, c),
+                            [detect_x_detectable(xs, c, a, a2) for a2 in xs if a2 != a]])
+        assert sum(len(split) for split, _ in out) == pairs
+        assert sum(w is not None for _, found in out for w in found) == witnesses
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
+
+
 class TestDetectability:
     def test_flip_witness(self, c5):
         a, a2 = vid(5, 1, 2), vid(5, 1, 5)

@@ -29,6 +29,9 @@ from spherecomplex import serialization as ser
 from spherecomplex.cli import build_parser, main
 
 M6 = "p:1,2|s=6;p:1,2,3|s=6;p:1,2,3,4|s=6"
+# X_sigma of the three-cherry pants decomposition {1,2}, {3,4}, {5,6} at s = 6
+X6_THREE_CHERRY = ("p:1,2,3,4|s=6;p:1,2,3|s=6;p:1,2,4|s=6;p:1,2,5,6|s=6;p:1,2,5|s=6;"
+                   "p:1,2,6|s=6;p:1,2|s=6;p:1,3,4|s=6;p:1,5,6|s=6")
 
 
 def run_cli(argv, tmp_path, name="report.json"):
@@ -342,6 +345,16 @@ FROZEN_REPORTS = {
 }
 
 
+# Further frozen reports, as (command, args, exit code, digest): the
+# over-maximal filter on a proper subcomplex, recorded before that
+# filter read the maximal cliques inside X from one restricted walk.
+FROZEN_EXTRA_REPORTS = [
+    ("rigidity verify", ["--genus-zero", "6", "--subcomplex", X6_THREE_CHERRY,
+                         "--mode", "over-maximal-maps"], 1,
+     "1bc5a33805448b7bdefc7978e499934cf6e00e27cbe098fe4293abe0bb534a0a"),
+]
+
+
 def registered_commands(parser, prefix=()):
     """Every leaf command name of the parser, e.g. 'complex build'."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -362,6 +375,15 @@ class TestFrozenReports:
             doc_path = tmp_path / "map.json"
             doc_path.write_text(ser.dumps(k3_to_star_doc()))
             args = [*args, str(doc_path)]
+        self.assert_frozen(command, args, expected_code, digest, tmp_path)
+
+    @pytest.mark.parametrize("command, args, expected_code, digest", FROZEN_EXTRA_REPORTS,
+                             ids=[" ".join([c, *a[-2:]]) for c, a, _, _ in FROZEN_EXTRA_REPORTS])
+    def test_extra_report_digest(self, command, args, expected_code, digest, tmp_path):
+        self.assert_frozen(command, args, expected_code, digest, tmp_path)
+
+    @staticmethod
+    def assert_frozen(command, args, expected_code, digest, tmp_path):
         code, rep = run_cli([*command.split(), *args], tmp_path)
         assert code == expected_code
         assert rep["command"] == command
@@ -452,6 +474,33 @@ class TestCliErrors:
             ["whitney", "check", "--random-roundtrip", "-3"], tmp_path)
         assert code == 2 and report is None
         assert_one_error_line(capsys)
+
+    def test_empty_dual_input_exits_two(self, tmp_path, capsys):
+        """An empty --input is an unreadable file, not a fall-back to
+        --s and --members."""
+        code, report = run_cli(["dual", "classify", "--input", "", "--s", "6",
+                                "--members", M6, "--edges", "0"], tmp_path)
+        assert code == 2 and report is None
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["complex", "build", "--genus-zero", "5", "--json"],
+        ["complex", "build", "--genus-zero", "5", "--dot"],
+        ["complex", "stats", "--genus-zero", "5", "--out"],
+    ], ids=lambda argv: argv[-1])
+    @pytest.mark.parametrize("blocked", [True, False], ids=["under-a-file", "empty"])
+    def test_unwritable_output_path_exits_two(self, argv, blocked, tmp_path, capsys,
+                                              monkeypatch):
+        """A path below a regular file, and the empty path: no report,
+        one error line."""
+        monkeypatch.delenv("SPHERECOMPLEX_OUT_DIR", raising=False)
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / "file" / "x") if blocked else ""
+        assert main([*argv, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
 
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
