@@ -7,12 +7,16 @@ when the command's check passes, 1 on a check failure, and 2 on usage
 errors, malformed input files or unwritable output paths.  Relative
 ``--out``/``--json``/``--dot`` paths resolve against
 ``SPHERECOMPLEX_OUT_DIR`` when it is set.  Each ``_cmd_*`` returns
-``(values, results, passed)``; ``main`` builds every report from it.
+``(values, results, passed, files)``, where ``files`` maps an output
+option to the text it asked for; ``main`` builds every report from it
+and writes every file, and when a write fails it removes the files it
+has already written, so a failed command leaves no partial outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -51,7 +55,8 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(option: str, path: str, text: str) -> str:
+    """Write the file that ``option`` names; return its resolved path."""
     full = _resolve_out(path)
     parent = os.path.dirname(full)
     try:
@@ -60,17 +65,33 @@ def _write_text(path: str, text: str) -> None:
         with open(full, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError("cannot write %s: %s" % (path, exc)) from exc
+        raise ValueError("cannot write %s %r: %s" % (option, path, exc)) from exc
+    return full
 
 
-def _read_json(path: str) -> dict:
+def _write_outputs(outputs: list[tuple[str, str, str]]) -> None:
+    """Write each (option, path, text) in turn; when one fails, remove
+    the files written before it and raise."""
+    written = []
+    try:
+        for option, path, text in outputs:
+            written.append(_write_text(option, path, text))
+    except ValueError:
+        for full in written:
+            with contextlib.suppress(OSError):
+                os.remove(full)
+        raise
+
+
+def _read_json(option: str, path: str) -> dict:
+    """Read the JSON object in the file that ``option`` names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError("cannot read %s: %s" % (path, exc)) from exc
+        raise ValueError("cannot read %s %r: %s" % (option, path, exc)) from exc
     if not isinstance(doc, dict):
-        raise ValueError("%s: top-level JSON value must be an object" % path)
+        raise ValueError("%s %r: top-level JSON value must be an object" % (option, path))
     return doc
 
 
@@ -112,14 +133,14 @@ def _complex_from_args(args: argparse.Namespace) -> tuple[FlagComplex, dict]:
                 {"caterpillar": args.caterpillar})
     if args.catalog is not None:
         return catalog(args.catalog), {"catalog": args.catalog}
-    doc = _read_json(args.input)
+    doc = _read_json("--input", args.input)
     c = ser.complex_from_dict(doc)
     return c, {"input_document": doc}
 
 
-def _complex_from_spec(spec: str) -> tuple[FlagComplex, dict]:
-    """Parse a --source/--target value: catalog name, `genus-zero:S`,
-    `caterpillar:M`, or a JSON file path."""
+def _complex_from_spec(option: str, spec: str) -> tuple[FlagComplex, dict]:
+    """Parse the value of ``option`` (--source or --target): catalog
+    name, `genus-zero:S`, `caterpillar:M`, or a JSON file path."""
     if spec in catalog_names():
         return catalog(spec), {"catalog": spec}
     model, sep, size = spec.partition(":")
@@ -133,7 +154,7 @@ def _complex_from_spec(spec: str) -> tuple[FlagComplex, dict]:
             return build_genus_zero_complex(n), {"spec": spec}
         return build_caterpillar_window(n).complex, {"spec": spec}
     if os.path.exists(spec):
-        doc = _read_json(spec)
+        doc = _read_json(option, spec)
         return ser.complex_from_dict(doc), {"input_document": doc}
     raise ValueError("unknown complex %r: not a catalog name, "
                      "genus-zero:S, caterpillar:M, or file" % (spec,))
@@ -159,7 +180,7 @@ def _pants_from_args(s: int, members: str) -> PantsDecomposition:
 
 # -- complex --------------------------------------------------------------
 
-def _cmd_complex_build(args) -> tuple[dict, dict, bool]:
+def _cmd_complex_build(args) -> tuple[dict, dict, bool, dict]:
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     results = {
@@ -169,14 +190,15 @@ def _cmd_complex_build(args) -> tuple[dict, dict, bool]:
         "f_vector": list(fv.counts),
         "euler": fv.euler,
     }
+    files = {}
     if args.json is not None:
-        _write_text(args.json, ser.dumps(ser.complex_to_dict(c)))
+        files["--json"] = ser.dumps(ser.complex_to_dict(c))
     if args.dot is not None:
-        _write_text(args.dot, ser.complex_to_dot(c, name=complex_id(c)))
-    return values, results, True
+        files["--dot"] = ser.complex_to_dot(c, name=complex_id(c))
+    return values, results, True, files
 
 
-def _cmd_complex_stats(args) -> tuple[dict, dict, bool]:
+def _cmd_complex_stats(args) -> tuple[dict, dict, bool, dict]:
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     cliques = maximal_cliques(c)
@@ -191,10 +213,10 @@ def _cmd_complex_stats(args) -> tuple[dict, dict, bool]:
         "degree_min": min(degs, default=0),
         "degree_max": max(degs, default=0),
     }
-    return values, results, True
+    return values, results, True, {}
 
 
-def _cmd_complex_homology(args) -> tuple[dict, dict, bool]:
+def _cmd_complex_homology(args) -> tuple[dict, dict, bool, dict]:
     c, values = _complex_from_args(args)
     if args.max_dim is not None:
         values["max_dim"] = args.max_dim
@@ -203,14 +225,13 @@ def _cmd_complex_homology(args) -> tuple[dict, dict, bool]:
         max_dim = max(len(f_vector(c).counts) - 1, 0)
     report = betti_numbers(c, max_dim=max_dim)
     results = report_as_dict(report)
-    if args.json is not None:
-        _write_text(args.json, ser.dumps(results))
-    return values, results, True
+    files = {} if args.json is None else {"--json": ser.dumps(results)}
+    return values, results, True, files
 
 
 # -- pants ----------------------------------------------------------------
 
-def _cmd_pants_enumerate(args) -> tuple[dict, dict, bool]:
+def _cmd_pants_enumerate(args) -> tuple[dict, dict, bool, dict]:
     systems = enumerate_pants(args.s)
     results = {
         "s": args.s,
@@ -218,10 +239,10 @@ def _cmd_pants_enumerate(args) -> tuple[dict, dict, bool]:
         "system_size": args.s - 3,
         "systems": [list(P.sorted_members()) for P in systems],
     }
-    return {"s": args.s}, results, True
+    return {"s": args.s}, results, True, {}
 
 
-def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool]:
+def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool, dict]:
     fg = pants_flip_graph(args.s)
     results = {
         "s": args.s,
@@ -230,6 +251,7 @@ def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool]:
         "connected": fg.connected,
         "diameter": fg.diameter,
     }
+    files = {}
     if args.dot is not None:
         lines = ["graph flip_graph {"]
         for node in fg.nodes:
@@ -237,12 +259,12 @@ def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool]:
         for a, b in fg.edges:
             lines.append("  %s -- %s;" % (ser.dot_quote(a), ser.dot_quote(b)))
         lines.append("}")
-        _write_text(args.dot, "\n".join(lines) + "\n")
+        files["--dot"] = "\n".join(lines) + "\n"
     values = {"s": args.s, "check_connected": bool(args.check_connected)}
-    return values, results, fg.connected if args.check_connected else True
+    return values, results, fg.connected if args.check_connected else True, files
 
 
-def _cmd_pants_dual(args) -> tuple[dict, dict, bool]:
+def _cmd_pants_dual(args) -> tuple[dict, dict, bool, dict]:
     P = _pants_from_args(args.s, args.members)
     members = list(P.sorted_members())
     d = dual_of_pants(P)
@@ -253,18 +275,19 @@ def _cmd_pants_dual(args) -> tuple[dict, dict, bool]:
         "dual": ser.dual_to_dict(d),
         "signature": list(sig.as_pair()),
     }
+    files = {}
     if args.json is not None:
-        _write_text(args.json, ser.dumps(ser.dual_to_dict(d)))
+        files["--json"] = ser.dumps(ser.dual_to_dict(d))
     if args.dot is not None:
-        _write_text(args.dot, ser.dual_to_dot(d))
-    return {"s": args.s, "members": members}, results, True
+        files["--dot"] = ser.dual_to_dot(d)
+    return {"s": args.s, "members": members}, results, True, files
 
 
 # -- dual -----------------------------------------------------------------
 
-def _cmd_dual_classify(args) -> tuple[dict, dict, bool]:
+def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
     if args.input is not None:
-        doc = _read_json(args.input)
+        doc = _read_json("--input", args.input)
         d = ser.dual_from_dict(doc)
         values = {"input_document": doc}
     else:
@@ -286,12 +309,12 @@ def _cmd_dual_classify(args) -> tuple[dict, dict, bool]:
         "eta_labels": [d.bond_label(i) for i in eta],
         "factors": [list(f) for f in dec.as_pairs()],
     }
-    return values, results, True
+    return values, results, True, {}
 
 
 # -- whitney --------------------------------------------------------------
 
-def _cmd_whitney_check(args) -> tuple[dict, dict, bool]:
+def _cmd_whitney_check(args) -> tuple[dict, dict, bool, dict]:
     if args.random_roundtrip is not None:
         trials = args.random_roundtrip
         if trials < 0:
@@ -319,21 +342,21 @@ def _cmd_whitney_check(args) -> tuple[dict, dict, bool]:
             "all_recovered": not failures,
             "failures": failures,
         }
-        return {"random_roundtrip": trials, "seed": seed}, results, not failures
+        return {"random_roundtrip": trials, "seed": seed}, results, not failures, {}
     if not args.map:
         raise ValueError("need --map FILE or --random-roundtrip N")
-    doc = _read_json(args.map)
+    doc = _read_json("--map", args.map)
     psi = ser.edge_bijection_from_dict(doc)
     ok = is_edge_isomorphism(psi)
     results = {"edge_isomorphism": ok}
     if ok:
         pair = find_k3_k13_pair(psi)
         results["k3_k13_pair"] = list(pair) if pair else None
-    return {"input_document": doc}, results, ok
+    return {"input_document": doc}, results, ok, {}
 
 
-def _cmd_whitney_lift(args) -> tuple[dict, dict, bool]:
-    doc = _read_json(args.map)
+def _cmd_whitney_lift(args) -> tuple[dict, dict, bool, dict]:
+    doc = _read_json("--map", args.map)
     psi = ser.edge_bijection_from_dict(doc)
     if not is_edge_isomorphism(psi):
         raise ValueError("--map is not an edge isomorphism; run `whitney check`")
@@ -343,17 +366,18 @@ def _cmd_whitney_lift(args) -> tuple[dict, dict, bool]:
         "vertex_map": dict(res.vertex_map) if res.vertex_map else None,
         "obstruction": list(res.obstruction) if res.obstruction else None,
     }
+    files = {}
     if args.json is not None and res.vertex_map:
-        _write_text(args.json, ser.dumps({
+        files["--json"] = ser.dumps({
             "vertices": list(psi.source.vertices),
             "map": dict(res.vertex_map),
-        }))
-    return {"input_document": doc}, results, res.verdict == LIFTED
+        })
+    return {"input_document": doc}, results, res.verdict == LIFTED, files
 
 
 # -- rigidity -------------------------------------------------------------
 
-def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool]:
+def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool, dict]:
     c, values = _complex_from_args(args)
     group = automorphism_group(c)
     results = {
@@ -362,10 +386,10 @@ def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool]:
         "n_generators": len(group.generators),
         "generators": [dict(g.assignment) for g in group.generators],
     }
-    return values, results, True
+    return values, results, True, {}
 
 
-def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool]:
+def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
     c, values = _complex_from_args(args)
     xs = _split_members(args.subcomplex) if args.subcomplex is not None else list(c.vertices)
     unknown = [v for v in xs if v not in c]
@@ -374,12 +398,11 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool]:
     values.update({"subcomplex": sorted(set(xs)), "mode": args.mode})
     cert = verify_rigidity(xs, c, mode=args.mode)
     results = ser.certificate_to_dict(cert)
-    if args.json is not None:
-        _write_text(args.json, ser.dumps(results))
-    return values, results, cert.all_extend
+    files = {} if args.json is None else {"--json": ser.dumps(results)}
+    return values, results, cert.all_extend, files
 
 
-def _cmd_rigidity_split(args) -> tuple[dict, dict, bool]:
+def _cmd_rigidity_split(args) -> tuple[dict, dict, bool, dict]:
     P = _pants_from_args(args.genus_zero, args.members)
     if args.sphere not in P.members:
         raise ValueError("--sphere must be a member of the decomposition")
@@ -394,10 +417,10 @@ def _cmd_rigidity_split(args) -> tuple[dict, dict, bool]:
     }
     values = {"genus_zero": args.genus_zero, "members": members,
               "sphere": args.sphere}
-    return values, results, True
+    return values, results, True, {}
 
 
-def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool]:
+def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool, dict]:
     P = _pants_from_args(args.genus_zero, args.members)
     members = list(P.sorted_members())
     x = build_x_sigma(P)
@@ -408,28 +431,28 @@ def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool]:
         "n_vertices": x.n_vertices,
         "n_edges": x.n_edges,
     }
+    files = {}
     if args.json is not None:
-        _write_text(args.json, ser.dumps(ser.complex_to_dict(x)))
+        files["--json"] = ser.dumps(ser.complex_to_dict(x))
     if args.dot is not None:
-        _write_text(args.dot, ser.complex_to_dot(x, name="x_sigma"))
-    return {"genus_zero": args.genus_zero, "members": members}, results, True
+        files["--dot"] = ser.complex_to_dot(x, name="x_sigma")
+    return {"genus_zero": args.genus_zero, "members": members}, results, True, files
 
 
-def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool]:
+def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool, dict]:
     window = build_caterpillar_window(args.m)
     xs = _split_members(args.x)
     w = caterpillar_witness(xs, window)
     results = ser.witness_to_dict(w)
-    if args.json is not None:
-        _write_text(args.json, ser.dumps(results))
-    return {"m": args.m, "x": sorted(set(xs))}, results, True
+    files = {} if args.json is None else {"--json": ser.dumps(results)}
+    return {"m": args.m, "x": sorted(set(xs))}, results, True, files
 
 
 # -- nonembed, census, catalog ---------------------------------------------
 
-def _cmd_nonembed(args) -> tuple[dict, dict, bool]:
-    src, src_rec = _complex_from_spec(args.source)
-    dst, dst_rec = _complex_from_spec(args.target)
+def _cmd_nonembed(args) -> tuple[dict, dict, bool, dict]:
+    src, src_rec = _complex_from_spec("--source", args.source)
+    dst, dst_rec = _complex_from_spec("--target", args.target)
     shortcut = not args.no_shortcut
     found = search_embedding(src, dst, use_acyclicity_shortcut=shortcut)
     results = {
@@ -442,26 +465,25 @@ def _cmd_nonembed(args) -> tuple[dict, dict, bool]:
     }
     values = {"source": src_rec, "target": dst_rec,
               "acyclicity_shortcut": shortcut}
-    return values, results, found is None
+    return values, results, found is None, {}
 
 
-def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool]:
+def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool, dict]:
     cut = CutLabeling.from_signature(args.n, args.s)
     census = good_pair_census(cut, args.pair)
     results = ser.census_to_dict(census, args.n, args.s)
-    if args.json is not None:
-        _write_text(args.json, ser.dumps(results))
+    files = {} if args.json is None else {"--json": ser.dumps(results)}
     values = {"n": args.n, "s": args.s, "pair": args.pair}
-    return values, results, census.nonempty == census.threshold_met
+    return values, results, census.nonempty == census.threshold_met, files
 
 
-def _cmd_catalog(args) -> tuple[dict, dict, bool]:
+def _cmd_catalog(args) -> tuple[dict, dict, bool, dict]:
     entries = {}
     for name in catalog_names():
         c = catalog(name)
         entries[name] = {"n_vertices": c.n_vertices, "n_edges": c.n_edges}
     results = {"names": list(catalog_names()), "complexes": entries}
-    return {}, results, True
+    return {}, results, True, {}
 
 
 # -- parser ----------------------------------------------------------------
@@ -601,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     command = " ".join(filter(None, (args.group, getattr(args, "action", None))))
     started = time.perf_counter()
     try:
-        values, results, passed = args.func(args)
+        values, results, passed, files = args.func(args)
         report = {
             "command": command,
             "inputs": {"digest": _digest(command, values), "values": values},
@@ -609,9 +631,13 @@ def main(argv: list[str] | None = None) -> int:
             "pass": passed,
             "timing": {"seconds": round(time.perf_counter() - started, 6)},
         }
+        # "--json" -> args.json, "--dot" -> args.dot
+        outputs = [(option, getattr(args, option[2:]), text)
+                   for option, text in files.items()]
         if args.out is not None:
-            _write_text(args.out, ser.dumps(report))
-        else:
+            outputs.append(("--out", args.out, ser.dumps(report)))
+        _write_outputs(outputs)
+        if args.out is None:
             sys.stdout.write(ser.dumps(report))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

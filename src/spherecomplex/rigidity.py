@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
                           is_connected, link_of, mask_components)
@@ -60,6 +61,17 @@ def complex_id(c: FlagComplex) -> str:
     return "complex:%dv,%de" % (c.n_vertices, c.n_edges)
 
 
+def _gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``operator.itemgetter(*idx)``, which returns a tuple also for one
+    index or none."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        i = idx[0]
+        return lambda g: (g[i],)
+    return lambda g: ()
+
+
 def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
                     mode: str = PLAIN) -> RigidityCertificate:
     """Enumerate all locally injective simplicial maps of the induced
@@ -77,44 +89,34 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     xs = sorted(set(X_vertices))
     X = ambient.induced(xs)
     group = automorphism_group(ambient)
-    perms = group._perms  # the elements as index tuples, in canonical order
-    if perms is None:
+    if group.order > AutomorphismGroup.ELEMENT_CAP:
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
     inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
 
-    # transversal[r][t]: the first element, in canonical order, sending
-    # the orbit minimum r to t
-    transversal: dict[int, dict[int, tuple[int, ...]]] = {}
-    covered = 0
-    for r in range(ambient.n_vertices):
-        if covered >> r & 1:
-            continue
-        images: dict[int, tuple[int, ...]] = {}
-        for g in perms:
-            images.setdefault(g[r], g)
-        transversal[r] = images
-        covered |= sum(1 << t for t in images)
+    transversals = group._orbit_transversals()
 
     order = _search_order(X)
     masks = _degree_feasible(X, ambient)
     if order:
-        masks[order[0]] &= sum(1 << r for r in transversal)
+        masks[order[0]] &= sum(1 << r for r in transversals)
     found = _locally_injective_placements(X, ambient, inside, masks)
     if order:
-        # vertex ids are sorted, so index order is the canonical map order
-        maps = sorted(tuple(map(g.__getitem__, p))
-                      for p in found for g in transversal[p[order[0]]].values())
+        # g∘p for each found p; vertex ids are sorted, so index order is
+        # the canonical map order
+        maps: list[tuple[int, ...]] = []
+        for p in found:
+            maps += map(_gather(p), transversals[p[order[0]]].values())
+        maps.sort()
     else:  # the empty X has only the empty map
         maps = list(found)
 
     # the element restricting to each map, None when several do
     extending: dict[tuple[int, ...], Optional[int]] = {}
-    xi = [ambient.index_of(v) for v in xs]
-    for k, g in enumerate(perms):
-        key = tuple(g[i] for i in xi)
+    restrict = _gather([ambient.index_of(v) for v in xs])
+    for k, key in enumerate(map(restrict, group._sorted_perms())):
         extending[key] = None if key in extending else k
-    extensions = tuple(extending.get(m) for m in maps)
+    extensions = tuple(map(extending.get, maps))
     counterexample: Optional[dict[str, str]] = None
     failing = next((m for m, e in zip(maps, extensions) if e is None), None)
     if failing is not None:

@@ -63,6 +63,15 @@ class VertexMap:
             if w not in target:
                 raise ValueError("unknown target vertex %r" % (w,))
 
+    @classmethod
+    def _unchecked(cls, source: FlagComplex, target: FlagComplex,
+                   assignment: dict[str, str]) -> "VertexMap":
+        """A map the search engine produced: total and into the target by
+        construction, so ``__init__``'s checks are skipped."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.assignment = source, target, assignment
+        return m
+
     def __getitem__(self, v: str) -> str:
         return self.assignment[v]
 
@@ -212,8 +221,8 @@ def _placements(src: FlagComplex, dst: FlagComplex,
 
 
 def _to_map(src: FlagComplex, dst: FlagComplex, placement: Sequence[int]) -> VertexMap:
-    return VertexMap(src, dst, {v: dst.vertices[j]
-                                for v, j in zip(src.vertices, placement)})
+    images = map(dst.vertices.__getitem__, placement)
+    return VertexMap._unchecked(src, dst, dict(zip(src.vertices, images)))
 
 
 def search_embedding(src: FlagComplex, dst: FlagComplex,
@@ -365,7 +374,7 @@ def _greedy_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def enumerate_automorphisms(c: FlagComplex) -> list[VertexMap]:
     """All automorphisms, in canonical order."""
-    return [_to_map(c, c, p) for p in _chain_elements(c, _stabiliser_chain(c)[0])]
+    return [_to_map(c, c, p) for p in automorphism_group(c)._sorted_perms()]
 
 
 class AutomorphismGroup:
@@ -374,44 +383,78 @@ class AutomorphismGroup:
 
     ``order`` is the product of the orbit lengths.  ``elements`` is the
     full list, in canonical order, when the order is at most
-    ``ELEMENT_CAP``, else None.  Generators are chosen greedily in
-    canonical element order, so they are deterministic.  Both lists are
-    built on first access.
+    ``ELEMENT_CAP``, else None; the cap is read when the list is asked
+    for.  Generators are chosen greedily in canonical element order, so
+    they are deterministic.  Both lists are built on first access.
     """
 
     ELEMENT_CAP = 10_000
 
-    __slots__ = ("complex", "order", "_chain", "_perms", "_elements", "_generators")
+    __slots__ = ("complex", "order", "_chain", "_perms", "_transversals",
+                 "_elements", "_generators")
 
     def __init__(self, complex_: FlagComplex, chain: list[list[tuple[int, ...]]]):
         self.complex = complex_
         self.order = prod(map(len, chain))
         self._chain = chain
-        # the elements as sorted index tuples, up to the cap
-        self._perms = (_chain_elements(complex_, chain)
-                       if self.order <= self.ELEMENT_CAP else None)
+        self._perms: Optional[list[tuple[int, ...]]] = None
+        self._transversals: Optional[dict[int, dict[int, tuple[int, ...]]]] = None
         self._elements: Optional[list[VertexMap]] = None
         self._generators: Optional[list[VertexMap]] = None
 
+    def _sorted_perms(self) -> list[tuple[int, ...]]:
+        """The elements as index tuples in canonical order, kept after
+        the first call when the order is at most ``ELEMENT_CAP``."""
+        if self._perms is not None:
+            return self._perms
+        perms = _chain_elements(self.complex, self._chain)
+        if self.order <= self.ELEMENT_CAP:
+            self._perms = perms
+        return perms
+
+    def _orbit_transversals(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """For each orbit minimum r of the vertex indices, the first
+        element in canonical order sending r to each point t of its
+        orbit, as ``{r: {t: element}}``; built on first call."""
+        if self._transversals is None:
+            perms = self._sorted_perms()
+            transversals: dict[int, dict[int, tuple[int, ...]]] = {}
+            covered = 0
+            for r in range(self.complex.n_vertices):
+                if covered >> r & 1:
+                    continue
+                images: dict[int, tuple[int, ...]] = {}
+                for g in perms:
+                    images.setdefault(g[r], g)
+                transversals[r] = images
+                covered |= sum(1 << t for t in images)
+            self._transversals = transversals
+        return self._transversals
+
     @property
     def elements(self) -> Optional[list[VertexMap]]:
-        if self._elements is None and self._perms is not None:
+        if self._elements is None and self.order <= self.ELEMENT_CAP:
             c = self.complex
-            self._elements = [_to_map(c, c, p) for p in self._perms]
+            self._elements = [_to_map(c, c, p) for p in self._sorted_perms()]
         return self._elements
 
     @property
     def generators(self) -> list[VertexMap]:
         if self._generators is None:
             c = self.complex
-            perms = self._perms if self._perms is not None else _chain_elements(c, self._chain)
-            self._generators = [_to_map(c, c, p) for p in _greedy_generators(perms)]
+            self._generators = [_to_map(c, c, p)
+                                for p in _greedy_generators(self._sorted_perms())]
         return self._generators
 
 
 def automorphism_group(c: FlagComplex) -> AutomorphismGroup:
-    """Compute the automorphism group as a stabiliser chain."""
-    return AutomorphismGroup(c, _stabiliser_chain(c)[0])
+    """The automorphism group as a stabiliser chain.  A complex is
+    immutable, so the group is computed on the first call for ``c``,
+    kept on it and returned by every later call; callers share it and
+    its lists, and must not modify them."""
+    if c._aut is None:
+        c._aut = AutomorphismGroup(c, _stabiliser_chain(c)[0])
+    return c._aut
 
 
 def _dist2_masks(c: FlagComplex) -> list[int]:

@@ -46,6 +46,7 @@ from spherecomplex import (
     nonpants_regions,
     verify_rigidity,
 )
+from spherecomplex import search
 
 
 def vid(s, *labels):
@@ -254,6 +255,62 @@ class TestFrozenCertificates:
         assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == (50400, False, 5040)
         assert certificate_digest(cert) == (
             "96cf5b2698d9b3b72da8502efedc1c6931bed6f9c011d605fdd724b3e50af110")
+
+
+class TestGroupCache:
+    """The automorphism group is computed once per complex object and
+    kept on it; certificates read the kept group."""
+
+    @pytest.fixture
+    def chain_calls(self, monkeypatch):
+        """The complexes ``search._stabiliser_chain`` ran on, in call order."""
+        calls = []
+        real = search._stabiliser_chain
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(search, "_stabiliser_chain", counting)
+        return calls
+
+    def test_one_chain_for_twenty_certificates(self, chain_calls):
+        c = build_genus_zero_complex(6)
+        xs = build_x_sigma(enumerate_pants(6)[0]).vertices
+        first = verify_rigidity(xs, c)
+        for _ in range(19):
+            assert verify_rigidity(xs, c) == first
+        assert chain_calls == [c]
+
+    def test_each_complex_object_computes_its_own_group(self, chain_calls):
+        c = build_genus_zero_complex(6)
+        group = automorphism_group(c)
+        assert automorphism_group(c) is group
+        twin = build_genus_zero_complex(6)
+        sub = c.induced(c.vertices)
+        assert twin == c and sub == c and twin is not c and sub is not c
+        for other in (twin, sub):
+            assert automorphism_group(other) is not group
+            assert automorphism_group(other).order == group.order
+        assert [id(x) for x in chain_calls] == [id(c), id(twin), id(sub)]
+
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    @pytest.mark.parametrize("size", [0, 1, 9], ids=["empty", "one-vertex", "x-sigma"])
+    def test_repeat_certificates_equal_the_first(self, mode, size, chain_calls):
+        c = build_genus_zero_complex(6)
+        xs = build_x_sigma(enumerate_pants(6)[0]).vertices[:size]
+        first = verify_rigidity(xs, c, mode)
+        assert verify_rigidity(xs, c, mode) == first
+        assert verify_rigidity(xs, build_genus_zero_complex(6), mode) == first
+        assert len(chain_calls) == 2
+
+    def test_element_cap_is_read_at_call_time(self, monkeypatch):
+        """A group kept from an earlier call still meets a lowered cap."""
+        c = build_genus_zero_complex(5)
+        assert verify_rigidity(c.vertices, c).all_extend
+        monkeypatch.setattr(AutomorphismGroup, "ELEMENT_CAP", 10)
+        with pytest.raises(ValueError, match="too large to list"):
+            verify_rigidity(c.vertices, c)
 
 
 class TestSplitSpheres:

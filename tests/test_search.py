@@ -113,6 +113,21 @@ class TestVertexMap:
         with pytest.raises(ValueError):
             VertexMap(petersen, petersen, {"k:12": "k:12"})
 
+    @pytest.mark.parametrize("assignment, message", [
+        ({"t1": "t1", "t2": "t2"}, "not total"),
+        ({"t1": "t1", "t2": "t2", "t3": "nope"}, "unknown target vertex"),
+        ({"t1": "t1", "t2": "t2", "t3": "t3", "nope": "t1"}, "unknown source vertex"),
+    ], ids=["non-total", "unknown-target", "unknown-source"])
+    def test_public_constructor_checks_every_assignment(self, assignment, message):
+        """Engine maps skip the checks; the public constructor keeps them."""
+        k3 = catalog("k3")
+        with pytest.raises(ValueError, match=message):
+            VertexMap(k3, k3, assignment)
+
+    def test_engine_maps_equal_checked_maps(self, petersen):
+        for m in enumerate_automorphisms(petersen):
+            assert m == VertexMap(petersen, petersen, m.assignment)
+
 
 class TestEmbedding:
     @settings(max_examples=60)

@@ -502,6 +502,53 @@ class TestCliErrors:
         assert captured.err.startswith("error: cannot write ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, option", [
+        (["complex", "stats", "--genus-zero", "5", "--out", ""], "--out"),
+        (["complex", "build", "--genus-zero", "5", "--json", ""], "--json"),
+        (["complex", "build", "--genus-zero", "5", "--dot", ""], "--dot"),
+        (["complex", "build", "--input", "{missing}"], "--input"),
+        (["dual", "classify", "--input", "", "--edges", "0"], "--input"),
+        (["whitney", "check", "--map", "{missing}"], "--map"),
+        (["whitney", "lift", "--map", "{list}"], "--map"),
+        (["nonembed", "--source", "{list}", "--target", "petersen"], "--source"),
+        (["nonembed", "--source", "petersen", "--target", "{bad}"], "--target"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
+    def test_path_error_names_the_option(self, argv, option, tmp_path, capsys,
+                                         monkeypatch):
+        """Unreadable, malformed and non-object inputs and unwritable
+        outputs: one error line that names the option and its path."""
+        monkeypatch.delenv("SPHERECOMPLEX_OUT_DIR", raising=False)
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "bad.json").write_text("{")
+        paths = {"{%s}" % k: str(tmp_path / ("%s.json" % k))
+                 for k in ("missing", "list", "bad")}
+        argv = [paths.get(a, a) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        path = argv[argv.index(option) + 1]
+        assert "%s %r" % (option, path) in captured.err
+
+    @pytest.mark.parametrize("failing", ["--dot", "--out"])
+    def test_failed_write_leaves_no_partial_outputs(self, failing, tmp_path, capsys,
+                                                    monkeypatch):
+        """Files written before the failing one are removed again."""
+        monkeypatch.delenv("SPHERECOMPLEX_OUT_DIR", raising=False)
+        (tmp_path / "file").write_text("")
+        written = {"--json": tmp_path / "a.json", "--dot": tmp_path / "a.dot"}
+        written[failing] = tmp_path / "file" / "x"
+        argv = ["complex", "build", "--genus-zero", "5"]
+        for option, path in written.items():
+            argv += [option, str(path)]
+        if failing != "--out":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write %s " % failing)
+
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
             ["pants", "dual", "--s", "6", "--members", "p:1,2|s=6"], tmp_path)
