@@ -3,68 +3,58 @@ handlebodies: genus-zero partition models, pants decompositions and flip
 graphs, dual multigraphs with link classification, edge-isomorphism
 lifting, integer simplicial homology, and exhaustive rigidity
 certification.
+
+Importing the package loads none of its modules: each public name is
+imported from the module that defines it on first access (PEP 562).
 """
 
-from .dual import (DualMultigraph, JoinDecomposition, classify_link,
-                   dual_of_pants, ih_flip, signature_of_dual, slot_id,
-                   split_slot)
-from .flagcomplex import (FlagComplex, FVector, cliques_of_size,
-                          connected_components, f_vector, flag_from_adjacency,
-                          has_cycle, is_connected, join_of, link_of,
-                          maximal_cliques)
-from .genus_zero import (NONSEPARATING, SEPARATING, CaterpillarWindow,
-                         ManifoldSignature, SpherePartition, all_spheres,
-                         build_caterpillar_window, build_genus_zero_complex,
-                         catalog, catalog_names, partition_of_vertex,
-                         spheres_disjoint)
-from .homology import (ChainBoundary, HomologyReport, SNFResult,
-                       betti_numbers, boundary_matrices, boundary_matrix,
-                       rank_mod_p, simplex_basis, smith_normal_form)
-from .multigraph import (Multigraph, dual_to_multigraph,
-                         random_connected_multigraph, scramble)
-from .pants import (FlipGraph, PantsDecomposition, SphereSystem,
-                    enumerate_pants, flip_partners, is_maximal_system,
-                    pants_flip_graph)
-from .rigidity import (OVER_MAXIMAL_MAPS, PLAIN, CaterpillarWitness,
-                       CutLabeling, GoodPairCensus, LinkClass, LinkClasses,
-                       RigidityCertificate, TransitivityError, build_x_sigma,
-                       caterpillar_witness, complex_id, detect_x_detectable,
-                       find_split_pairs, find_split_spheres, good_pair_census,
-                       label_action_automorphisms, link_equivalence_classes,
-                       nonpants_regions, verify_rigidity)
-from .search import (AutomorphismGroup, VertexMap, automorphism_group,
-                     enumerate_automorphisms, enumerate_locally_injective_maps,
-                     search_embedding, search_isomorphism)
-from .whitney import (AMBIGUOUS_ORDER_2, LIFTED, OBSTRUCTED, EdgeBijection,
-                      LiftResult, extend_lift, find_k3_k13_pair,
-                      is_edge_isomorphism, lift_edge_isomorphism, pair_type)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMBIGUOUS_ORDER_2", "AutomorphismGroup", "CaterpillarWindow",
-    "CaterpillarWitness", "ChainBoundary", "CutLabeling", "DualMultigraph",
-    "EdgeBijection", "FVector", "FlagComplex", "FlipGraph", "GoodPairCensus",
-    "HomologyReport", "JoinDecomposition", "LIFTED", "LiftResult", "LinkClass",
-    "LinkClasses", "ManifoldSignature", "Multigraph", "NONSEPARATING",
-    "OBSTRUCTED", "OVER_MAXIMAL_MAPS", "PLAIN", "PantsDecomposition",
-    "RigidityCertificate", "SNFResult", "SEPARATING", "SpherePartition",
-    "SphereSystem", "TransitivityError", "VertexMap", "all_spheres",
-    "automorphism_group", "betti_numbers", "boundary_matrices",
-    "boundary_matrix", "build_caterpillar_window", "build_genus_zero_complex",
-    "build_x_sigma", "catalog", "catalog_names", "caterpillar_witness",
-    "classify_link", "cliques_of_size", "complex_id", "connected_components", "has_cycle",
-    "detect_x_detectable", "dual_of_pants", "dual_to_multigraph",
-    "enumerate_automorphisms", "enumerate_locally_injective_maps",
-    "enumerate_pants", "extend_lift", "f_vector", "find_k3_k13_pair",
-    "find_split_pairs", "find_split_spheres", "flag_from_adjacency",
-    "flip_partners", "good_pair_census", "ih_flip", "is_connected",
-    "is_edge_isomorphism", "is_maximal_system", "join_of",
-    "label_action_automorphisms", "lift_edge_isomorphism", "link_of",
-    "link_equivalence_classes", "maximal_cliques", "nonpants_regions",
-    "pair_type", "pants_flip_graph", "partition_of_vertex",
-    "random_connected_multigraph", "rank_mod_p", "scramble",
-    "search_embedding", "search_isomorphism", "signature_of_dual",
-    "simplex_basis", "slot_id", "smith_normal_form", "spheres_disjoint",
-    "split_slot", "verify_rigidity",
-]
+_EXPORTS = {
+    "dual": ("DualMultigraph", "JoinDecomposition", "classify_link", "dual_of_pants",
+             "ih_flip", "signature_of_dual", "slot_id", "split_slot"),
+    "flagcomplex": ("FVector", "FlagComplex", "cliques_of_size", "complex_id",
+                    "connected_components", "f_vector", "flag_from_adjacency",
+                    "has_cycle", "is_connected", "join_of", "link_of", "maximal_cliques"),
+    "genus_zero": ("NONSEPARATING", "SEPARATING", "CaterpillarWindow",
+                   "ManifoldSignature", "SpherePartition", "all_spheres",
+                   "build_caterpillar_window", "build_genus_zero_complex", "catalog",
+                   "catalog_names", "partition_of_vertex", "spheres_disjoint"),
+    "homology": ("ChainBoundary", "HomologyReport", "SNFResult", "betti_numbers",
+                 "boundary_matrices", "boundary_matrix", "rank_mod_p",
+                 "simplex_basis", "smith_normal_form"),
+    "multigraph": ("Multigraph", "dual_to_multigraph", "random_connected_multigraph",
+                   "scramble"),
+    "pants": ("FlipGraph", "PantsDecomposition", "SphereSystem", "enumerate_pants",
+              "flip_partners", "is_maximal_system", "pants_flip_graph"),
+    "rigidity": ("OVER_MAXIMAL_MAPS", "PLAIN", "CaterpillarWitness", "CutLabeling",
+                 "GoodPairCensus", "LinkClass", "LinkClasses", "RigidityCertificate",
+                 "TransitivityError", "build_x_sigma", "caterpillar_witness",
+                 "detect_x_detectable", "find_split_pairs", "find_split_spheres",
+                 "good_pair_census", "label_action_automorphisms",
+                 "link_equivalence_classes", "nonpants_regions", "verify_rigidity"),
+    "search": ("AutomorphismGroup", "VertexMap", "automorphism_group",
+               "enumerate_automorphisms", "enumerate_locally_injective_maps",
+               "search_embedding", "search_isomorphism"),
+    "whitney": ("AMBIGUOUS_ORDER_2", "LIFTED", "OBSTRUCTED", "EdgeBijection",
+                "LiftResult", "extend_lift", "find_k3_k13_pair", "is_edge_isomorphism",
+                "lift_edge_isomorphism", "pair_type"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

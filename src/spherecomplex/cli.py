@@ -10,7 +10,9 @@ errors, malformed input files or unwritable output paths.  Relative
 ``(values, results, passed, files)``, where ``files`` maps an output
 option to the text it asked for; ``main`` builds every report from it
 and writes every file, and when a write fails it removes the files it
-has already written, so a failed command leaves no partial outputs.
+has already written and the directories it made for them, so a failed
+command leaves no partial outputs.  Each command imports the library
+modules it runs, so a process loads no others.
 """
 
 from __future__ import annotations
@@ -23,21 +25,13 @@ import os
 import random
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import serialization as ser
-from .dual import classify_link, dual_of_pants, signature_of_dual
-from .flagcomplex import (FlagComplex, f_vector, is_connected, maximal_cliques)
-from .genus_zero import (build_caterpillar_window, build_genus_zero_complex,
-                         catalog, catalog_names)
-from .homology import betti_numbers, report_as_dict
-from .multigraph import random_connected_multigraph, scramble
-from .pants import PantsDecomposition, enumerate_pants, pants_flip_graph
-from .rigidity import (CutLabeling, caterpillar_witness, complex_id,
-                       build_x_sigma, find_split_spheres, good_pair_census,
-                       verify_rigidity)
-from .search import automorphism_group, search_embedding
-from .whitney import (LIFTED, EdgeBijection, find_k3_k13_pair,
-                      is_edge_isomorphism, lift_edge_isomorphism)
+
+if TYPE_CHECKING:
+    from .flagcomplex import FlagComplex
+    from .pants import PantsDecomposition
 
 OUT_DIR_ENV = "SPHERECOMPLEX_OUT_DIR"
 
@@ -55,11 +49,15 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _write_text(option: str, path: str, text: str) -> str:
-    """Write the file that ``option`` names; return its resolved path."""
+def _write_text(option: str, path: str, text: str, created: list[str]) -> str:
+    """Write the file that ``option`` names, creating missing parent
+    directories and adding each to ``created``; return its resolved path."""
     full = _resolve_out(path)
-    parent = os.path.dirname(full)
+    parent = missing = os.path.dirname(full)
     try:
+        while missing and not os.path.exists(missing):
+            created.append(missing)
+            missing = os.path.dirname(missing)
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(full, "w", encoding="utf-8") as fh:
@@ -71,15 +69,19 @@ def _write_text(option: str, path: str, text: str) -> str:
 
 def _write_outputs(outputs: list[tuple[str, str, str]]) -> None:
     """Write each (option, path, text) in turn; when one fails, remove
-    the files written before it and raise."""
-    written = []
+    the files written before it and then, deepest first, the directories
+    created for them that are left empty, and raise."""
+    written, created = [], []
     try:
         for option, path, text in outputs:
-            written.append(_write_text(option, path, text))
+            written.append(_write_text(option, path, text, created))
     except ValueError:
         for full in written:
             with contextlib.suppress(OSError):
                 os.remove(full)
+        for directory in sorted(created, key=len, reverse=True):
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
 
 
@@ -126,6 +128,7 @@ def _add_complex_source(p: argparse.ArgumentParser) -> None:
 
 def _complex_from_args(args: argparse.Namespace) -> tuple[FlagComplex, dict]:
     """Build the requested complex plus the input record for the report."""
+    from .genus_zero import build_caterpillar_window, build_genus_zero_complex, catalog
     if args.genus_zero is not None:
         return build_genus_zero_complex(args.genus_zero), {"genus_zero": args.genus_zero}
     if args.caterpillar is not None:
@@ -141,6 +144,8 @@ def _complex_from_args(args: argparse.Namespace) -> tuple[FlagComplex, dict]:
 def _complex_from_spec(option: str, spec: str) -> tuple[FlagComplex, dict]:
     """Parse the value of ``option`` (--source or --target): catalog
     name, `genus-zero:S`, `caterpillar:M`, or a JSON file path."""
+    from .genus_zero import (build_caterpillar_window, build_genus_zero_complex,
+                             catalog, catalog_names)
     if spec in catalog_names():
         return catalog(spec), {"catalog": spec}
     model, sep, size = spec.partition(":")
@@ -170,6 +175,8 @@ def _split_members(raw: str) -> list[str]:
 def _pants_from_args(s: int, members: str) -> PantsDecomposition:
     """The pants decomposition of the genus-zero complex named by a
     --members value."""
+    from .genus_zero import build_genus_zero_complex
+    from .pants import PantsDecomposition
     c = build_genus_zero_complex(s)
     parts = _split_members(members)
     try:
@@ -181,6 +188,7 @@ def _pants_from_args(s: int, members: str) -> PantsDecomposition:
 # -- complex --------------------------------------------------------------
 
 def _cmd_complex_build(args) -> tuple[dict, dict, bool, dict]:
+    from .flagcomplex import complex_id, f_vector
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     results = {
@@ -199,6 +207,7 @@ def _cmd_complex_build(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_complex_stats(args) -> tuple[dict, dict, bool, dict]:
+    from .flagcomplex import complex_id, f_vector, is_connected, maximal_cliques
     c, values = _complex_from_args(args)
     fv = f_vector(c)
     cliques = maximal_cliques(c)
@@ -217,6 +226,8 @@ def _cmd_complex_stats(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_complex_homology(args) -> tuple[dict, dict, bool, dict]:
+    from .flagcomplex import f_vector
+    from .homology import betti_numbers, report_as_dict
     c, values = _complex_from_args(args)
     if args.max_dim is not None:
         values["max_dim"] = args.max_dim
@@ -232,6 +243,7 @@ def _cmd_complex_homology(args) -> tuple[dict, dict, bool, dict]:
 # -- pants ----------------------------------------------------------------
 
 def _cmd_pants_enumerate(args) -> tuple[dict, dict, bool, dict]:
+    from .pants import enumerate_pants
     systems = enumerate_pants(args.s)
     results = {
         "s": args.s,
@@ -243,6 +255,7 @@ def _cmd_pants_enumerate(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool, dict]:
+    from .pants import pants_flip_graph
     fg = pants_flip_graph(args.s)
     results = {
         "s": args.s,
@@ -265,6 +278,7 @@ def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_pants_dual(args) -> tuple[dict, dict, bool, dict]:
+    from .dual import dual_of_pants, signature_of_dual
     P = _pants_from_args(args.s, args.members)
     members = list(P.sorted_members())
     d = dual_of_pants(P)
@@ -286,6 +300,7 @@ def _cmd_pants_dual(args) -> tuple[dict, dict, bool, dict]:
 # -- dual -----------------------------------------------------------------
 
 def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
+    from .dual import classify_link, dual_of_pants
     if args.input is not None:
         doc = _read_json("--input", args.input)
         d = ser.dual_from_dict(doc)
@@ -315,6 +330,9 @@ def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
 # -- whitney --------------------------------------------------------------
 
 def _cmd_whitney_check(args) -> tuple[dict, dict, bool, dict]:
+    from .multigraph import random_connected_multigraph, scramble
+    from .whitney import (LIFTED, EdgeBijection, find_k3_k13_pair, is_edge_isomorphism,
+                          lift_edge_isomorphism)
     if args.random_roundtrip is not None:
         trials = args.random_roundtrip
         if trials < 0:
@@ -356,6 +374,7 @@ def _cmd_whitney_check(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_whitney_lift(args) -> tuple[dict, dict, bool, dict]:
+    from .whitney import LIFTED, is_edge_isomorphism, lift_edge_isomorphism
     doc = _read_json("--map", args.map)
     psi = ser.edge_bijection_from_dict(doc)
     if not is_edge_isomorphism(psi):
@@ -378,6 +397,8 @@ def _cmd_whitney_lift(args) -> tuple[dict, dict, bool, dict]:
 # -- rigidity -------------------------------------------------------------
 
 def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool, dict]:
+    from .flagcomplex import complex_id
+    from .search import automorphism_group
     c, values = _complex_from_args(args)
     group = automorphism_group(c)
     results = {
@@ -390,6 +411,7 @@ def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
+    from .rigidity import verify_rigidity
     c, values = _complex_from_args(args)
     xs = _split_members(args.subcomplex) if args.subcomplex is not None else list(c.vertices)
     unknown = [v for v in xs if v not in c]
@@ -403,6 +425,7 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_rigidity_split(args) -> tuple[dict, dict, bool, dict]:
+    from .rigidity import find_split_spheres
     P = _pants_from_args(args.genus_zero, args.members)
     if args.sphere not in P.members:
         raise ValueError("--sphere must be a member of the decomposition")
@@ -421,6 +444,7 @@ def _cmd_rigidity_split(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool, dict]:
+    from .rigidity import build_x_sigma
     P = _pants_from_args(args.genus_zero, args.members)
     members = list(P.sorted_members())
     x = build_x_sigma(P)
@@ -440,6 +464,8 @@ def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool, dict]:
+    from .genus_zero import build_caterpillar_window
+    from .rigidity import caterpillar_witness
     window = build_caterpillar_window(args.m)
     xs = _split_members(args.x)
     w = caterpillar_witness(xs, window)
@@ -451,6 +477,8 @@ def _cmd_rigidity_witness(args) -> tuple[dict, dict, bool, dict]:
 # -- nonembed, census, catalog ---------------------------------------------
 
 def _cmd_nonembed(args) -> tuple[dict, dict, bool, dict]:
+    from .flagcomplex import complex_id
+    from .search import search_embedding
     src, src_rec = _complex_from_spec("--source", args.source)
     dst, dst_rec = _complex_from_spec("--target", args.target)
     shortcut = not args.no_shortcut
@@ -469,6 +497,7 @@ def _cmd_nonembed(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool, dict]:
+    from .rigidity import CutLabeling, good_pair_census
     cut = CutLabeling.from_signature(args.n, args.s)
     census = good_pair_census(cut, args.pair)
     results = ser.census_to_dict(census, args.n, args.s)
@@ -478,6 +507,7 @@ def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_catalog(args) -> tuple[dict, dict, bool, dict]:
+    from .genus_zero import catalog, catalog_names
     entries = {}
     for name in catalog_names():
         c = catalog(name)

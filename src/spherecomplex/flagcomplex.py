@@ -152,6 +152,18 @@ def flag_from_adjacency(vertices: Iterable[str],
     return FlagComplex(vs, masks, meta)
 
 
+def complex_id(c: FlagComplex) -> str:
+    """The id reports print: meta name, model and size, or the counts."""
+    name = c.meta.get("name")
+    if name:
+        return str(name)
+    if c.meta.get("model") == "genus-zero":
+        return "genus-zero:s=%d" % (c.meta["s"],)
+    if c.meta.get("model") == "caterpillar":
+        return "caterpillar:m=%d" % (c.meta["m"],)
+    return "complex:%dv,%de" % (c.n_vertices, c.n_edges)
+
+
 def link_of(c: FlagComplex, simplex: Iterable[str]) -> FlagComplex:
     """The link of a clique: the induced subcomplex on the vertices
     adjacent to every vertex of the clique and not in it.

@@ -10,10 +10,12 @@ bonds become edges).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .dual import DualMultigraph
 from .flagcomplex import pair_components
+
+if TYPE_CHECKING:
+    from .dual import DualMultigraph
 
 
 class Multigraph:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
-                          is_connected, link_of, mask_components)
+                          complex_id, is_connected, link_of, mask_components)
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree, build_genus_zero_complex)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
@@ -48,17 +48,6 @@ class RigidityCertificate:
     extensions: tuple[Optional[int], ...]
     counterexample: Optional[dict[str, str]]
     automorphism_order: int
-
-
-def complex_id(c: FlagComplex) -> str:
-    name = c.meta.get("name")
-    if name:
-        return str(name)
-    if c.meta.get("model") == "genus-zero":
-        return "genus-zero:s=%d" % (c.meta["s"],)
-    if c.meta.get("model") == "caterpillar":
-        return "caterpillar:m=%d" % (c.meta["m"],)
-    return "complex:%dv,%de" % (c.n_vertices, c.n_edges)
 
 
 def _gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:

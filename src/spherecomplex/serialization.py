@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .dual import DualMultigraph
-from .flagcomplex import FlagComplex, flag_from_adjacency
-from .multigraph import Multigraph
-from .rigidity import CaterpillarWitness, GoodPairCensus, RigidityCertificate
-from .search import VertexMap
-from .whitney import EdgeBijection
+if TYPE_CHECKING:
+    from .dual import DualMultigraph
+    from .flagcomplex import FlagComplex
+    from .multigraph import Multigraph
+    from .rigidity import CaterpillarWitness, GoodPairCensus, RigidityCertificate
+    from .search import VertexMap
+    from .whitney import EdgeBijection
 
 
 def dumps(obj) -> str:
@@ -43,6 +44,7 @@ def complex_to_dict(c: FlagComplex) -> dict:
 
 
 def complex_from_dict(d: Mapping) -> FlagComplex:
+    from .flagcomplex import flag_from_adjacency
     try:
         vertices = [str(v) for v in d["vertices"]]
         edges = [(str(a), str(b)) for a, b in d["edges"]]
@@ -82,6 +84,7 @@ def dual_to_dict(d: DualMultigraph) -> dict:
 
 
 def dual_from_dict(doc: Mapping) -> DualMultigraph:
+    from .dual import DualMultigraph
     try:
         pants = [str(p) for p in doc["pants"]]
         bonds = [(str(a), str(b)) for a, b in doc["bonds"]]
@@ -126,6 +129,7 @@ def multigraph_to_dict(g: Multigraph) -> dict:
 
 
 def multigraph_from_dict(doc: Mapping) -> Multigraph:
+    from .multigraph import Multigraph
     try:
         vertices = [str(v) for v in doc["vertices"]]
         edges = {str(eid): (str(pair[0]), str(pair[1]))
@@ -155,6 +159,7 @@ def edge_map_from_dict(doc: Mapping) -> tuple[Multigraph, Multigraph, dict[str, 
 
 
 def edge_bijection_from_dict(doc: Mapping) -> EdgeBijection:
+    from .whitney import EdgeBijection
     source, target, mapping = edge_map_from_dict(doc)
     return EdgeBijection(source, target, mapping)
 

@@ -549,6 +549,20 @@ class TestCliErrors:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: cannot write %s " % failing)
 
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A missing parent directory made for ``--json`` goes again
+        when ``--dot`` fails; one that already existed stays."""
+        monkeypatch.delenv("SPHERECOMPLEX_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept").mkdir()
+        assert main(["complex", "build", "--genus-zero", "5", "--json", "newdir/a.json",
+                     "--dot", "/dev/null/x"]) == 2
+        assert main(["complex", "build", "--genus-zero", "5", "--json", "kept/new/a.json",
+                     "--dot", "/dev/null/x"]) == 2
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["kept"]
+        assert capsys.readouterr().err.count("error: cannot write --dot ") == 2
+
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
             ["pants", "dual", "--s", "6", "--members", "p:1,2|s=6"], tmp_path)
