@@ -33,8 +33,8 @@ _EXPORTS = {
                  "GoodPairCensus", "LinkClass", "LinkClasses", "RigidityCertificate",
                  "TransitivityError", "build_x_sigma", "caterpillar_witness",
                  "detect_x_detectable", "find_split_pairs", "find_split_spheres",
-                 "good_pair_census", "label_action_automorphisms",
-                 "link_equivalence_classes", "nonpants_regions", "verify_rigidity"),
+                 "good_pair_census", "link_equivalence_classes", "nonpants_regions",
+                 "verify_rigidity"),
     "search": ("AutomorphismGroup", "VertexMap", "automorphism_group",
                "enumerate_automorphisms", "enumerate_locally_injective_maps",
                "search_embedding", "search_isomorphism"),

@@ -14,17 +14,17 @@ on cut labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
                           complex_id, is_connected, link_of, mask_components)
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
-                         _innermost_block, _laminar_tree, build_genus_zero_complex)
+                         _innermost_block, _laminar_tree)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
-from .search import (AutomorphismGroup, VertexMap, _degree_feasible,
-                     _locally_injective_placements, _search_order, automorphism_group)
+from .search import (AutomorphismGroup, VertexMap, _locally_injective_placements,
+                     automorphism_group)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -66,12 +66,18 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     """Enumerate all locally injective simplicial maps of the induced
     subcomplex into the ambient complex and test unique extension.
 
-    The search fixes the image of its first vertex to one orbit minimum
-    r per orbit of Aut(ambient); every other map is g∘p for a found map
-    p and one automorphism g per image g(r).  Post-composing with an
-    automorphism is a bijection from the maps with first image r onto
-    those with first image g(r), and it preserves local injectivity, the
-    over-maximal condition and extendability (McKay 1981).
+    The search finds one map per orbit of G = Aut(ambient) acting by
+    post-composition (see ``search._placements``): along the search
+    order, each image must be the least in its orbit under the pointwise
+    stabiliser of the earlier images.  Post-composing with an
+    automorphism preserves local injectivity, the over-maximal condition
+    and extendability, so every map is g∘p for a found p and some g in
+    G, and the orbits of two found maps are disjoint.  The orbit of p is
+    {g∘p : g in G}, with each map listed once per element of the
+    stabiliser of the images of p, so it is deduplicated only when that
+    stabiliser is nontrivial.  Each stabiliser is filtered from its
+    parent's element list and kept, for this call only, by the images
+    it fixes.
     """
     if mode not in (PLAIN, OVER_MAXIMAL_MAPS):
         raise ValueError("unknown mode: %r" % (mode,))
@@ -82,28 +88,45 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
     inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
+    perms = group._sorted_perms()
 
-    transversals = group._orbit_transversals()
+    # the pointwise stabilisers of the images fixed so far
+    stabilisers = {(): perms}
 
-    order = _search_order(X)
-    masks = _degree_feasible(X, ambient)
-    if order:
-        masks[order[0]] &= sum(1 << r for r in transversals)
-    found = _locally_injective_placements(X, ambient, inside, masks)
-    if order:
-        # g∘p for each found p; vertex ids are sorted, so index order is
-        # the canonical map order
-        maps: list[tuple[int, ...]] = []
-        for p in found:
-            maps += map(_gather(p), transversals[p[order[0]]].values())
-        maps.sort()
-    else:  # the empty X has only the empty map
-        maps = list(found)
+    def orbit_minima(fixed: tuple[int, ...], candidates: int) -> Optional[int]:
+        h = stabilisers.get(fixed)
+        if h is None:
+            x = fixed[-1]
+            parent = stabilisers[fixed[:-1]]
+            fixes_x = map(x.__eq__, map(itemgetter(x), parent))
+            h = stabilisers[fixed] = list(compress(parent, fixes_x))
+        if len(h) == 1:
+            return None
+        # the orbit of y is {g[y] : g in h}
+        least = 0
+        seen: set[int] = set()
+        for y in _bits(candidates):
+            if y not in seen:
+                orbit = set(map(itemgetter(y), h))
+                seen |= orbit
+                if min(orbit) == y:
+                    least |= 1 << y
+        return least
+
+    # g∘p for each found p; vertex ids are sorted, so index order is the
+    # canonical map order
+    maps: list[tuple[int, ...]] = []
+    for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
+        orbit = list(map(_gather(p), perms))
+        # the identity sends p to itself, and so does every element
+        # fixing the images of p
+        maps += orbit if orbit.count(p) == 1 else set(orbit)
+    maps.sort()
 
     # the element restricting to each map, None when several do
     extending: dict[tuple[int, ...], Optional[int]] = {}
     restrict = _gather([ambient.index_of(v) for v in xs])
-    for k, key in enumerate(map(restrict, group._sorted_perms())):
+    for k, key in enumerate(map(restrict, perms)):
         extending[key] = None if key in extending else k
     extensions = tuple(map(extending.get, maps))
     counterexample: Optional[dict[str, str]] = None
@@ -120,27 +143,6 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         counterexample=counterexample,
         automorphism_order=group.order,
     )
-
-
-def label_action_automorphisms(s: int) -> list[VertexMap]:
-    """The automorphisms of the genus-zero complex induced by permuting
-    the boundary labels 1..s, in canonical order."""
-    c = build_genus_zero_complex(s)
-    out = []
-    seen = set()
-    for perm in permutations(range(1, s + 1)):
-        relabel = dict(zip(range(1, s + 1), perm))
-        assignment = {}
-        for vid in c.vertices:
-            sp = SpherePartition.from_vertex_id(vid)
-            assignment[vid] = SpherePartition(s, [relabel[x] for x in sp.block]).vertex_id()
-        key = tuple(sorted(assignment.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(VertexMap(c, c, assignment))
-    out.sort(key=VertexMap.key)
-    return out
 
 
 def find_split_spheres(P: PantsDecomposition, a: str) -> list[str]:

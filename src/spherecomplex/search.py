@@ -11,7 +11,9 @@ vertices in breadth-first order; a vertex's candidates are its degree
 feasibility mask, cut down by the adjacency masks of the images of its
 placed neighbors and by the images that its injectivity scope forbids
 (all placed vertices for embeddings and isomorphisms, placed vertices at
-distance 1 or 2 for locally injective maps).
+distance 1 or 2 for locally injective maps).  Given the orbit minima of
+pointwise stabilisers in a group of target automorphisms, it emits one
+placement per orbit of that group (``verify_rigidity`` uses this).
 
 Isomorphisms need no check that non-adjacency is reflected: between
 complexes with equal vertex and edge counts (``_iso_precheck``), an
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import prod
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .flagcomplex import FlagComplex, _bits, _link_mask, f_vector, has_cycle
 
@@ -141,28 +143,37 @@ def _search_order(c: FlagComplex) -> list[int]:
 def _degree_feasible(src: FlagComplex, dst: FlagComplex) -> list[int]:
     """Candidate masks for a simplicial map injective on closed stars:
     feasible[i] has bit j set when source vertex i may map to target
-    vertex j, judged by degree and sorted neighbor-degree domination."""
-    ns, nt = src.n_vertices, dst.n_vertices
-    sdeg = [src._adj[i].bit_count() for i in range(ns)]
-    tdeg = [dst._adj[j].bit_count() for j in range(nt)]
-    snbr = [sorted((sdeg[k] for k in _bits(src._adj[i])), reverse=True) for i in range(ns)]
-    tnbr = [sorted((tdeg[k] for k in _bits(dst._adj[j])), reverse=True) for j in range(nt)]
+    vertex j, judged by degree and sorted neighbor-degree domination.
+
+    Target vertices are grouped by profile (degree and sorted neighbor
+    degrees), so the domination test runs once per source profile and
+    distinct target profile."""
+    def profiles(c: FlagComplex) -> list[tuple[int, ...]]:
+        deg = [c._adj[i].bit_count() for i in range(c.n_vertices)]
+        return [(d,) + tuple(sorted((deg[k] for k in _bits(c._adj[i])), reverse=True))
+                for i, d in enumerate(deg)]
+
+    targets: dict[tuple[int, ...], int] = {}
+    for j, prof in enumerate(profiles(dst)):
+        targets[prof] = targets.get(prof, 0) | 1 << j
+    # t dominates prof when it is at least as large entry by entry; the
+    # first entries compare degrees, so t is then at least as long
+    memo: dict[tuple[int, ...], int] = {}
     feas = []
-    for i in range(ns):
-        m = 0
-        for j in range(nt):
-            if tdeg[j] < sdeg[i]:
-                continue
-            if any(t < s for s, t in zip(snbr[i], tnbr[j])):
-                continue
-            m |= 1 << j
+    for prof in profiles(src):
+        m = memo.get(prof)
+        if m is None:
+            m = memo[prof] = sum(mask for t, mask in targets.items()
+                                 if all(a <= b for a, b in zip(prof, t)))
         feas.append(m)
     return feas
 
 
 def _placements(src: FlagComplex, dst: FlagComplex,
                 scope: Optional[Sequence[int]] = None,
-                masks: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
+                masks: Optional[Sequence[int]] = None,
+                minima: Optional[Callable[[tuple[int, ...], int], Optional[int]]] = None,
+                ) -> Iterator[tuple[int, ...]]:
     """Every placement of src on dst that sends edges to edges, depth
     first along ``_search_order`` with candidates in ascending order.
 
@@ -173,6 +184,21 @@ def _placements(src: FlagComplex, dst: FlagComplex,
     vertices of ``masks[v]``; the masks then replace ``_degree_feasible``,
     so a caller restricting the search starts from it once and ANDs its
     restrictions in.
+
+    With ``minima`` given, only one placement per orbit of a group G of
+    automorphisms of dst is emitted.  ``minima(images, cand)`` is called
+    with the images of the positions placed so far, in search order, and
+    the candidate mask of the next position; it returns the candidates
+    that are least in their orbit under the pointwise stabiliser in G of
+    ``images``, or None when that stabiliser is trivial, after which the
+    branch is searched in full.  Every G-orbit of placements then has
+    exactly one member emitted, the one whose image at each position is
+    the least in its orbit under the stabiliser of the earlier images
+    (McKay 1998), provided the constraints are G-invariant: ``masks``
+    (degree masks are), adjacency and ``scope`` are, and so is any
+    filter the caller applies to the output that post-composing with G
+    preserves.  If p and g∘p are both emitted, g fixes every image of p,
+    so g∘p = p.
     """
     n = src.n_vertices
     if n == 0:
@@ -191,15 +217,27 @@ def _placements(src: FlagComplex, dst: FlagComplex,
     placed = [0] * n
     used = [0] * n    # used[pos]: images taken by positions before pos
     cands = [0] * n
+    # fixed[pos]: the images of the positions before pos while their
+    # stabiliser is nontrivial, else None
+    fixed: list[Optional[tuple[int, ...]]] = [None] * n
+    if minima is not None:
+        fixed[0] = ()
 
     def candidates(pos: int) -> int:
         cand = feas[order[pos]]
         for u in nbrs[pos]:
             cand &= adj_t[placed[u]]
         if scope is None:
-            return cand & ~used[pos]
-        for u in scoped[pos]:
-            cand &= ~(1 << placed[u])
+            cand &= ~used[pos]
+        else:
+            for u in scoped[pos]:
+                cand &= ~(1 << placed[u])
+        if fixed[pos] is not None and cand:
+            least = minima(fixed[pos], cand)
+            if least is None:
+                fixed[pos] = None
+            else:
+                cand = least
         return cand
 
     pos = 0
@@ -211,12 +249,14 @@ def _placements(src: FlagComplex, dst: FlagComplex,
             continue
         low = cand & -cand
         cands[pos] = cand ^ low
-        placed[order[pos]] = low.bit_length() - 1
+        image = placed[order[pos]] = low.bit_length() - 1
         if pos == n - 1:
             yield tuple(placed)
         else:
             pos += 1
             used[pos] = used[pos - 1] | low
+            prefix = fixed[pos - 1]
+            fixed[pos] = None if prefix is None else prefix + (image,)
             cands[pos] = candidates(pos)
 
 
@@ -390,15 +430,13 @@ class AutomorphismGroup:
 
     ELEMENT_CAP = 10_000
 
-    __slots__ = ("complex", "order", "_chain", "_perms", "_transversals",
-                 "_elements", "_generators")
+    __slots__ = ("complex", "order", "_chain", "_perms", "_elements", "_generators")
 
     def __init__(self, complex_: FlagComplex, chain: list[list[tuple[int, ...]]]):
         self.complex = complex_
         self.order = prod(map(len, chain))
         self._chain = chain
         self._perms: Optional[list[tuple[int, ...]]] = None
-        self._transversals: Optional[dict[int, dict[int, tuple[int, ...]]]] = None
         self._elements: Optional[list[VertexMap]] = None
         self._generators: Optional[list[VertexMap]] = None
 
@@ -411,25 +449,6 @@ class AutomorphismGroup:
         if self.order <= self.ELEMENT_CAP:
             self._perms = perms
         return perms
-
-    def _orbit_transversals(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """For each orbit minimum r of the vertex indices, the first
-        element in canonical order sending r to each point t of its
-        orbit, as ``{r: {t: element}}``; built on first call."""
-        if self._transversals is None:
-            perms = self._sorted_perms()
-            transversals: dict[int, dict[int, tuple[int, ...]]] = {}
-            covered = 0
-            for r in range(self.complex.n_vertices):
-                if covered >> r & 1:
-                    continue
-                images: dict[int, tuple[int, ...]] = {}
-                for g in perms:
-                    images.setdefault(g[r], g)
-                transversals[r] = images
-                covered |= sum(1 << t for t in images)
-            self._transversals = transversals
-        return self._transversals
 
     @property
     def elements(self) -> Optional[list[VertexMap]]:
@@ -472,12 +491,13 @@ def _dist2_masks(c: FlagComplex) -> list[int]:
 def _locally_injective_placements(
         X: FlagComplex, target: FlagComplex,
         inside: Optional[Iterable[Sequence[str]]] = None,
-        masks: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
-    """Placements of X on target injective on closed stars, each vertex
-    restricted to its ``masks`` entry when given.  With ``inside`` given
-    (cliques of X as vertex sequences), only placements carrying each of
-    them onto a maximal clique of target are kept."""
-    placements = _placements(X, target, _dist2_masks(X), masks)
+        minima: Optional[Callable[[tuple[int, ...], int], Optional[int]]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Placements of X on target injective on closed stars, one per
+    orbit when ``minima`` is given (see ``_placements``).  With
+    ``inside`` given (cliques of X as vertex sequences), only placements
+    carrying each of them onto a maximal clique of target are kept."""
+    placements = _placements(X, target, _dist2_masks(X), None, minima)
     if inside is None:
         return placements
     # a placement carries a clique onto a clique of the same size, which

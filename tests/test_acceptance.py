@@ -33,7 +33,6 @@ from spherecomplex import (
     flip_partners,
     good_pair_census,
     is_edge_isomorphism,
-    label_action_automorphisms,
     lift_edge_isomorphism,
     link_equivalence_classes,
     maximal_cliques,
@@ -45,6 +44,8 @@ from spherecomplex import (
     search_isomorphism,
     verify_rigidity,
 )
+
+from oracles import label_action_automorphisms
 
 
 @contextmanager

@@ -39,7 +39,9 @@ COMMANDS = [
     (["catalog"], {"flagcomplex", "genus_zero"}),
 ]
 
-# the names ``spherecomplex`` exported when every module was imported eagerly
+# the names ``spherecomplex`` exported when every module was imported
+# eagerly, less ``label_action_automorphisms``, now a test oracle
+# (``tests/oracles.py``)
 PUBLIC = {
     "AMBIGUOUS_ORDER_2", "AutomorphismGroup", "CaterpillarWindow",
     "CaterpillarWitness", "ChainBoundary", "CutLabeling", "DualMultigraph",
@@ -59,7 +61,7 @@ PUBLIC = {
     "find_split_pairs", "find_split_spheres", "flag_from_adjacency",
     "flip_partners", "good_pair_census", "has_cycle", "ih_flip", "is_connected",
     "is_edge_isomorphism", "is_maximal_system", "join_of",
-    "label_action_automorphisms", "lift_edge_isomorphism", "link_of",
+    "lift_edge_isomorphism", "link_of",
     "link_equivalence_classes", "maximal_cliques", "nonpants_regions",
     "pair_type", "pants_flip_graph", "partition_of_vertex",
     "random_connected_multigraph", "rank_mod_p", "scramble",

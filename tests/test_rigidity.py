@@ -40,13 +40,14 @@ from spherecomplex import (
     find_split_spheres,
     flip_partners,
     good_pair_census,
-    label_action_automorphisms,
     link_equivalence_classes,
     maximal_cliques,
     nonpants_regions,
     verify_rigidity,
 )
-from spherecomplex import search
+from spherecomplex import rigidity, search
+
+from oracles import label_action_automorphisms
 
 
 def vid(s, *labels):
@@ -255,6 +256,49 @@ class TestFrozenCertificates:
         assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == (50400, False, 5040)
         assert certificate_digest(cert) == (
             "96cf5b2698d9b3b72da8502efedc1c6931bed6f9c011d605fdd724b3e50af110")
+
+
+class TestOrbitRepresentatives:
+    """The search yields exactly one map per orbit of the ambient
+    automorphism group; every other map is rebuilt from it.  The counts
+    are deterministic, so they guard the pruning without a clock."""
+
+    @pytest.fixture
+    def found(self, monkeypatch):
+        """How many placements each search yielded, in call order."""
+        counts = []
+        real = rigidity._locally_injective_placements
+
+        def counting(*args):
+            placements = list(real(*args))
+            counts.append(len(placements))
+            return placements
+
+        monkeypatch.setattr(rigidity, "_locally_injective_placements", counting)
+        return counts
+
+    def test_x_sigma_s7_three_cherries(self, found):
+        P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
+        cert = verify_rigidity(build_x_sigma(P).vertices, P.complex, PLAIN)
+        assert found == [10] and cert.total_maps == 10 * 5040
+
+    @pytest.mark.parametrize("k, reps", [(2, 2), (3, 7)])
+    def test_x_sigma_s6(self, c6, k, reps, found):
+        P = next(P for P in enumerate_pants(6) if cherries(P.members, 6) == k)
+        cert = verify_rigidity(build_x_sigma(P).vertices, c6, PLAIN)
+        assert found == [reps] and cert.total_maps == reps * 720
+
+    @pytest.mark.parametrize("s", [5, 6, 7])
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_whole_complex(self, s, mode, found):
+        c = build_genus_zero_complex(s)
+        cert = verify_rigidity(c.vertices, c, mode)
+        assert found == [1] and cert.total_maps == cert.automorphism_order
+
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
+    def test_empty_x(self, c5, mode, found):
+        cert = verify_rigidity([], c5, mode)
+        assert found == [1] and cert.total_maps == 1 and cert.all_extend is False
 
 
 class TestGroupCache:
