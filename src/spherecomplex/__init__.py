@@ -16,15 +16,15 @@ _EXPORTS = {
     "dual": ("DualMultigraph", "JoinDecomposition", "classify_link", "dual_of_pants",
              "ih_flip", "signature_of_dual", "slot_id", "split_slot"),
     "flagcomplex": ("FVector", "FlagComplex", "cliques_of_size", "complex_id",
-                    "connected_components", "f_vector", "flag_from_adjacency",
-                    "has_cycle", "is_connected", "join_of", "link_of", "maximal_cliques"),
+                    "f_vector", "flag_from_adjacency", "has_cycle", "is_connected",
+                    "link_of", "maximal_cliques"),
     "genus_zero": ("NONSEPARATING", "SEPARATING", "CaterpillarWindow",
                    "ManifoldSignature", "SpherePartition", "all_spheres",
                    "build_caterpillar_window", "build_genus_zero_complex", "catalog",
                    "catalog_names", "partition_of_vertex", "spheres_disjoint"),
     "homology": ("ChainBoundary", "HomologyReport", "SNFResult", "betti_numbers",
-                 "boundary_matrices", "boundary_matrix", "rank_mod_p",
-                 "simplex_basis", "smith_normal_form"),
+                 "boundary_matrices", "boundary_matrix", "simplex_basis",
+                 "smith_normal_form"),
     "multigraph": ("Multigraph", "dual_to_multigraph", "random_connected_multigraph",
                    "scramble"),
     "pants": ("FlipGraph", "PantsDecomposition", "SphereSystem", "enumerate_pants",
@@ -39,7 +39,7 @@ _EXPORTS = {
                "enumerate_automorphisms", "enumerate_locally_injective_maps",
                "search_embedding", "search_isomorphism"),
     "whitney": ("AMBIGUOUS_ORDER_2", "LIFTED", "OBSTRUCTED", "EdgeBijection",
-                "LiftResult", "extend_lift", "find_k3_k13_pair", "is_edge_isomorphism",
+                "LiftResult", "find_k3_k13_pair", "is_edge_isomorphism",
                 "lift_edge_isomorphism", "pair_type"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

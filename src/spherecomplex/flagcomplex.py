@@ -186,19 +186,6 @@ def _link_mask(c: FlagComplex, ids: Iterable[str]) -> int:
     return common
 
 
-def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:
-    """The join: disjoint union of the vertex sets plus every cross edge.
-
-    Vertex id spaces must already be disjoint; the caller relabels.
-    """
-    collision = set(c1.vertices) & set(c2.vertices)
-    if collision:
-        raise ValueError("vertex id collision: %r" % (sorted(collision)[0],))
-    pairs = c1.edges() + c2.edges()
-    pairs += [(u, v) for u in c1.vertices for v in c2.vertices]
-    return flag_from_adjacency(list(c1.vertices) + list(c2.vertices), pairs)
-
-
 def maximal_cliques(c: FlagComplex) -> list[tuple[str, ...]]:
     """All inclusion-maximal cliques, each a sorted id tuple, in
     canonical (lexicographic) order.  The empty complex has the empty
@@ -329,8 +316,3 @@ def has_cycle(c: FlagComplex) -> bool:
     """Whether the 1-skeleton contains a cycle (is not a forest): a
     forest has exactly one edge fewer than vertices per component."""
     return c.n_edges > c.n_vertices - len(mask_components(c._adj))
-
-
-def connected_components(c: FlagComplex) -> list[tuple[str, ...]]:
-    """Vertex sets of the connected components, canonically ordered."""
-    return [tuple(c.vertices[i] for i in _bits(m)) for m in mask_components(c._adj)]

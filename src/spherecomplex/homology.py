@@ -12,8 +12,7 @@ Python integers, computed in two stages (Dumas, Saunders & Villard,
 operations, choosing the pivot whose row has the fewest entries so that
 fill-in stays small; each contributes an invariant factor 1.  Whatever
 has no unit entry left is a small residual block, reduced by dense
-elimination.  A modular rank routine is provided purely as a
-cross-check and is never used as the answer.
+elimination.
 """
 
 from __future__ import annotations
@@ -233,35 +232,6 @@ def _dense_snf(a: list[list[int]]) -> SNFResult:
         diag.append(abs(a[t][t]))
         t += 1
     return SNFResult(len(diag), tuple(diag))
-
-
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank over the field with p elements, by Gaussian elimination.
-    Cross-check only; exact answers come from the Smith normal form."""
-    a = [[int(x) % p for x in row] for row in matrix]
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    rank = 0
-    col = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(n_rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ isomorphism unless it maps a triangle to a 3-star or vice versa (the
 triangle/3-star pair is the sole obstruction), and the inducing map is
 unique except when the source has exactly two vertices and edges only
 between them.  :func:`lift_edge_isomorphism` decides these cases
-constructively; :func:`extend_lift` carries a lift up one step of a
-nested exhaustion.
+constructively.
 """
 
 from __future__ import annotations
@@ -146,9 +145,11 @@ def lift_edge_isomorphism(psi: EdgeBijection) -> LiftResult:
 
     Obstructed when a triangle/3-star pair exists; ambiguous when the
     source is two vertices with edges only between them (two lifts
-    exist); otherwise the unique lift is constructed by anchoring loops,
-    reading shared endpoints off pairs of incident edges, and
-    propagating along edges.
+    exist).  Otherwise the unique lift is read off vertex stars: the
+    images of the edges at v have exactly phi(v) in common, except when
+    every edge at v is parallel to one edge vu.  Then they share
+    {phi(v), phi(u)}, and phi(v) is the one that is not phi(u); u has a
+    loop or another neighbour, so phi(u) is known.
     """
     src, dst = psi.source, psi.target
     if not src.is_connected() or src.n_vertices == 0:
@@ -161,85 +162,22 @@ def lift_edge_isomorphism(psi: EdgeBijection) -> LiftResult:
     if _order2_case(src):
         return LiftResult(AMBIGUOUS_ORDER_2, psi)
 
-    phi: dict[str, str] = {}
-
-    def anchor(v: str, w: str) -> None:
-        prev = phi.get(v)
-        assert prev is None or prev == w, "inconsistent anchoring"
-        phi[v] = w
-
-    if src.n_vertices == 1:
-        # all edges are loops, and the connected target is then a
-        # single vertex as well
-        anchor(src.vertices[0], dst.vertices[0])
-
-    # loops anchor their vertex; incident pairs sharing exactly one
-    # vertex anchor it to the unique shared image vertex
+    # the image vertices common to every edge at v: {phi(v)}, unless all
+    # edges at v are parallel to one edge vu, when they are {phi(v), phi(u)}
+    common = dict.fromkeys(src.vertices, frozenset(dst.vertices))
+    other: dict[str, str] = {}
     for e in src.edge_ids:
-        if src.is_loop(e):
-            (u,) = src.endpoint_set(e)
-            (x,) = dst.endpoint_set(psi[e])
-            anchor(u, x)
-    for e, f in combinations(src.edge_ids, 2):
-        common = src.endpoint_set(e) & src.endpoint_set(f)
-        if len(common) != 1:
-            continue
-        image_common = dst.endpoint_set(psi[e]) & dst.endpoint_set(psi[f])
-        assert len(image_common) == 1, "pair type not preserved"
-        (v,) = common
-        (w,) = image_common
-        anchor(v, w)
-
-    # propagate along edges until every vertex is assigned
-    changed = True
-    while changed:
-        changed = False
-        for e in src.edge_ids:
-            u, v = src.endpoints(e)
-            x, y = dst.endpoints(psi[e])
-            for a, b in ((u, v), (v, u)):
-                if a in phi and b not in phi:
-                    if phi[a] == x:
-                        anchor(b, y)
-                    else:
-                        assert phi[a] == y, "edge image does not cover anchor"
-                        anchor(b, x)
-                    changed = True
-    assert len(phi) == src.n_vertices, "propagation left a vertex unassigned"
+        u, v = src.endpoints(e)
+        image = dst.endpoint_set(psi[e])
+        common[u] &= image
+        common[v] &= image
+        other[u], other[v] = v, u
+    phi = {v: w for v, ends in common.items() if len(ends) == 1 for w in ends}
+    for v, ends in common.items():
+        if len(ends) == 2:
+            (phi[v],) = ends - {phi[other[v]]}
+    assert len(phi) == src.n_vertices, "lift left a vertex unassigned"
     assert len(set(phi.values())) == dst.n_vertices, "lift is not bijective"
     assert _induces(psi, phi), "constructed map does not induce the bijection"
     return LiftResult(LIFTED, psi, vertex_map=dict(sorted(phi.items())))
 
-
-def _is_subgraph(small: Multigraph, big: Multigraph) -> bool:
-    if not set(small.vertices) <= set(big.vertices):
-        return False
-    return all(e in big.edges and big.edges[e] == ends
-               for e, ends in small.edges.items())
-
-
-def extend_lift(prev: LiftResult, psi: EdgeBijection) -> LiftResult:
-    """Extend a lift along one inclusion step of an exhaustion.
-
-    ``prev`` must be a lifted result on a subgraph of psi's source with
-    more than two vertices, and psi must restrict to prev's edge
-    bijection.  The extended vertex map restricts to prev's map; this is
-    forced by uniqueness, and checked.
-    """
-    if prev.verdict != LIFTED:
-        raise ValueError("previous result is not lifted")
-    small = prev.bijection.source
-    if small.n_vertices == 2:
-        raise ValueError("previous stage must have more than two vertices")
-    if not _is_subgraph(small, psi.source):
-        raise ValueError("previous source is not a subgraph of the new source")
-    for e, img in prev.bijection.mapping.items():
-        if psi.mapping.get(e) != img:
-            raise ValueError("restriction mismatch on edge %r" % (e,))
-    result = lift_edge_isomorphism(psi)
-    if result.verdict == LIFTED:
-        assert prev.vertex_map is not None
-        for v, w in prev.vertex_map.items():
-            assert result.vertex_map is not None and result.vertex_map[v] == w, \
-                "extension failed to restrict to the previous lift"
-    return result

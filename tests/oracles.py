@@ -2,7 +2,8 @@
 
 from itertools import permutations
 
-from spherecomplex import SpherePartition, VertexMap, build_genus_zero_complex
+from spherecomplex import (FlagComplex, SpherePartition, VertexMap,
+                           build_genus_zero_complex, flag_from_adjacency)
 
 
 def label_action_automorphisms(s: int) -> list[VertexMap]:
@@ -26,3 +27,37 @@ def label_action_automorphisms(s: int) -> list[VertexMap]:
         out.append(VertexMap(c, c, assignment))
     out.sort(key=VertexMap.key)
     return out
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over the field with p elements, by Gaussian elimination."""
+    a = [[int(x) % p for x in row] for row in matrix]
+    n_rows = len(a)
+    n_cols = len(a[0]) if n_rows else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(rank, n_rows) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        inv = pow(a[rank][col], p - 2, p)
+        a[rank] = [(x * inv) % p for x in a[rank]]
+        for i in range(n_rows):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:
+    """The join: disjoint union of the vertex sets plus every cross edge.
+    Vertex id spaces must already be disjoint."""
+    collision = set(c1.vertices) & set(c2.vertices)
+    if collision:
+        raise ValueError("vertex id collision: %r" % (sorted(collision)[0],))
+    pairs = c1.edges() + c2.edges()
+    pairs += [(u, v) for u in c1.vertices for v in c2.vertices]
+    return flag_from_adjacency(list(c1.vertices) + list(c2.vertices), pairs)

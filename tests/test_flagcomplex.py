@@ -16,23 +16,22 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import join_of
 from spherecomplex import (
     FlagComplex,
     build_genus_zero_complex,
     build_x_sigma,
     catalog,
     cliques_of_size,
-    connected_components,
     enumerate_pants,
     f_vector,
     flag_from_adjacency,
     has_cycle,
     is_connected,
-    join_of,
     link_of,
     maximal_cliques,
 )
-from spherecomplex.flagcomplex import _maximal_cliques
+from spherecomplex.flagcomplex import _maximal_cliques, mask_components
 
 
 def random_graph(draw, max_n=8):
@@ -281,9 +280,12 @@ class TestConnectivity:
     def test_components_partition_the_vertices(self, g):
         vs, pairs = g
         c = flag_from_adjacency(vs, pairs)
-        comps = connected_components(c)
-        flat = sorted(v for comp in comps for v in comp)
-        assert flat == sorted(c.vertices)
+        comps = mask_components(c._adj)
+        union = 0
+        for m in comps:
+            assert m and not m & union
+            union |= m
+        assert union == (1 << c.n_vertices) - 1
         assert is_connected(c) == (len(comps) <= 1)
 
     @settings(max_examples=60)

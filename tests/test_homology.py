@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import rank_mod_p
 from spherecomplex import (
     SpherePartition,
     betti_numbers,
@@ -26,7 +27,6 @@ from spherecomplex import (
     f_vector,
     flag_from_adjacency,
     link_of,
-    rank_mod_p,
     simplex_basis,
     smith_normal_form,
 )

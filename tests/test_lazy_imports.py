@@ -40,8 +40,9 @@ COMMANDS = [
 ]
 
 # the names ``spherecomplex`` exported when every module was imported
-# eagerly, less ``label_action_automorphisms``, now a test oracle
-# (``tests/oracles.py``)
+# eagerly, less ``label_action_automorphisms``, ``rank_mod_p`` and
+# ``join_of``, now test oracles (``tests/oracles.py``), and
+# ``connected_components`` and ``extend_lift``, deleted
 PUBLIC = {
     "AMBIGUOUS_ORDER_2", "AutomorphismGroup", "CaterpillarWindow",
     "CaterpillarWitness", "ChainBoundary", "CutLabeling", "DualMultigraph",
@@ -54,18 +55,15 @@ PUBLIC = {
     "automorphism_group", "betti_numbers", "boundary_matrices",
     "boundary_matrix", "build_caterpillar_window", "build_genus_zero_complex",
     "build_x_sigma", "catalog", "catalog_names", "caterpillar_witness",
-    "classify_link", "cliques_of_size", "complex_id", "connected_components",
-    "detect_x_detectable", "dual_of_pants", "dual_to_multigraph",
+    "classify_link", "cliques_of_size", "complex_id", "detect_x_detectable", "dual_of_pants", "dual_to_multigraph",
     "enumerate_automorphisms", "enumerate_locally_injective_maps",
-    "enumerate_pants", "extend_lift", "f_vector", "find_k3_k13_pair",
+    "enumerate_pants", "f_vector", "find_k3_k13_pair",
     "find_split_pairs", "find_split_spheres", "flag_from_adjacency",
     "flip_partners", "good_pair_census", "has_cycle", "ih_flip", "is_connected",
-    "is_edge_isomorphism", "is_maximal_system", "join_of",
-    "lift_edge_isomorphism", "link_of",
-    "link_equivalence_classes", "maximal_cliques", "nonpants_regions",
+    "is_edge_isomorphism", "is_maximal_system", "lift_edge_isomorphism",
+    "link_of", "link_equivalence_classes", "maximal_cliques", "nonpants_regions",
     "pair_type", "pants_flip_graph", "partition_of_vertex",
-    "random_connected_multigraph", "rank_mod_p", "scramble",
-    "search_embedding", "search_isomorphism", "signature_of_dual",
+    "random_connected_multigraph", "scramble", "search_embedding", "search_isomorphism", "signature_of_dual",
     "simplex_basis", "slot_id", "smith_normal_form", "spheres_disjoint",
     "split_slot", "verify_rigidity",
 }
