@@ -23,8 +23,7 @@ _EXPORTS = {
                    "build_caterpillar_window", "build_genus_zero_complex", "catalog",
                    "catalog_names", "partition_of_vertex", "spheres_disjoint"),
     "homology": ("ChainBoundary", "HomologyReport", "SNFResult", "betti_numbers",
-                 "boundary_matrices", "boundary_matrix", "simplex_basis",
-                 "smith_normal_form"),
+                 "boundary_matrices", "boundary_matrix", "smith_normal_form"),
     "multigraph": ("Multigraph", "dual_to_multigraph", "random_connected_multigraph",
                    "scramble"),
     "pants": ("FlipGraph", "PantsDecomposition", "SphereSystem", "enumerate_pants",

@@ -11,16 +11,22 @@ Python integers, computed in two stages (Dumas, Saunders & Villard,
 2001).  First every +-1 pivot is cleared by sparse unimodular column
 operations, choosing the pivot whose row has the fewest entries so that
 fill-in stays small; each contributes an invariant factor 1.  Whatever
-has no unit entry left is a small residual block, reduced by dense
-elimination.
+has no unit entry left is a small residual block, reduced densely: each
+round pivots on an entry of least absolute value and reduces its row and
+column by floor division until the pivot stands alone, and pairwise
+(gcd, lcm) swaps then order the diagonal into a divisor chain.  Every
+remainder is smaller than the pivot, so the least entry shrinks each
+round, and no step adds rows back to restore divisibility, which can
+make coefficients explode (Kannan & Bachem, 1979).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
-from .flagcomplex import FlagComplex, _clique_levels, cliques_of_size
+from .flagcomplex import FlagComplex, _clique_levels
 
 
 @dataclass(frozen=True)
@@ -36,14 +42,6 @@ class ChainBoundary:
     rows: tuple[tuple[str, ...], ...]
     cols: tuple[tuple[str, ...], ...]
     columns: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def simplex_basis(c: FlagComplex, k: int) -> list[tuple[str, ...]]:
-    """The canonical basis of k-chains: sorted-vertex k-simplices in
-    lexicographic order."""
-    if k < 0:
-        raise ValueError("negative dimension")
-    return cliques_of_size(c, k + 1)
 
 
 def boundary_matrix(c: FlagComplex, k: int) -> ChainBoundary:
@@ -84,7 +82,8 @@ def smith_normal_form(matrix) -> SNFResult:
 
     Returns the rank and the invariant factors (positive, each dividing
     the next).  Accepts a ChainBoundary or any nested row sequence of
-    integers (lists, tuples, an integer ndarray); all arithmetic is
+    integers (lists, tuples, an integer ndarray), and raises ValueError
+    on rows of unequal length or a non-integer entry; all arithmetic is
     unbounded-precision.  Unit pivots are cleared sparsely first; only
     the block left without a unit entry is eliminated densely.
     """
@@ -92,13 +91,17 @@ def smith_normal_form(matrix) -> SNFResult:
         n_rows = len(matrix.rows)
         cols = [dict(col) for col in matrix.columns]
     else:
-        dense = [[int(x) for x in row] for row in matrix]
-        n_rows = len(dense)
-        cols = [{} for _ in range(len(dense[0]) if n_rows else 0)]
-        for i, row in enumerate(dense):
+        rows = [list(row) for row in matrix]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("matrix rows differ in length")
+        if any(int(x) != x for row in rows for x in row):
+            raise ValueError("matrix entries must be integers")
+        n_rows = len(rows)
+        cols = [{} for _ in range(len(rows[0]) if n_rows else 0)]
+        for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if x:
-                    cols[j][i] = x
+                    cols[j][i] = int(x)
     units = _clear_unit_pivots(cols, n_rows)
     live = [col for col in cols if col]
     live_rows = sorted({i for col in live for i in col})
@@ -161,76 +164,40 @@ def _clear_unit_pivots(cols: list[dict[int, int]], n_rows: int) -> int:
 
 
 def _dense_snf(a: list[list[int]]) -> SNFResult:
-    """Smith normal form of a dense integer matrix, modified in place:
-    pivot on an entry of smallest absolute value, clear its row and
-    column, and restore divisibility of the remaining block."""
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(n_rows, n_cols):
-        # locate a pivot of smallest absolute value
-        pivot = None
-        best = None
-        for i in range(t, n_rows):
-            row = a[i]
-            for j in range(t, n_cols):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
+    """Smith normal form of a dense integer matrix, modified in place.
 
-        while True:
-            # clear the pivot column
-            for i in range(t + 1, n_rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-            # clear the pivot row
-            dirty = False
-            for j in range(t + 1, n_cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            if any(a[i][t] for i in range(t + 1, n_rows)):
-                continue
-            # pivot must divide the remaining submatrix
-            offender = None
-            p = a[t][t]
-            for i in range(t + 1, n_rows):
-                row = a[i]
-                for j in range(t + 1, n_cols):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        diag.append(abs(a[t][t]))
-        t += 1
+    Each round pivots on a nonzero entry of least absolute value and
+    reduces its column by row operations, then its row by column
+    operations, with floor-division quotients.  Every remainder left in
+    that row and column is smaller than the pivot, so the least entry
+    shrinks until the pivot stands alone; then its absolute value is
+    recorded and its row and column deleted.  Pairwise (gcd, lcm) swaps
+    turn the recorded diagonal into a divisor chain with the same
+    invariant factors.
+    """
+    diag: list[int] = []
+    while any(any(row) for row in a):
+        _, r, c = min((abs(x), i, j) for i, row in enumerate(a)
+                      for j, x in enumerate(row) if x)
+        top, p = a[r], a[r][c]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                q = row[c] // p
+                a[i] = [x - q * y for x, y in zip(row, top)]
+        for j in range(len(top)):
+            if j != c and top[j]:
+                q = top[j] // p
+                for row in a:
+                    row[j] -= q * row[c]
+        if sum(1 for row in a if row[c]) + sum(1 for x in top if x) == 2:
+            diag.append(abs(p))
+            del a[r]
+            for row in a:
+                del row[c]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return SNFResult(len(diag), tuple(diag))
 
 

@@ -9,8 +9,12 @@ torsion of the real projective plane.
 from fractions import Fraction
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -26,8 +30,8 @@ from spherecomplex import (
     catalog,
     f_vector,
     flag_from_adjacency,
+    cliques_of_size,
     link_of,
-    simplex_basis,
     smith_normal_form,
 )
 
@@ -113,6 +117,12 @@ small_matrices = matrices(st.integers(min_value=-9, max_value=9))
 # no +-1 entry: everything goes to the dense residual elimination
 unitless_matrices = matrices(st.sampled_from([0, 0, 2, -2, 3, -3, 4, 6, -6, 9, -10]))
 
+# a unit-free 6x6 block on which an elimination that restores divisibility
+# by adding rows grew its entries to millions of bits
+STALLING_6X6 = [[9, 2, -28, -6, -18, -8], [-24, -17, 6, 13, 27, -3],
+                [7, -18, 1, -24, 30, 12], [-6, -12, 2, 1, -29, -10],
+                [9, 25, -5, 27, -12, -29], [-20, -18, 24, -10, 21, 6]]
+
 
 class TestSmithNormalForm:
     def test_known_matrix(self):
@@ -170,6 +180,48 @@ class TestSmithNormalForm:
         m = [[1, 2, 0, 0], [0, 2, 4, 0], [0, 0, 6, 4], [3, 0, 0, -1]]
         assert smith_normal_form(m).factors == snf_from_minors(m) == (1, 1, 2, 54)
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]]])
+    def test_rejects_ragged_rows(self, rows):
+        with pytest.raises(ValueError, match="differ in length"):
+            smith_normal_form(rows)
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            smith_normal_form([[1.5, 2]])
+
+    def test_accepts_integer_arrays(self):
+        m = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], dtype=np.int64)
+        assert smith_normal_form(m) == smith_normal_form(m.tolist())
+
+    def test_unit_free_block_does_not_stall(self):
+        """Run in a child process so that a stall fails the test at the
+        timeout instead of hanging the suite."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        code = ("from spherecomplex import smith_normal_form\n"
+                f"print(*smith_normal_form({STALLING_6X6!r}).factors)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        factors = tuple(int(f) for f in proc.stdout.split())
+        assert factors == snf_from_minors(STALLING_6X6) == (1, 1, 1, 1, 1, 299593646)
+        assert factors[-1] == abs(exact_det(STALLING_6X6))
+
+    def test_seeded_8x8_blocks(self):
+        """Random 8x8 matrices with entries in [-30, 30]: few unit
+        entries, so most of each goes to the dense residual."""
+        rng = random.Random(15)
+        for _ in range(40):
+            m = [[rng.randint(-30, 30) for _ in range(8)] for _ in range(8)]
+            res = smith_normal_form(m)
+            assert res.rank == len(res.factors) == rank_over_q(m)
+            assert all(b % a == 0 for a, b in zip(res.factors, res.factors[1:]))
+            assert res.factors[0] == gcd(*(abs(x) for row in m for x in row))
+            det = exact_det(m)
+            if det:
+                assert prod(res.factors) == abs(det)
+
     def test_rank_mod_p(self):
         m = [[2, 0], [0, 3]]
         assert rank_mod_p(m, 5) == 2
@@ -186,7 +238,7 @@ class TestSmithNormalForm:
 
 class TestBoundaryMatrices:
     def test_bases_are_canonical(self, c6):
-        basis1 = simplex_basis(c6, 1)
+        basis1 = cliques_of_size(c6, 2)
         assert basis1 == sorted(basis1)
         assert len(basis1) == 105
 

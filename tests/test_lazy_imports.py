@@ -64,7 +64,7 @@ PUBLIC = {
     "link_of", "link_equivalence_classes", "maximal_cliques", "nonpants_regions",
     "pair_type", "pants_flip_graph", "partition_of_vertex",
     "random_connected_multigraph", "scramble", "search_embedding", "search_isomorphism", "signature_of_dual",
-    "simplex_basis", "slot_id", "smith_normal_form", "spheres_disjoint",
+    "slot_id", "smith_normal_form", "spheres_disjoint",
     "split_slot", "verify_rigidity",
 }
 
