@@ -21,7 +21,7 @@ _EXPORTS = {
     "genus_zero": ("NONSEPARATING", "SEPARATING", "CaterpillarWindow",
                    "ManifoldSignature", "SpherePartition", "all_spheres",
                    "build_caterpillar_window", "build_genus_zero_complex", "catalog",
-                   "catalog_names", "partition_of_vertex", "spheres_disjoint"),
+                   "catalog_names", "spheres_disjoint"),
     "homology": ("ChainBoundary", "HomologyReport", "SNFResult", "betti_numbers",
                  "boundary_matrices", "boundary_matrix", "smith_normal_form"),
     "multigraph": ("Multigraph", "dual_to_multigraph", "random_connected_multigraph",

@@ -174,13 +174,6 @@ def build_genus_zero_complex(s: int) -> FlagComplex:
     return flag_from_adjacency(ids, pairs, meta={"model": "genus-zero", "s": s})
 
 
-def partition_of_vertex(c: FlagComplex, vid: str) -> SpherePartition:
-    """Recover the partition behind a vertex of a genus-zero complex."""
-    if vid not in c:
-        raise ValueError("unknown vertex id: %r" % (vid,))
-    return SpherePartition.from_vertex_id(vid)
-
-
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
 

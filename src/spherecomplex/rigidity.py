@@ -78,6 +78,13 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     stabiliser is nontrivial.  Each stabiliser is filtered from its
     parent's element list and kept, for this call only, by the images
     it fixes.
+
+    When the ambient has at most 256 vertices, a map is a ``bytes`` row
+    and g∘p is ``p.translate(row_g)`` with the group's kept
+    ``_byte_rows``; above that it is an index tuple gathered with
+    ``operator.itemgetter``.  Every map has len(X) entries, each below
+    the vertex count, so the two encodings sort, compare and hash alike
+    and give the same certificate.
     """
     if mode not in (PLAIN, OVER_MAXIMAL_MAPS):
         raise ValueError("unknown mode: %r" % (mode,))
@@ -113,20 +120,28 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
                     least |= 1 << y
         return least
 
+    # compose(p)(g) is g∘p, for p encoded and g one of the tables
+    rows = group._byte_rows()
+    if rows is None:
+        encode, tables, compose = tuple, perms, _gather
+    else:
+        encode, tables, compose = bytes, rows, lambda p: p.translate
+
     # g∘p for each found p; vertex ids are sorted, so index order is the
     # canonical map order
-    maps: list[tuple[int, ...]] = []
+    maps: list[Sequence[int]] = []
     for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
-        orbit = list(map(_gather(p), perms))
+        p = encode(p)
+        orbit = list(map(compose(p), tables))
         # the identity sends p to itself, and so does every element
         # fixing the images of p
         maps += orbit if orbit.count(p) == 1 else set(orbit)
     maps.sort()
 
     # the element restricting to each map, None when several do
-    extending: dict[tuple[int, ...], Optional[int]] = {}
-    restrict = _gather([ambient.index_of(v) for v in xs])
-    for k, key in enumerate(map(restrict, perms)):
+    extending: dict[Sequence[int], Optional[int]] = {}
+    restrict = compose(encode(ambient.index_of(v) for v in xs))
+    for k, key in enumerate(map(restrict, tables)):
         extending[key] = None if key in extending else k
     extensions = tuple(map(extending.get, maps))
     counterexample: Optional[dict[str, str]] = None

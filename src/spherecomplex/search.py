@@ -425,18 +425,23 @@ class AutomorphismGroup:
     full list, in canonical order, when the order is at most
     ``ELEMENT_CAP``, else None; the cap is read when the list is asked
     for.  Generators are chosen greedily in canonical element order, so
-    they are deterministic.  Both lists are built on first access.
+    they are deterministic.  Both lists are built on first access.  On
+    complexes of at most 256 vertices the elements are also kept, on
+    first need, as ``bytes.translate`` tables (``_byte_rows``), which
+    ``verify_rigidity`` composes maps with.
     """
 
     ELEMENT_CAP = 10_000
 
-    __slots__ = ("complex", "order", "_chain", "_perms", "_elements", "_generators")
+    __slots__ = ("complex", "order", "_chain", "_perms", "_rows", "_elements",
+                 "_generators")
 
     def __init__(self, complex_: FlagComplex, chain: list[list[tuple[int, ...]]]):
         self.complex = complex_
         self.order = prod(map(len, chain))
         self._chain = chain
         self._perms: Optional[list[tuple[int, ...]]] = None
+        self._rows: Optional[list[bytes]] = None
         self._elements: Optional[list[VertexMap]] = None
         self._generators: Optional[list[VertexMap]] = None
 
@@ -449,6 +454,23 @@ class AutomorphismGroup:
         if self.order <= self.ELEMENT_CAP:
             self._perms = perms
         return perms
+
+    def _byte_rows(self) -> Optional[list[bytes]]:
+        """Each element of ``_sorted_perms`` as a 256-byte
+        ``bytes.translate`` table, ``bytes(g)`` padded with zeros, so that
+        ``bytes(p).translate(row)`` is g∘p for an index row p.  None above
+        256 vertices, where an index does not fit a byte.  Kept after the
+        first call when the elements are."""
+        if self._rows is not None:
+            return self._rows
+        n = self.complex.n_vertices
+        if n > 256:
+            return None
+        pad = bytes(256 - n)
+        rows = [bytes(g) + pad for g in self._sorted_perms()]
+        if self.order <= self.ELEMENT_CAP:
+            self._rows = rows
+        return rows
 
     @property
     def elements(self) -> Optional[list[VertexMap]]:

@@ -16,7 +16,6 @@ from spherecomplex import (
     catalog_names,
     f_vector,
     is_connected,
-    partition_of_vertex,
     search_isomorphism,
     spheres_disjoint,
 )
@@ -84,7 +83,7 @@ class TestSphereCounts:
 
     def test_vertex_ids_are_canonical(self, c6):
         for vid in c6.vertices:
-            p = partition_of_vertex(c6, vid)
+            p = SpherePartition.from_vertex_id(vid)
             assert p.vertex_id() == vid
 
     def test_s5_is_the_petersen_graph(self, c5, petersen):

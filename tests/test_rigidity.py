@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -183,6 +184,13 @@ def ambient_and_subset(draw):
     return flag_from_adjacency(vs, pairs), xs
 
 
+def cycle_or_path(n, closed):
+    """The cycle or the path on n vertices, ids in vertex order."""
+    vs = ["v%03d" % i for i in range(n)]
+    pairs = list(zip(vs, vs[1:])) + ([(vs[-1], vs[0])] if closed else [])
+    return flag_from_adjacency(vs, pairs)
+
+
 class TestOrbitPruning:
     """The orbit-pruned certificate equals the unpruned reference field
     for field: maps, their order, extensions and the counterexample."""
@@ -235,6 +243,21 @@ class TestOrbitPruning:
         ambient, xs = case
         assert verify_rigidity(xs, ambient, mode) == reference_certificate(xs, ambient, mode)
 
+    @pytest.mark.parametrize("n", [256, 300])
+    @pytest.mark.parametrize("closed", [True, False], ids=["cycle", "path"])
+    def test_either_side_of_the_byte_rows(self, n, closed):
+        """Maps are bytes rows up to 256 ambient vertices and index
+        tuples above; both give the reference certificate.  On the path
+        most maps do not extend, so both build a counterexample."""
+        c = cycle_or_path(n, closed)
+        xs = c.vertices[:3]
+        cert = verify_rigidity(xs, c)
+        assert cert == reference_certificate(xs, c, PLAIN)
+        assert (automorphism_group(c)._byte_rows() is None) == (n > 256)
+        expected = (2 * n, True, 2 * n) if closed else (2 * n - 4, False, 2)
+        assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == expected
+        assert (cert.counterexample is None) == closed
+
 
 class TestFrozenCertificates:
     """sha256 of (total_maps, extensions, counterexample), recorded from
@@ -256,6 +279,23 @@ class TestFrozenCertificates:
         assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == (50400, False, 5040)
         assert certificate_digest(cert) == (
             "96cf5b2698d9b3b72da8502efedc1c6931bed6f9c011d605fdd724b3e50af110")
+
+
+def test_x_sigma_s7_certificate_memory():
+    """tracemalloc peak of the three-cherry X_sigma certificate at s = 7
+    once the group's stabiliser chain is built, so listing its elements
+    is counted: 11.3 MB with maps as index tuples, 7.8 MB as bytes rows
+    (Python 3.11)."""
+    P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
+    xs = build_x_sigma(P).vertices
+    automorphism_group(P.complex)
+    tracemalloc.start()
+    try:
+        verify_rigidity(xs, P.complex)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9_000_000
 
 
 class TestOrbitRepresentatives:
@@ -347,6 +387,23 @@ class TestGroupCache:
         assert verify_rigidity(xs, c, mode) == first
         assert verify_rigidity(xs, build_genus_zero_complex(6), mode) == first
         assert len(chain_calls) == 2
+
+    def test_two_certificates_share_the_byte_rows(self, monkeypatch):
+        seen = []
+        real = AutomorphismGroup._byte_rows
+
+        def recording(group):
+            seen.append(real(group))
+            return seen[-1]
+
+        monkeypatch.setattr(AutomorphismGroup, "_byte_rows", recording)
+        c = build_genus_zero_complex(6)
+        xs = build_x_sigma(enumerate_pants(6)[0]).vertices
+        first = verify_rigidity(xs, c)
+        assert verify_rigidity(xs, c) == first
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert len(seen[0]) == automorphism_group(c).order
+        assert all(len(row) == 256 for row in seen[0])
 
     def test_element_cap_is_read_at_call_time(self, monkeypatch):
         """A group kept from an earlier call still meets a lowered cap."""
