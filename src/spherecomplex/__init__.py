@@ -18,22 +18,21 @@ _EXPORTS = {
     "flagcomplex": ("FVector", "FlagComplex", "cliques_of_size", "complex_id",
                     "f_vector", "flag_from_adjacency", "has_cycle", "is_connected",
                     "link_of", "maximal_cliques"),
-    "genus_zero": ("NONSEPARATING", "SEPARATING", "CaterpillarWindow",
-                   "ManifoldSignature", "SpherePartition", "all_spheres",
+    "genus_zero": ("NONSEPARATING", "SEPARATING", "CaterpillarWindow", "CutLabeling",
+                   "GoodPairCensus", "ManifoldSignature", "SpherePartition", "all_spheres",
                    "build_caterpillar_window", "build_genus_zero_complex", "catalog",
-                   "catalog_names", "spheres_disjoint"),
+                   "catalog_names", "good_pair_census", "spheres_disjoint"),
     "homology": ("ChainBoundary", "HomologyReport", "SNFResult", "betti_numbers",
                  "boundary_matrices", "boundary_matrix", "smith_normal_form"),
     "multigraph": ("Multigraph", "dual_to_multigraph", "random_connected_multigraph",
                    "scramble"),
     "pants": ("FlipGraph", "PantsDecomposition", "SphereSystem", "enumerate_pants",
               "flip_partners", "is_maximal_system", "pants_flip_graph"),
-    "rigidity": ("OVER_MAXIMAL_MAPS", "PLAIN", "CaterpillarWitness", "CutLabeling",
-                 "GoodPairCensus", "LinkClass", "LinkClasses", "RigidityCertificate",
-                 "TransitivityError", "build_x_sigma", "caterpillar_witness",
-                 "detect_x_detectable", "find_split_pairs", "find_split_spheres",
-                 "good_pair_census", "link_equivalence_classes", "nonpants_regions",
-                 "verify_rigidity"),
+    "rigidity": ("OVER_MAXIMAL_MAPS", "PLAIN", "CaterpillarWitness", "LinkClass",
+                 "LinkClasses", "RigidityCertificate", "TransitivityError",
+                 "build_x_sigma", "caterpillar_witness", "detect_x_detectable",
+                 "find_split_pairs", "find_split_spheres", "link_equivalence_classes",
+                 "nonpants_regions", "verify_rigidity"),
     "search": ("AutomorphismGroup", "VertexMap", "automorphism_group",
                "enumerate_automorphisms", "enumerate_locally_injective_maps",
                "search_embedding", "search_isomorphism"),

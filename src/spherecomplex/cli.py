@@ -497,7 +497,7 @@ def _cmd_nonembed(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool, dict]:
-    from .rigidity import CutLabeling, good_pair_census
+    from .genus_zero import CutLabeling, good_pair_census
     cut = CutLabeling.from_signature(args.n, args.s)
     census = good_pair_census(cut, args.pair)
     results = ser.census_to_dict(census, args.n, args.s)

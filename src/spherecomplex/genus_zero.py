@@ -9,8 +9,9 @@ contained in one block of the other.
 The canonical representative of a partition is its block containing
 label 1; vertex ids read ``p:1,2|s=6``.  The module also provides the
 caterpillar model of the rank-one two-boundary sphere complex (an
-infinite tree, represented by finite windows) and a catalog of named
-reference complexes.
+infinite tree, represented by finite windows), the boundary labels of
+the genus-zero complement of a maximal nonseparating sphere system with
+their good-pair census, and a catalog of named reference complexes.
 """
 
 from __future__ import annotations
@@ -219,6 +220,74 @@ def build_caterpillar_window(m: int) -> CaterpillarWindow:
     types.update({v: SEPARATING for v in leaves})
     frontier = frozenset({"z:%d" % (-m), "z:%d" % m})
     return CaterpillarWindow(c, types, frontier, m)
+
+
+@dataclass(frozen=True)
+class CutLabeling:
+    """Boundary labels of the genus-zero complement of a maximal
+    nonseparating sphere system: n pairs A_i+/A_i- from the cut spheres
+    plus the s original boundary labels, with the source record delta.
+    """
+
+    n: int
+    s: int
+    labels: tuple[str, ...]
+    delta: dict[str, tuple[str, int]]
+
+    @classmethod
+    def from_signature(cls, n: int, s: int) -> "CutLabeling":
+        if n < 1:
+            raise ValueError("cut labelings need n >= 1")
+        if s < 0:
+            raise ValueError("s must be >= 0")
+        labels = []
+        delta: dict[str, tuple[str, int]] = {}
+        for i in range(1, n + 1):
+            for sign in "+-":
+                lab = "A%d%s" % (i, sign)
+                labels.append(lab)
+                delta[lab] = ("cut-sphere", i)
+        for j in range(1, s + 1):
+            lab = "B%d" % j
+            labels.append(lab)
+            delta[lab] = ("boundary", j)
+        return cls(n, s, tuple(labels), delta)
+
+    def pair_labels(self, i: int) -> tuple[str, str]:
+        if not 1 <= i <= self.n:
+            raise ValueError("pair index out of range")
+        return ("A%d+" % i, "A%d-" % i)
+
+
+@dataclass(frozen=True)
+class GoodPairCensus:
+    pair_index: int
+    spare_labels: tuple[str, ...]
+    good_spheres: tuple[tuple[str, str], ...]
+    good_pairs: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
+    nonempty: bool
+    threshold_met: bool  # 2n + s >= 6
+
+
+def good_pair_census(cut: CutLabeling, pair_index: int) -> GoodPairCensus:
+    """Enumerate good spheres and good pairs for one cut-sphere pair.
+
+    A good sphere for A_i groups one spare label with A_i- and another
+    with A_i+, so it is an ordered pair (p, q) of distinct labels drawn
+    from the 2n + s - 2 labels other than A_i+/A_i-.  A good pair is two
+    good spheres using four distinct labels.  Nonempty exactly when
+    2n + s >= 6.
+    """
+    a_plus, a_minus = cut.pair_labels(pair_index)
+    spare = tuple(l for l in cut.labels if l not in (a_plus, a_minus))
+    spheres = tuple((p, q) for p in spare for q in spare if p != q)
+    pairs = []
+    for g1, g2 in combinations(spheres, 2):
+        if not set(g1) & set(g2):
+            pairs.append((g1, g2))
+    nonempty = bool(pairs)
+    return GoodPairCensus(pair_index, spare, spheres, tuple(pairs),
+                          nonempty, 2 * cut.n + cut.s >= 6)
 
 
 def _petersen() -> FlagComplex:

@@ -121,7 +121,8 @@ def random_connected_multigraph(rng: random.Random, n_min: int = 3,
         edges["e%d" % counter] = (vertices[u], vertices[v])
         counter += 1
     g = Multigraph(vertices, edges)
-    assert g.is_connected()
+    if not g.is_connected():
+        raise AssertionError("a multigraph with a spanning tree is connected")
     return g
 
 

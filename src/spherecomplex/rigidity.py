@@ -7,8 +7,7 @@ to maps carrying maximal sphere systems inside X to maximal systems.
 This module certifies that by exhaustive enumeration, and computes the
 supporting objects: split spheres and split pairs, X-detectable
 intersections, X_sigma, link equivalence classes with their complementary
-regions, the caterpillar non-rigidity witness, and the good-pair census
-on cut labelings.
+regions, and the caterpillar non-rigidity witness.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
 from .search import (AutomorphismGroup, VertexMap, _locally_injective_placements,
-                     automorphism_group)
+                     _search_order, automorphism_group)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -34,10 +33,12 @@ OVER_MAXIMAL_MAPS = "over-maximal-maps"
 class RigidityCertificate:
     """Outcome of exhaustive rigidity verification.
 
-    ``extensions`` lists, per enumerated map, the index of the unique
-    ambient automorphism it restricts, or None; ``all_extend`` holds iff
-    every map matches exactly one automorphism.  ``counterexample`` is
-    the assignment of the first failing map, if any.
+    ``extensions`` lists, per enumerated map in canonical order, the
+    index of the unique ambient automorphism it restricts, or None;
+    ``all_extend`` holds iff every map matches exactly one automorphism.
+    ``counterexample`` is the assignment of the first failing map, if
+    any.  ``verify_rigidity`` leaves ``extensions`` to be built on its
+    first read, since it lists every map.
     """
 
     subcomplex_id: str
@@ -48,6 +49,30 @@ class RigidityCertificate:
     extensions: tuple[Optional[int], ...]
     counterexample: Optional[dict[str, str]]
     automorphism_order: int
+
+    @classmethod
+    def _deferred(cls, expand: Callable[[], tuple[Optional[int], ...]],
+                  **fields) -> "RigidityCertificate":
+        """A certificate with every field but ``extensions``, which
+        ``expand()`` builds on first read."""
+        cert = cls.__new__(cls)
+        vars(cert).update(fields, _expand=expand)
+        return cert
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks
+        expand = vars(self).get("_expand") if name == "extensions" else None
+        if expand is None:
+            raise AttributeError("%r object has no attribute %r"
+                                 % (type(self).__name__, name))
+        value = vars(self)["extensions"] = expand()
+        vars(self).pop("_expand", None)
+        return value
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the tuple, not its builder
+        self.extensions
+        return vars(self)
 
 
 def _gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -71,13 +96,16 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     order, each image must be the least in its orbit under the pointwise
     stabiliser of the earlier images.  Post-composing with an
     automorphism preserves local injectivity, the over-maximal condition
-    and extendability, so every map is g∘p for a found p and some g in
-    G, and the orbits of two found maps are disjoint.  The orbit of p is
-    {g∘p : g in G}, with each map listed once per element of the
-    stabiliser of the images of p, so it is deduplicated only when that
-    stabiliser is nontrivial.  Each stabiliser is filtered from its
+    and extendability (h restricts to p iff g∘h restricts to g∘p), so
+    every map is g∘p for a found p and some g in G, the orbits of two
+    found maps are disjoint, and the verdict is the same on an orbit.
+    The certificate is therefore summed over the found maps: the orbit
+    of p has |G| / |H| maps, H the pointwise stabiliser of the images of
+    p; p's verdict is its orbit's; and the counterexample is the least
+    map of the failing orbits.  Each stabiliser is filtered from its
     parent's element list and kept, for this call only, by the images
-    it fixes.
+    it fixes, in search order.  ``extensions`` lists every map of every
+    orbit, sorted, on its first read.
 
     When the ambient has at most 256 vertices, a map is a ``bytes`` row
     and g∘p is ``p.translate(row_g)`` with the group's kept
@@ -95,18 +123,30 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
     inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
-    perms = group._sorted_perms()
+    order = _search_order(X)
 
-    # the pointwise stabilisers of the images fixed so far
-    stabilisers = {(): perms}
+    # compose(p)(g) is g∘p, for p encoded and g one of the tables
+    rows = group._byte_rows()
+    if rows is None:
+        encode, tables, compose = tuple, group._sorted_perms(), _gather
+    else:
+        encode, tables, compose = bytes, rows, lambda p: p.translate
 
-    def orbit_minima(fixed: tuple[int, ...], candidates: int) -> Optional[int]:
+    # the pointwise stabilisers of the images fixed so far; the search
+    # asks for each one after its parent
+    stabilisers = {(): tables}
+
+    def stabiliser(fixed: tuple[int, ...]) -> list[Sequence[int]]:
         h = stabilisers.get(fixed)
         if h is None:
             x = fixed[-1]
             parent = stabilisers[fixed[:-1]]
             fixes_x = map(x.__eq__, map(itemgetter(x), parent))
             h = stabilisers[fixed] = list(compress(parent, fixes_x))
+        return h
+
+    def orbit_minima(fixed: tuple[int, ...], candidates: int) -> Optional[int]:
+        h = stabiliser(fixed)
         if len(h) == 1:
             return None
         # the orbit of y is {g[y] : g in h}
@@ -120,41 +160,57 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
                     least |= 1 << y
         return least
 
-    # compose(p)(g) is g∘p, for p encoded and g one of the tables
-    rows = group._byte_rows()
-    if rows is None:
-        encode, tables, compose = tuple, perms, _gather
-    else:
-        encode, tables, compose = bytes, rows, lambda p: p.translate
-
-    # g∘p for each found p; vertex ids are sorted, so index order is the
-    # canonical map order
-    maps: list[Sequence[int]] = []
-    for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
-        p = encode(p)
-        orbit = list(map(compose(p), tables))
-        # the identity sends p to itself, and so does every element
-        # fixing the images of p
-        maps += orbit if orbit.count(p) == 1 else set(orbit)
-    maps.sort()
+    def orbit_size(p: tuple[int, ...]) -> int:
+        # |G| / |H|, H fixing every image of p; walking the images in
+        # search order reuses the stabilisers the search filtered
+        h, fixed = tables, ()
+        for x in map(p.__getitem__, order):
+            if len(h) == 1:
+                break
+            fixed += (x,)
+            h = stabiliser(fixed)
+        return group.order // len(h)
 
     # the element restricting to each map, None when several do
     extending: dict[Sequence[int], Optional[int]] = {}
     restrict = compose(encode(ambient.index_of(v) for v in xs))
     for k, key in enumerate(map(restrict, tables)):
         extending[key] = None if key in extending else k
-    extensions = tuple(map(extending.get, maps))
+
+    # one found map per orbit, with its orbit size; vertex ids are
+    # sorted, so index order is the canonical map order
+    found: list[tuple[Sequence[int], int]] = []
+    total_maps = 0
+    failing = None
+    for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
+        size = orbit_size(p)
+        p = encode(p)
+        found.append((p, size))
+        total_maps += size
+        if extending.get(p) is None:
+            # every map of the orbit fails; its least one is a candidate
+            least = min(map(compose(p), tables))
+            failing = least if failing is None else min(failing, least)
+
+    def expand() -> tuple[Optional[int], ...]:
+        maps: list[Sequence[int]] = []
+        for p, size in found:
+            orbit = map(compose(p), tables)
+            # every element fixing the images of p sends it to the same map
+            maps += orbit if size == group.order else set(orbit)
+        maps.sort()
+        return tuple(map(extending.get, maps))
+
     counterexample: Optional[dict[str, str]] = None
-    failing = next((m for m, e in zip(maps, extensions) if e is None), None)
     if failing is not None:
         counterexample = dict(zip(xs, (ambient.vertices[j] for j in failing)))
-    return RigidityCertificate(
+    return RigidityCertificate._deferred(
+        expand,
         subcomplex_id=";".join(xs),
         ambient_id=complex_id(ambient),
         mode=mode,
-        total_maps=len(maps),
+        total_maps=total_maps,
         all_extend=failing is None,
-        extensions=extensions,
         counterexample=counterexample,
         automorphism_order=group.order,
     )
@@ -204,8 +260,8 @@ def detect_x_detectable(X_vertices: Iterable[str], ambient: FlagComplex,
         P = PantsDecomposition(ambient, q)
         if a2 in flip_partners(P, a):
             other = tuple(sorted((P.members - {a}) | {a2}))
-            assert not ambient.adjacent(a, a2), \
-                "flip-related spheres must intersect"
+            if ambient.adjacent(a, a2):
+                raise AssertionError("flip-related spheres must intersect")
             return (q, other)
     return None
 
@@ -357,7 +413,8 @@ def caterpillar_witness(X_vertices: Iterable[str],
         raise ValueError("X must be connected")
 
     spine = [window.spine_index(v) for v in xs if window.is_spine(v)]
-    assert spine, "a connected subcomplex with two vertices meets the spine"
+    if not spine:
+        raise AssertionError("a connected subcomplex with two vertices meets the spine")
     j = max(spine)
     assignment = {v: v for v in xs}
     if "w:%d" % j in xs:
@@ -370,79 +427,13 @@ def caterpillar_witness(X_vertices: Iterable[str],
         assignment["w:%d" % (j - 1)] = "z:%d" % j
     assignment[moved] = target
     vm = VertexMap(sub, c, assignment)
-    assert vm.is_simplicial() and vm.is_locally_injective()
+    if not (vm.is_simplicial() and vm.is_locally_injective()):
+        raise AssertionError("the witness is not a locally injective simplicial map")
     from_type = window.types[moved]
     to_type = window.types[target]
-    assert from_type != to_type
+    if from_type == to_type:
+        raise AssertionError("the moved vertex keeps its type")
     reason = ("%s (%s) is sent to %s (%s); automorphisms of the ideal "
               "caterpillar preserve vertex types, so no automorphism "
               "restricts to this map" % (moved, from_type, target, to_type))
     return CaterpillarWitness(vm, moved, target, from_type, to_type, reason)
-
-
-@dataclass(frozen=True)
-class CutLabeling:
-    """Boundary labels of the genus-zero complement of a maximal
-    nonseparating sphere system: n pairs A_i+/A_i- from the cut spheres
-    plus the s original boundary labels, with the source record delta.
-    """
-
-    n: int
-    s: int
-    labels: tuple[str, ...]
-    delta: dict[str, tuple[str, int]]
-
-    @classmethod
-    def from_signature(cls, n: int, s: int) -> "CutLabeling":
-        if n < 1:
-            raise ValueError("cut labelings need n >= 1")
-        if s < 0:
-            raise ValueError("s must be >= 0")
-        labels = []
-        delta: dict[str, tuple[str, int]] = {}
-        for i in range(1, n + 1):
-            for sign in "+-":
-                lab = "A%d%s" % (i, sign)
-                labels.append(lab)
-                delta[lab] = ("cut-sphere", i)
-        for j in range(1, s + 1):
-            lab = "B%d" % j
-            labels.append(lab)
-            delta[lab] = ("boundary", j)
-        return cls(n, s, tuple(labels), delta)
-
-    def pair_labels(self, i: int) -> tuple[str, str]:
-        if not 1 <= i <= self.n:
-            raise ValueError("pair index out of range")
-        return ("A%d+" % i, "A%d-" % i)
-
-
-@dataclass(frozen=True)
-class GoodPairCensus:
-    pair_index: int
-    spare_labels: tuple[str, ...]
-    good_spheres: tuple[tuple[str, str], ...]
-    good_pairs: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
-    nonempty: bool
-    threshold_met: bool  # 2n + s >= 6
-
-
-def good_pair_census(cut: CutLabeling, pair_index: int) -> GoodPairCensus:
-    """Enumerate good spheres and good pairs for one cut-sphere pair.
-
-    A good sphere for A_i groups one spare label with A_i- and another
-    with A_i+, so it is an ordered pair (p, q) of distinct labels drawn
-    from the 2n + s - 2 labels other than A_i+/A_i-.  A good pair is two
-    good spheres using four distinct labels.  Nonempty exactly when
-    2n + s >= 6.
-    """
-    a_plus, a_minus = cut.pair_labels(pair_index)
-    spare = tuple(l for l in cut.labels if l not in (a_plus, a_minus))
-    spheres = tuple((p, q) for p in spare for q in spare if p != q)
-    pairs = []
-    for g1, g2 in combinations(spheres, 2):
-        if not set(g1) & set(g2):
-            pairs.append((g1, g2))
-    nonempty = bool(pairs)
-    return GoodPairCensus(pair_index, spare, spheres, tuple(pairs),
-                          nonempty, 2 * cut.n + cut.s >= 6)

@@ -282,7 +282,8 @@ def search_embedding(src: FlagComplex, dst: FlagComplex,
     if placement is None:
         return None
     m = _to_map(src, dst, placement)
-    assert m.is_injective() and m.is_simplicial()
+    if not (m.is_injective() and m.is_simplicial()):
+        raise AssertionError("the search found a map that is not an embedding")
     return m
 
 
@@ -380,6 +381,21 @@ def _chain_elements(c: FlagComplex, chain: list[list[tuple[int, ...]]]) -> list[
     return perms
 
 
+def _chain_rows(c: FlagComplex, chain: list[list[tuple[int, ...]]]) -> list[bytes]:
+    """The elements of ``_chain_elements``, in the same order, as
+    256-byte ``bytes.translate`` tables: ``bytes(g)`` followed by the
+    identity on n..255.  The padding is fixed by every product, so
+    u∘p is ``p.translate(u)``; rows share it, so they sort as the
+    index tuples do."""
+    tail = bytes(range(c.n_vertices, 256))
+    rows = [bytes(range(256))]
+    for transversal in reversed(chain):
+        tables = [bytes(u) + tail for u in transversal]
+        rows = [p.translate(u) for u in tables for p in rows]
+    rows.sort()
+    return rows
+
+
 def _greedy_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Walking the sorted elements, each one outside the subgroup
     generated so far, until that subgroup is the whole group.
@@ -426,9 +442,10 @@ class AutomorphismGroup:
     ``ELEMENT_CAP``, else None; the cap is read when the list is asked
     for.  Generators are chosen greedily in canonical element order, so
     they are deterministic.  Both lists are built on first access.  On
-    complexes of at most 256 vertices the elements are also kept, on
-    first need, as ``bytes.translate`` tables (``_byte_rows``), which
-    ``verify_rigidity`` composes maps with.
+    complexes of at most 256 vertices ``verify_rigidity`` reads the
+    elements, built from the chain on first need and then kept, only as
+    ``bytes.translate`` tables (``_byte_rows``); the index tuples
+    (``_sorted_perms``) serve the element and generator lists.
     """
 
     ELEMENT_CAP = 10_000
@@ -456,18 +473,16 @@ class AutomorphismGroup:
         return perms
 
     def _byte_rows(self) -> Optional[list[bytes]]:
-        """Each element of ``_sorted_perms`` as a 256-byte
-        ``bytes.translate`` table, ``bytes(g)`` padded with zeros, so that
+        """The elements of ``_sorted_perms``, in its order, as 256-byte
+        ``bytes.translate`` tables (see ``_chain_rows``), so that
         ``bytes(p).translate(row)`` is g∘p for an index row p.  None above
         256 vertices, where an index does not fit a byte.  Kept after the
-        first call when the elements are."""
+        first call when the order is at most ``ELEMENT_CAP``."""
         if self._rows is not None:
             return self._rows
-        n = self.complex.n_vertices
-        if n > 256:
+        if self.complex.n_vertices > 256:
             return None
-        pad = bytes(256 - n)
-        rows = [bytes(g) + pad for g in self._sorted_perms()]
+        rows = _chain_rows(self.complex, self._chain)
         if self.order <= self.ELEMENT_CAP:
             self._rows = rows
         return rows

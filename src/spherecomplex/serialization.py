@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING, Mapping, Optional
 if TYPE_CHECKING:
     from .dual import DualMultigraph
     from .flagcomplex import FlagComplex
+    from .genus_zero import GoodPairCensus
     from .multigraph import Multigraph
-    from .rigidity import CaterpillarWitness, GoodPairCensus, RigidityCertificate
+    from .rigidity import CaterpillarWitness, RigidityCertificate
     from .search import VertexMap
     from .whitney import EdgeBijection
 

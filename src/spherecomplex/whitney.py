@@ -176,8 +176,11 @@ def lift_edge_isomorphism(psi: EdgeBijection) -> LiftResult:
     for v, ends in common.items():
         if len(ends) == 2:
             (phi[v],) = ends - {phi[other[v]]}
-    assert len(phi) == src.n_vertices, "lift left a vertex unassigned"
-    assert len(set(phi.values())) == dst.n_vertices, "lift is not bijective"
-    assert _induces(psi, phi), "constructed map does not induce the bijection"
+    if len(phi) != src.n_vertices:
+        raise AssertionError("lift left a vertex unassigned")
+    if len(set(phi.values())) != dst.n_vertices:
+        raise AssertionError("lift is not bijective")
+    if not _induces(psi, phi):
+        raise AssertionError("constructed map does not induce the bijection")
     return LiftResult(LIFTED, psi, vertex_map=dict(sorted(phi.items())))
 

@@ -34,8 +34,7 @@ COMMANDS = [
      {"flagcomplex", "multigraph", "whitney"}),
     (["nonembed", "--source", "k33", "--target", "petersen"],
      {"flagcomplex", "genus_zero", "search"}),
-    (["census", "good-pairs", "--n", "1", "--s", "4"],
-     {"flagcomplex", "genus_zero", "pants", "rigidity", "search"}),
+    (["census", "good-pairs", "--n", "1", "--s", "4"], {"flagcomplex", "genus_zero"}),
     (["catalog"], {"flagcomplex", "genus_zero"}),
 ]
 

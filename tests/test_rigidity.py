@@ -3,9 +3,12 @@ automorphism list, split spheres and pairs, detectability witnesses,
 link equivalence classes, caterpillar witnesses, and the good-pair
 census."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -24,6 +27,7 @@ from spherecomplex import (
     RigidityCertificate,
     SpherePartition,
     SphereSystem,
+    VertexMap,
     automorphism_group,
     build_caterpillar_window,
     build_genus_zero_complex,
@@ -284,18 +288,50 @@ class TestFrozenCertificates:
 def test_x_sigma_s7_certificate_memory():
     """tracemalloc peak of the three-cherry X_sigma certificate at s = 7
     once the group's stabiliser chain is built, so listing its elements
-    is counted: 11.3 MB with maps as index tuples, 7.8 MB as bytes rows
-    (Python 3.11)."""
+    is counted.  Every map listed: 11.3 MB as index tuples, 7.8 MB as
+    bytes rows beside the group's index tuples.  Summed per orbit, with
+    the group kept only as bytes rows: 2.07 MB, and 5.20 MB once
+    ``extensions`` is read (Python 3.11; the same under every hash
+    seed).  The bounds leave 25% for other Python versions."""
     P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
     xs = build_x_sigma(P).vertices
     automorphism_group(P.complex)
     tracemalloc.start()
     try:
-        verify_rigidity(xs, P.complex)
-        peak = tracemalloc.get_traced_memory()[1]
+        cert = verify_rigidity(xs, P.complex)
+        summary = tracemalloc.get_traced_memory()[1]
+        cert.extensions
+        listed = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9_000_000
+    assert summary <= 2_600_000
+    assert listed <= 6_500_000
+
+
+class TestLazyExtensions:
+    """``extensions`` is listed on its first read; the other fields come
+    from one found map per orbit."""
+
+    def test_summary_leaves_extensions_unbuilt(self, c5):
+        a, b = vid(5, 1, 2), vid(5, 1, 3)
+        cert = verify_rigidity([a, b], c5)
+        assert (cert.total_maps, cert.all_extend) == (100, False)
+        assert cert.counterexample is not None
+        assert "extensions" not in vars(cert)
+        assert cert == reference_certificate([a, b], c5, PLAIN)
+        assert "extensions" in vars(cert) and "_expand" not in vars(cert)
+
+    def test_copies_carry_the_listed_extensions(self, c5):
+        cert = verify_rigidity([vid(5, 1, 2)], c5)
+        clone = pickle.loads(pickle.dumps(cert))
+        assert "extensions" in vars(cert) and "_expand" not in vars(clone)
+        assert clone == cert and copy.copy(cert) == cert
+
+    def test_unknown_attribute_raises(self, c5):
+        cert = verify_rigidity([vid(5, 1, 2)], c5)
+        with pytest.raises(AttributeError, match="no_such_field"):
+            cert.no_such_field
+        assert "extensions" not in vars(cert)
 
 
 class TestOrbitRepresentatives:
@@ -404,6 +440,17 @@ class TestGroupCache:
         assert len(seen) == 2 and seen[0] is seen[1]
         assert len(seen[0]) == automorphism_group(c).order
         assert all(len(row) == 256 for row in seen[0])
+
+    def test_certificates_keep_each_element_once(self):
+        """Up to 256 vertices a certificate reads the elements only as
+        bytes rows, built from the chain in the index tuples' order."""
+        c = build_genus_zero_complex(6)
+        verify_rigidity(build_x_sigma(enumerate_pants(6)[0]).vertices, c)
+        group = automorphism_group(c)
+        assert group._perms is None and group._rows is not None
+        n, tail = c.n_vertices, bytes(range(c.n_vertices, 256))
+        assert [row[:n] for row in group._rows] == list(map(bytes, group._sorted_perms()))
+        assert all(row[n:] == tail for row in group._rows)
 
     def test_element_cap_is_read_at_call_time(self, monkeypatch):
         """A group kept from an earlier call still meets a lowered cap."""
@@ -516,6 +563,14 @@ class TestDetectability:
     def test_requires_the_shared_co_member(self, c5):
         a, a2 = vid(5, 1, 2), vid(5, 1, 5)
         assert detect_x_detectable([a, a2], c5, a, a2) is None
+
+    def test_self_check_raises_without_assert(self, c5, monkeypatch):
+        """A flip partner disjoint from a fails the closing check, which
+        raises AssertionError itself, so ``python -O`` keeps it."""
+        a, b = vid(5, 1, 2), vid(5, 1, 2, 3)
+        monkeypatch.setattr(rigidity, "flip_partners", lambda P, a: {b})
+        with pytest.raises(AssertionError, match="must intersect"):
+            detect_x_detectable(c5.vertices, c5, a, b)
 
 
 class TestXSigma:
@@ -632,6 +687,20 @@ class TestCaterpillarWitness:
             caterpillar_witness(["z:0"], win)
         with pytest.raises(ValueError):
             caterpillar_witness(["w:0", "w:1"], win)
+
+    def test_self_checks_raise_without_assert(self, win, monkeypatch):
+        """The three checks raise AssertionError themselves, so
+        ``python -O`` keeps them; each is forced to fail."""
+        one_type = dataclasses.replace(win, types=dict.fromkeys(win.types, "nonseparating"))
+        with pytest.raises(AssertionError, match="keeps its type"):
+            caterpillar_witness(["z:0", "w:0"], one_type)
+        with monkeypatch.context() as m:
+            m.setattr(VertexMap, "is_simplicial", lambda vm: False)
+            with pytest.raises(AssertionError, match="not a locally injective"):
+                caterpillar_witness(["z:0", "w:0"], win)
+        monkeypatch.setattr(type(win), "is_spine", lambda window, v: False)
+        with pytest.raises(AssertionError, match="meets the spine"):
+            caterpillar_witness(["z:0", "w:0"], win)
 
 
 class TestGoodPairCensus:

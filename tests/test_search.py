@@ -159,6 +159,13 @@ class TestEmbedding:
         m = search_embedding(catalog("k13"), petersen)
         assert m is not None, "a 3-star sits inside any cubic graph"
 
+    def test_self_check_raises_without_assert(self, petersen, monkeypatch):
+        """The closing check raises AssertionError itself, so ``python -O``
+        keeps it."""
+        monkeypatch.setattr(VertexMap, "is_simplicial", lambda m: False)
+        with pytest.raises(AssertionError, match="not an embedding"):
+            search_embedding(catalog("k13"), petersen)
+
 
 class TestIsomorphism:
     def test_petersen_self(self, petersen):

@@ -28,6 +28,7 @@ from spherecomplex import (
     random_connected_multigraph,
     scramble,
 )
+from spherecomplex import whitney
 
 
 def triangle() -> Multigraph:
@@ -299,3 +300,36 @@ class TestStarRule:
                         assert res.vertex_map == maps[0]
                     tally[res.verdict] += 1
         assert tally == {LIFTED: 895, OBSTRUCTED: 76, AMBIGUOUS_ORDER_2: 153}
+
+
+class TestSelfChecks:
+    """The lift's closing checks and the generator's connectivity check
+    raise AssertionError themselves, so ``python -O`` keeps them; each is
+    forced to fail here.  Skipping the obstruction scan, which validates
+    the edge isomorphism, lets a bijection that is not one reach them."""
+
+    def test_unassigned_vertex(self, monkeypatch):
+        monkeypatch.setattr(whitney, "find_k3_k13_pair", lambda psi: None)
+        path = Multigraph(["x", "y", "z"], {"f1": ("x", "y"), "f2": ("y", "z"),
+                                            "f3": ("z", "z")})
+        psi = EdgeBijection(triangle(), path, {"e1": "f3", "e2": "f1", "e3": "f2"})
+        with pytest.raises(AssertionError, match="unassigned"):
+            lift_edge_isomorphism(psi)
+
+    def test_lift_not_bijective(self, monkeypatch):
+        monkeypatch.setattr(whitney, "find_k3_k13_pair", lambda psi: None)
+        looped = Multigraph(["a", "b"], {"e1": ("a", "b"), "e2": ("b", "b")})
+        path = Multigraph(["x", "y", "z"], {"f1": ("x", "y"), "f2": ("y", "z")})
+        psi = EdgeBijection(looped, path, {"e1": "f1", "e2": "f2"})
+        with pytest.raises(AssertionError, match="not bijective"):
+            lift_edge_isomorphism(psi)
+
+    def test_lift_does_not_induce(self, monkeypatch):
+        monkeypatch.setattr(whitney, "_induces", lambda psi, phi: False)
+        with pytest.raises(AssertionError, match="does not induce"):
+            lift_edge_isomorphism(identity_bijection(triangle()))
+
+    def test_random_multigraph_connectivity(self, monkeypatch):
+        monkeypatch.setattr(Multigraph, "is_connected", lambda g: False)
+        with pytest.raises(AssertionError, match="connected"):
+            random_connected_multigraph(random.Random(1))
