@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .flagcomplex import FlagComplex, flag_from_adjacency
+from .flagcomplex import FlagComplex, _bits, complex_id, flag_from_adjacency
 
 
 @dataclass(frozen=True, order=True)
@@ -173,6 +173,35 @@ def build_genus_zero_complex(s: int) -> FlagComplex:
             if spheres_disjoint(p, spheres[j]):
                 pairs.append((ids[i], ids[j]))
     return flag_from_adjacency(ids, pairs, meta={"model": "genus-zero", "s": s})
+
+
+def _label_generators(c: FlagComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The boundary-label transposition (1 2) and s-cycle (1 2 ... s)
+    acting on a genus-zero complex, as vertex-index permutations: ``g[i]``
+    is the index of the image of vertex i.  Together they generate the
+    action of all s! label permutations.
+
+    Each is checked to map every adjacency mask onto its image's mask,
+    so each is a complex automorphism whatever the partition model says:
+    it maps maximal cliques to maximal cliques and flips to flips.
+    Raises ValueError for a complex not tagged genus-zero and
+    AssertionError when the check fails.
+    """
+    if c.meta.get("model") != "genus-zero":
+        raise ValueError("label generators need a genus-zero complex, not %s"
+                         % (complex_id(c),))
+    s = c.meta["s"]
+    gens = []
+    for relabel in ({1: 2, 2: 1}, {x: x % s + 1 for x in range(1, s + 1)}):
+        blocks = (SpherePartition.from_vertex_id(v).block for v in c.vertices)
+        g = tuple(c.index_of(SpherePartition(s, [relabel.get(x, x) for x in b]).vertex_id())
+                  for b in blocks)
+        for i, m in enumerate(c._adj):
+            if c._adj[g[i]] != sum(1 << g[j] for j in _bits(m)):
+                raise AssertionError("label permutation is not an automorphism at %s"
+                                     % (c.vertices[i],))
+        gens.append(g)
+    return gens[0], gens[1]
 
 
 NONSEPARATING = "nonseparating"

@@ -11,10 +11,10 @@ one member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .flagcomplex import FlagComplex, _bits, _link_mask, mask_components, maximal_cliques
-from .genus_zero import build_genus_zero_complex
+from .flagcomplex import FlagComplex, _bits, _link_mask, maximal_cliques
+from .genus_zero import _label_generators, build_genus_zero_complex
 
 
 class SphereSystem:
@@ -95,33 +95,83 @@ class FlipGraph:
 
 
 def pants_flip_graph(s: int) -> FlipGraph:
-    """Build the flip graph and check its connectivity; the diameter is
-    the largest breadth-first eccentricity when connected."""
+    """Build the flip graph, check its connectivity and, when connected,
+    find its diameter.
+
+    Nodes are keyed by the frozenset of their members' vertex indices;
+    neighbours are kept as sorted index lists.  The permutations of the
+    boundary labels act on the graph by automorphisms (each generator
+    from ``genus_zero._label_generators`` is checked to be a complex
+    automorphism, so it maps pants to pants and flips to flips), and
+    eccentricity is constant on an orbit.  So the diameter is the
+    largest eccentricity over the least index of each orbit, one
+    breadth-first search each; the graph is connected when the first
+    search, from node 0, reaches every node.
+    """
     decomps = sorted(enumerate_pants(s), key=PantsDecomposition.system_id)
-    nodes = tuple(P.system_id() for P in decomps)
-    index = {P.members: i for i, P in enumerate(decomps)}
-    adj = [0] * len(nodes)
-    for i, P in enumerate(decomps):
+    c = decomps[0].complex
+    keys = [frozenset(map(c.index_of, P.members)) for P in decomps]
+    index = {key: i for i, key in enumerate(keys)}
+    nbrs = []
+    for P, key in zip(decomps, keys):
+        out = []
         for a in P.sorted_members():
-            for b in flip_partners(P, a):
-                adj[i] |= 1 << index[P.members - {a} | {b}]
-    edges = tuple((nodes[i], nodes[j]) for i, m in enumerate(adj)
-                  for j in _bits(m) if j > i)
-    connected = len(mask_components(adj)) <= 1
-    diameter = max((_eccentricity(adj, i) for i in range(len(adj))),
-                   default=0) if connected else None
+            rest = key - {c.index_of(a)}
+            out += [index[rest | {c.index_of(b)}] for b in flip_partners(P, a)]
+        nbrs.append(sorted(out))
+    nodes = tuple(P.system_id() for P in decomps)
+    edges = tuple((nodes[i], nodes[j]) for i, js in enumerate(nbrs) for j in js if j > i)
+    depth, reached = _eccentricity(nbrs, 0)
+    connected = reached == len(nbrs)
+    diameter = None
+    if connected:
+        reps = _label_orbits(keys, index, _label_generators(c))
+        diameter = max([depth] + [_eccentricity(nbrs, r)[0] for r in reps if r])
     members = {u: P.sorted_members() for u, P in zip(nodes, decomps)}
     return FlipGraph(nodes, members, edges, connected, diameter)
 
 
-def _eccentricity(adj: list[int], start: int) -> int:
-    """The number of breadth-first layers beyond ``start`` on ``adj``."""
-    seen = layer = 1 << start
-    depth = -1
+def _label_orbits(keys: list[frozenset[int]], index: dict[frozenset[int], int],
+                  gens: Sequence[Sequence[int]]) -> dict[int, int]:
+    """The orbits of the nodes ``keys`` under the vertex permutations
+    ``gens``, as {least node index: orbit size} in ascending order.  In a
+    finite group the forward images under the generators already reach
+    the whole orbit."""
+    seen = bytearray(len(keys))
+    sizes = {}
+    for rep in range(len(keys)):
+        if seen[rep]:
+            continue
+        seen[rep] = 1
+        todo, size = [rep], 0
+        while todo:
+            key = keys[todo.pop()]
+            size += 1
+            for g in gens:
+                j = index[frozenset([g[v] for v in key])]
+                if not seen[j]:
+                    seen[j] = 1
+                    todo.append(j)
+        sizes[rep] = size
+    return sizes
+
+
+def _eccentricity(nbrs: list[list[int]], start: int) -> tuple[int, int]:
+    """Breadth-first search from ``start`` over index adjacency lists:
+    the number of layers beyond ``start`` and the number of nodes
+    reached, which is less than ``len(nbrs)`` when the graph is
+    disconnected."""
+    seen = bytearray(len(nbrs))
+    seen[start] = 1
+    layer = [start]
+    depth, reached = -1, 0
     while layer:
-        reach = 0
-        for i in _bits(layer):
-            reach |= adj[i]
-        layer, depth = reach & ~seen, depth + 1
-        seen |= layer
-    return depth
+        depth, reached = depth + 1, reached + len(layer)
+        nxt = []
+        for i in layer:
+            for j in nbrs[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    nxt.append(j)
+        layer = nxt
+    return depth, reached

@@ -1,9 +1,11 @@
 """Independent oracles shared by the test modules."""
 
 from itertools import permutations
+from typing import Optional
 
-from spherecomplex import (FlagComplex, SpherePartition, VertexMap,
+from spherecomplex import (FlagComplex, FlipGraph, SpherePartition, VertexMap,
                            build_genus_zero_complex, flag_from_adjacency)
+from spherecomplex.flagcomplex import _bits, mask_components
 
 
 def label_action_automorphisms(s: int) -> list[VertexMap]:
@@ -27,6 +29,31 @@ def label_action_automorphisms(s: int) -> list[VertexMap]:
         out.append(VertexMap(c, c, assignment))
     out.sort(key=VertexMap.key)
     return out
+
+
+def flip_graph_shape(fg: FlipGraph) -> tuple[bool, Optional[int]]:
+    """Connectivity and diameter of a flip graph from its edges alone:
+    components of the bitmask adjacency, then one breadth-first search
+    from every node, each layer the OR of its nodes' whole masks."""
+    index = {u: i for i, u in enumerate(fg.nodes)}
+    adj = [0] * len(fg.nodes)
+    for u, v in fg.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    if len(mask_components(adj)) > 1:
+        return False, None
+    diameter = 0
+    for start in range(len(adj)):
+        seen = layer = 1 << start
+        depth = -1
+        while layer:
+            reach = 0
+            for i in _bits(layer):
+                reach |= adj[i]
+            layer, depth = reach & ~seen, depth + 1
+            seen |= layer
+        diameter = max(diameter, depth)
+    return True, diameter
 
 
 def rank_mod_p(matrix, p: int) -> int:

@@ -2,12 +2,17 @@
 disjointness, the complexes S(M_{0,s}), the caterpillar window, and the
 named catalog."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
+    FlagComplex,
     SpherePartition,
     all_spheres,
     build_caterpillar_window,
@@ -19,6 +24,24 @@ from spherecomplex import (
     search_isomorphism,
     spheres_disjoint,
 )
+from spherecomplex.genus_zero import _label_generators
+
+from oracles import label_action_automorphisms
+
+
+def closure(gens) -> set[tuple[int, ...]]:
+    """Every product of the index permutations ``gens``, the identity
+    included."""
+    identity = tuple(range(len(gens[0])))
+    group, todo = {identity}, [identity]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[i] for i in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
 
 
 def oracle_disjoint(p: SpherePartition, q: SpherePartition) -> bool:
@@ -152,3 +175,54 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             catalog("dodecahedron")
+
+
+class TestLabelGenerators:
+    @pytest.mark.parametrize("s", [5, 6, 7, 8])
+    def test_generate_all_label_permutations(self, s):
+        assert len(closure(_label_generators(build_genus_zero_complex(s)))) == factorial(s)
+
+    @pytest.mark.parametrize("s", [4, 5, 6])
+    def test_generate_the_oracle_action(self, s):
+        """At s = 4 the three pairwise-crossing spheres are isolated and
+        the action factors through S3, which the generators still give."""
+        c = build_genus_zero_complex(s)
+        gens = _label_generators(c)
+        assert all(sorted(g) == list(range(c.n_vertices)) for g in gens)
+        oracle = {tuple(c.index_of(a[v]) for v in c.vertices)
+                  for a in label_action_automorphisms(s)}
+        assert closure(gens) == oracle
+
+    def test_flipped_adjacency_bit_raises(self, c5):
+        """A genus-zero tag on c5 with the edge between its first two
+        vertices toggled."""
+        masks = [c5._adj[0] ^ 2, c5._adj[1] ^ 1, *c5._adj[2:]]
+        with pytest.raises(AssertionError, match="not an automorphism"):
+            _label_generators(FlagComplex(c5.vertices, masks, c5.meta))
+
+    def test_check_runs_under_optimize(self):
+        """The automorphism check raises AssertionError itself, so
+        ``python -O`` keeps it."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        code = (
+            "from spherecomplex import FlagComplex, build_genus_zero_complex\n"
+            "from spherecomplex.genus_zero import _label_generators\n"
+            "c = build_genus_zero_complex(5)\n"
+            "masks = [c._adj[0] ^ 2, c._adj[1] ^ 1, *c._adj[2:]]\n"
+            "try:\n"
+            "    _label_generators(FlagComplex(c.vertices, masks, c.meta))\n"
+            "except AssertionError as exc:\n"
+            "    print('AssertionError:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("AssertionError: label permutation is not an automorphism")
+
+    @pytest.mark.parametrize("build", [lambda: catalog("petersen"),
+                                       lambda: build_caterpillar_window(2).complex],
+                             ids=["catalog", "caterpillar"])
+    def test_other_models_rejected(self, build):
+        with pytest.raises(ValueError, match="genus-zero complex"):
+            _label_generators(build())

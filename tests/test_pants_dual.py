@@ -35,6 +35,9 @@ from spherecomplex import (
     slot_id,
     split_slot,
 )
+from spherecomplex import pants
+
+from oracles import flip_graph_shape
 
 
 def chain_pants(c6) -> PantsDecomposition:
@@ -184,6 +187,74 @@ class TestFlipMoves:
         fg = pants_flip_graph(s)
         text = json.dumps(dataclasses.asdict(fg), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def double_factorial(n: int) -> int:
+    return 1 if n <= 1 else n * double_factorial(n - 2)
+
+
+class TestFlipGraphOrbits:
+    """One breadth-first search per orbit of the boundary-label action:
+    the roots are the unrooted binary tree shapes with s leaves (OEIS
+    A000672), and the orbit sizes add up to the (2s-5)!! nodes.  The
+    counts are deterministic, so they guard the orbit reduction without
+    a clock."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The BFS roots and the orbit sizes of each flip graph built."""
+        record = {"roots": [], "orbits": []}
+        bfs, orbits = pants._eccentricity, pants._label_orbits
+
+        def counting_bfs(nbrs, start):
+            record["roots"].append(start)
+            return bfs(nbrs, start)
+
+        def recording_orbits(*args):
+            sizes = orbits(*args)
+            record["orbits"].append(sizes)
+            return sizes
+
+        monkeypatch.setattr(pants, "_eccentricity", counting_bfs)
+        monkeypatch.setattr(pants, "_label_orbits", recording_orbits)
+        return record
+
+    @pytest.mark.parametrize("s, sizes", [
+        (4, [3]), (5, [15]), (6, [90, 15]), (7, [630, 315]),
+    ])
+    def test_one_root_per_orbit(self, s, sizes, runs):
+        fg = pants_flip_graph(s)
+        [orbits] = runs["orbits"]
+        assert runs["roots"] == list(orbits) and runs["roots"][0] == 0
+        assert sorted(orbits.values(), reverse=True) == sizes
+        assert sum(sizes) == len(fg.nodes) == double_factorial(2 * s - 5)
+
+    def test_s8(self, runs):
+        """10395 nodes, all of degree 2(s - 3) = 10, four roots, diameter 10."""
+        fg = pants_flip_graph(8)
+        assert len(fg.nodes) == 10395 and len(fg.edges) == 51975
+        degrees = {u: 0 for u in fg.nodes}
+        for u, v in fg.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        assert set(degrees.values()) == {10}
+        assert fg.connected and fg.diameter == 10
+        [orbits] = runs["orbits"]
+        assert runs["roots"] == list(orbits) and len(orbits) == 4
+        assert sorted(orbits.values(), reverse=True) == [5040, 2520, 2520, 315]
+
+    @pytest.mark.parametrize("s", [4, 5, 6, 7])
+    def test_matches_the_all_roots_oracle(self, s):
+        fg = pants_flip_graph(s)
+        assert (fg.connected, fg.diameter) == flip_graph_shape(fg)
+
+    def test_eccentricity_on_a_disconnected_graph(self):
+        """A path 0-1-2 and an edge 3-4: the search sees only its own
+        component."""
+        nbrs = [[1], [0, 2], [1], [4], [3]]
+        assert pants._eccentricity(nbrs, 0) == (2, 3)
+        assert pants._eccentricity(nbrs, 1) == (1, 3)
+        assert pants._eccentricity(nbrs, 4) == (1, 2)
 
 
 class TestDualMultigraph:
