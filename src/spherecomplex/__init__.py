@@ -35,7 +35,7 @@ _EXPORTS = {
                  "nonpants_regions", "verify_rigidity"),
     "search": ("AutomorphismGroup", "VertexMap", "automorphism_group",
                "enumerate_automorphisms", "enumerate_locally_injective_maps",
-               "search_embedding", "search_isomorphism"),
+               "search_embedding"),
     "whitney": ("AMBIGUOUS_ORDER_2", "LIFTED", "OBSTRUCTED", "EdgeBijection",
                 "LiftResult", "find_k3_k13_pair", "is_edge_isomorphism",
                 "lift_edge_isomorphism", "pair_type"),

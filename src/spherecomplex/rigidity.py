@@ -22,8 +22,8 @@ from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
-from .search import (AutomorphismGroup, VertexMap, _locally_injective_placements,
-                     _search_order, automorphism_group)
+from .search import (AutomorphismGroup, VertexMap, _after, _encoding,
+                     _locally_injective_placements, _search_order, automorphism_group)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -75,17 +75,6 @@ class RigidityCertificate:
         return vars(self)
 
 
-def _gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``operator.itemgetter(*idx)``, which returns a tuple also for one
-    index or none."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    if idx:
-        i = idx[0]
-        return lambda g: (g[i],)
-    return lambda g: ()
-
-
 def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
                     mode: str = PLAIN) -> RigidityCertificate:
     """Enumerate all locally injective simplicial maps of the induced
@@ -107,10 +96,10 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     it fixes, in search order.  ``extensions`` lists every map of every
     orbit, sorted, on its first read.
 
-    When the ambient has at most 256 vertices, a map is a ``bytes`` row
-    and g∘p is ``p.translate(row_g)`` with the group's kept
-    ``_byte_rows``; above that it is an index tuple gathered with
-    ``operator.itemgetter``.  Every map has len(X) entries, each below
+    Maps and group elements are encoded as ``search._encoding`` says
+    (``bytes`` up to 256 ambient vertices, index tuples above), the
+    elements are the group's one kept list, and g∘p is
+    ``search._after(p)(g)``.  Every map has len(X) entries, each below
     the vertex count, so the two encodings sort, compare and hash alike
     and give the same certificate.
     """
@@ -125,16 +114,12 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
     order = _search_order(X)
 
-    # compose(p)(g) is g∘p, for p encoded and g one of the tables
-    rows = group._byte_rows()
-    if rows is None:
-        encode, tables, compose = tuple, group._sorted_perms(), _gather
-    else:
-        encode, tables, compose = bytes, rows, lambda p: p.translate
+    encode = _encoding(ambient.n_vertices)
+    elements = group._elements()
 
     # the pointwise stabilisers of the images fixed so far; the search
     # asks for each one after its parent
-    stabilisers = {(): tables}
+    stabilisers = {(): elements}
 
     def stabiliser(fixed: tuple[int, ...]) -> list[Sequence[int]]:
         h = stabilisers.get(fixed)
@@ -163,7 +148,7 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     def orbit_size(p: tuple[int, ...]) -> int:
         # |G| / |H|, H fixing every image of p; walking the images in
         # search order reuses the stabilisers the search filtered
-        h, fixed = tables, ()
+        h, fixed = elements, ()
         for x in map(p.__getitem__, order):
             if len(h) == 1:
                 break
@@ -173,8 +158,8 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
 
     # the element restricting to each map, None when several do
     extending: dict[Sequence[int], Optional[int]] = {}
-    restrict = compose(encode(ambient.index_of(v) for v in xs))
-    for k, key in enumerate(map(restrict, tables)):
+    restrict = _after(encode(ambient.index_of(v) for v in xs))
+    for k, key in enumerate(map(restrict, elements)):
         extending[key] = None if key in extending else k
 
     # one found map per orbit, with its orbit size; vertex ids are
@@ -189,13 +174,13 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         total_maps += size
         if extending.get(p) is None:
             # every map of the orbit fails; its least one is a candidate
-            least = min(map(compose(p), tables))
+            least = min(map(_after(p), elements))
             failing = least if failing is None else min(failing, least)
 
     def expand() -> tuple[Optional[int], ...]:
         maps: list[Sequence[int]] = []
         for p, size in found:
-            orbit = map(compose(p), tables)
+            orbit = map(_after(p), elements)
             # every element fixing the images of p sends it to the same map
             maps += orbit if size == group.order else set(orbit)
         maps.sort()

@@ -2,7 +2,7 @@
 
 Embeddings here are injective simplicial maps: adjacent vertices must map
 to adjacent vertices, but non-adjacency need not be reflected.
-Isomorphisms preserve and reflect adjacency.  Locally injective maps are
+Automorphisms preserve and reflect adjacency.  Locally injective maps are
 simplicial maps injective on every closed star, which for graphs is the
 same as being injective on every pair of vertices at distance at most 2.
 
@@ -10,15 +10,15 @@ One engine, ``_placements``, serves all three.  It places source
 vertices in breadth-first order; a vertex's candidates are its degree
 feasibility mask, cut down by the adjacency masks of the images of its
 placed neighbors and by the images that its injectivity scope forbids
-(all placed vertices for embeddings and isomorphisms, placed vertices at
-distance 1 or 2 for locally injective maps).  Given the orbit minima of
-pointwise stabilisers in a group of target automorphisms, it emits one
-placement per orbit of that group (``verify_rigidity`` uses this).
+(all placed vertices for embeddings and automorphisms, placed vertices
+at distance 1 or 2 for locally injective maps).  Given the orbit minima
+of pointwise stabilisers in a group of target automorphisms, it emits
+one placement per orbit of that group (``verify_rigidity`` uses this).
 
-Isomorphisms need no check that non-adjacency is reflected: between
-complexes with equal vertex and edge counts (``_iso_precheck``), an
-adjacency-preserving bijection maps the E source edges injectively into
-the E target edges, so onto them, and no non-edge can map to an edge.
+Automorphisms need no check that non-adjacency is reflected: an
+adjacency-preserving bijection of a complex onto itself maps its E
+edges injectively into the same E edges, so onto them, and no non-edge
+can map to an edge.
 
 Degree feasibility is sound for every search, locally injective maps
 included: such a map f sends N(v) injectively into N(f(v)), so
@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from collections import deque
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .flagcomplex import FlagComplex, _bits, _link_mask, f_vector, has_cycle
+from .flagcomplex import FlagComplex, _bits, _link_mask, has_cycle
 
 
 class VertexMap:
@@ -64,15 +65,6 @@ class VertexMap:
                 raise ValueError("unknown source vertex %r" % (v,))
             if w not in target:
                 raise ValueError("unknown target vertex %r" % (w,))
-
-    @classmethod
-    def _unchecked(cls, source: FlagComplex, target: FlagComplex,
-                   assignment: dict[str, str]) -> "VertexMap":
-        """A map the search engine produced: total and into the target by
-        construction, so ``__init__``'s checks are skipped."""
-        m = cls.__new__(cls)
-        m.source, m.target, m.assignment = source, target, assignment
-        return m
 
     def __getitem__(self, v: str) -> str:
         return self.assignment[v]
@@ -262,7 +254,7 @@ def _placements(src: FlagComplex, dst: FlagComplex,
 
 def _to_map(src: FlagComplex, dst: FlagComplex, placement: Sequence[int]) -> VertexMap:
     images = map(dst.vertices.__getitem__, placement)
-    return VertexMap._unchecked(src, dst, dict(zip(src.vertices, images)))
+    return VertexMap(src, dst, dict(zip(src.vertices, images)))
 
 
 def search_embedding(src: FlagComplex, dst: FlagComplex,
@@ -287,29 +279,30 @@ def search_embedding(src: FlagComplex, dst: FlagComplex,
     return m
 
 
-def _iso_precheck(c1: FlagComplex, c2: FlagComplex) -> bool:
-    if c1.n_vertices != c2.n_vertices or c1.n_edges != c2.n_edges:
-        return False
-    d1 = sorted(c1._adj[i].bit_count() for i in range(c1.n_vertices))
-    d2 = sorted(c2._adj[i].bit_count() for i in range(c2.n_vertices))
-    if d1 != d2:
-        return False
-    dim = min(2, max(c1.n_vertices - 1, 0))
-    return f_vector(c1, dim) == f_vector(c2, dim)
+def _encoding(n: int) -> type:
+    """How an element of the automorphism group of an n-vertex complex
+    is held.  Up to 256 vertices it is ``bytes``: a 256-byte row, the
+    images of the n vertices followed by the identity on n..255, so a
+    row is a ``bytes.translate`` table and g∘p is ``p.translate(g)``.
+    Above 256 vertices, where an index does not fit a byte, it is an
+    index tuple.  Rows share their padding, so they sort, compare and
+    hash as the index tuples do."""
+    return bytes if n <= 256 else tuple
 
 
-def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[VertexMap]:
-    """Find a bijection preserving and reflecting adjacency, or certify
-    absence (after a cheap f-vector and degree-sequence precheck)."""
-    if not _iso_precheck(c1, c2):
-        return None
-    placement = next(_placements(c1, c2), None)
-    return None if placement is None else _to_map(c1, c2, placement)
-
-
-def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """g∘h on index permutations: apply h, then g."""
-    return tuple(map(g.__getitem__, h))
+def _after(p: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """g ↦ g∘p: apply p, then g.  p is ``bytes`` or an index tuple, as
+    ``_encoding`` chose; it may be shorter than g (a map of a
+    subcomplex), and g∘p then has p's length and encoding."""
+    if isinstance(p, bytes):
+        return p.translate
+    if len(p) > 1:
+        return itemgetter(*p)
+    # itemgetter returns a bare item for one index and needs at least one
+    if p:
+        i = p[0]
+        return lambda g: (g[i],)
+    return lambda g: ()
 
 
 def _fix(c: FlagComplex, masks: Sequence[int], v: int, t: int) -> list[int]:
@@ -362,7 +355,7 @@ def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]
                 for h in gens:
                     y = h[x]
                     if y not in orbit:
-                        orbit[y] = _compose(h, orbit[x])
+                        orbit[y] = _after(orbit[x])(h)
                         queue.append(y)
         if len(orbit) > 1:
             chain.append(list(orbit.values()))
@@ -370,33 +363,24 @@ def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]
     return chain, searches
 
 
-def _chain_elements(c: FlagComplex, chain: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+def _chain_elements(n: int, chain: list[list[tuple[int, ...]]]) -> list[Sequence[int]]:
     """Every product u_1∘u_2∘...∘u_k of one element per transversal,
-    that is every automorphism once, sorted.  Vertex ids are sorted, so
-    index order is the canonical order."""
-    perms = [tuple(range(c.n_vertices))]
+    that is every automorphism of an n-vertex complex once, encoded as
+    ``_encoding(n)`` says and sorted.  Vertex ids are sorted, so index
+    order is the canonical order.  The padding of a row is fixed by
+    every product, so it stays the identity."""
+    encode = _encoding(n)
+    identity = encode(range(256 if encode is bytes else n))
+    tail = identity[n:]
+    elements = [identity]
     for transversal in reversed(chain):
-        perms = [_compose(u, p) for u in transversal for p in perms]
-    perms.sort()
-    return perms
+        us = [encode(u) + tail for u in transversal]
+        elements = [g for p in elements for g in map(_after(p), us)]
+    elements.sort()
+    return elements
 
 
-def _chain_rows(c: FlagComplex, chain: list[list[tuple[int, ...]]]) -> list[bytes]:
-    """The elements of ``_chain_elements``, in the same order, as
-    256-byte ``bytes.translate`` tables: ``bytes(g)`` followed by the
-    identity on n..255.  The padding is fixed by every product, so
-    u∘p is ``p.translate(u)``; rows share it, so they sort as the
-    index tuples do."""
-    tail = bytes(range(c.n_vertices, 256))
-    rows = [bytes(range(256))]
-    for transversal in reversed(chain):
-        tables = [bytes(u) + tail for u in transversal]
-        rows = [p.translate(u) for u in tables for p in rows]
-    rows.sort()
-    return rows
-
-
-def _greedy_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _greedy_generators(elements: list[Sequence[int]]) -> list[Sequence[int]]:
     """Walking the sorted elements, each one outside the subgroup
     generated so far, until that subgroup is the whole group.
 
@@ -406,22 +390,19 @@ def _greedy_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     soon as the closure holds more than half of the elements, since no
     proper subgroup does.
     """
-    half = len(perms) // 2
-    gens: list[tuple[int, ...]] = []
-    closure = {perms[0]}  # the identity sorts first
-    for p in perms:
+    half = len(elements) // 2
+    gens: list[Sequence[int]] = []
+    closure = {elements[0]}  # the identity sorts first
+    for p in elements:
         if len(closure) > half:
             break
         if p in closure:
             continue
         gens.append(p)
-        queue = deque(_compose(p, h) for h in closure)
+        queue = deque(_after(h)(p) for h in closure)
         closure.update(queue)
-        images = [g.__getitem__ for g in gens]
         while queue and len(closure) <= half:
-            a = queue.popleft()
-            for image in images:
-                b = tuple(map(image, a))
+            for b in map(_after(queue.popleft()), gens):
                 if b not in closure:
                     closure.add(b)
                     queue.append(b)
@@ -430,76 +411,54 @@ def _greedy_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def enumerate_automorphisms(c: FlagComplex) -> list[VertexMap]:
     """All automorphisms, in canonical order."""
-    return [_to_map(c, c, p) for p in automorphism_group(c)._sorted_perms()]
+    n = c.n_vertices
+    return [_to_map(c, c, g[:n]) for g in automorphism_group(c)._elements()]
 
 
 class AutomorphismGroup:
     """The automorphism group of a finite flag complex, held as the
     transversals of a stabiliser chain.
 
-    ``order`` is the product of the orbit lengths.  ``elements`` is the
-    full list, in canonical order, when the order is at most
-    ``ELEMENT_CAP``, else None; the cap is read when the list is asked
-    for.  Generators are chosen greedily in canonical element order, so
-    they are deterministic.  Both lists are built on first access.  On
-    complexes of at most 256 vertices ``verify_rigidity`` reads the
-    elements, built from the chain on first need and then kept, only as
-    ``bytes.translate`` tables (``_byte_rows``); the index tuples
-    (``_sorted_perms``) serve the element and generator lists.
+    ``order`` is the product of the orbit lengths.  The elements are
+    listed from the chain in canonical order on first need, each encoded
+    as ``_encoding`` says (``bytes.translate`` rows up to 256 vertices,
+    index tuples above), and the list is kept when the order is at most
+    ``ELEMENT_CAP``; the cap is read when the list is asked for.  That
+    one list serves ``verify_rigidity``, the generators and
+    ``enumerate_automorphisms``.  Generators are chosen greedily in
+    canonical element order, so they are deterministic, and are built
+    on first access.
     """
 
     ELEMENT_CAP = 10_000
 
-    __slots__ = ("complex", "order", "_chain", "_perms", "_rows", "_elements",
-                 "_generators")
+    __slots__ = ("complex", "order", "_chain", "_kept", "_generators")
 
     def __init__(self, complex_: FlagComplex, chain: list[list[tuple[int, ...]]]):
         self.complex = complex_
         self.order = prod(map(len, chain))
         self._chain = chain
-        self._perms: Optional[list[tuple[int, ...]]] = None
-        self._rows: Optional[list[bytes]] = None
-        self._elements: Optional[list[VertexMap]] = None
+        self._kept: Optional[list[Sequence[int]]] = None
         self._generators: Optional[list[VertexMap]] = None
 
-    def _sorted_perms(self) -> list[tuple[int, ...]]:
-        """The elements as index tuples in canonical order, kept after
-        the first call when the order is at most ``ELEMENT_CAP``."""
-        if self._perms is not None:
-            return self._perms
-        perms = _chain_elements(self.complex, self._chain)
+    def _elements(self) -> list[Sequence[int]]:
+        """Every element in canonical order (see ``_chain_elements``),
+        kept after the first call when the order is at most
+        ``ELEMENT_CAP``."""
+        if self._kept is not None:
+            return self._kept
+        elements = _chain_elements(self.complex.n_vertices, self._chain)
         if self.order <= self.ELEMENT_CAP:
-            self._perms = perms
-        return perms
-
-    def _byte_rows(self) -> Optional[list[bytes]]:
-        """The elements of ``_sorted_perms``, in its order, as 256-byte
-        ``bytes.translate`` tables (see ``_chain_rows``), so that
-        ``bytes(p).translate(row)`` is g∘p for an index row p.  None above
-        256 vertices, where an index does not fit a byte.  Kept after the
-        first call when the order is at most ``ELEMENT_CAP``."""
-        if self._rows is not None:
-            return self._rows
-        if self.complex.n_vertices > 256:
-            return None
-        rows = _chain_rows(self.complex, self._chain)
-        if self.order <= self.ELEMENT_CAP:
-            self._rows = rows
-        return rows
-
-    @property
-    def elements(self) -> Optional[list[VertexMap]]:
-        if self._elements is None and self.order <= self.ELEMENT_CAP:
-            c = self.complex
-            self._elements = [_to_map(c, c, p) for p in self._sorted_perms()]
-        return self._elements
+            self._kept = elements
+        return elements
 
     @property
     def generators(self) -> list[VertexMap]:
         if self._generators is None:
             c = self.complex
-            self._generators = [_to_map(c, c, p)
-                                for p in _greedy_generators(self._sorted_perms())]
+            n = c.n_vertices
+            self._generators = [_to_map(c, c, g[:n])
+                                for g in _greedy_generators(self._elements())]
         return self._generators
 
 

@@ -4,8 +4,34 @@ from itertools import permutations
 from typing import Optional
 
 from spherecomplex import (FlagComplex, FlipGraph, SpherePartition, VertexMap,
-                           build_genus_zero_complex, flag_from_adjacency)
+                           build_genus_zero_complex, f_vector, flag_from_adjacency)
 from spherecomplex.flagcomplex import _bits, mask_components
+from spherecomplex.search import _placements, _to_map
+
+
+def _iso_precheck(c1: FlagComplex, c2: FlagComplex) -> bool:
+    if c1.n_vertices != c2.n_vertices or c1.n_edges != c2.n_edges:
+        return False
+    d1 = sorted(c1._adj[i].bit_count() for i in range(c1.n_vertices))
+    d2 = sorted(c2._adj[i].bit_count() for i in range(c2.n_vertices))
+    if d1 != d2:
+        return False
+    dim = min(2, max(c1.n_vertices - 1, 0))
+    return f_vector(c1, dim) == f_vector(c2, dim)
+
+
+def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[VertexMap]:
+    """Find a bijection preserving and reflecting adjacency, or certify
+    absence (after a cheap f-vector and degree-sequence precheck).
+
+    No check that non-adjacency is reflected is needed: between
+    complexes with equal vertex and edge counts, an adjacency-preserving
+    bijection maps the E source edges injectively into the E target
+    edges, so onto them, and no non-edge can map to an edge."""
+    if not _iso_precheck(c1, c2):
+        return None
+    placement = next(_placements(c1, c2), None)
+    return None if placement is None else _to_map(c1, c2, placement)
 
 
 def label_action_automorphisms(s: int) -> list[VertexMap]:

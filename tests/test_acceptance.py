@@ -41,11 +41,10 @@ from spherecomplex import (
     random_connected_multigraph,
     scramble,
     search_embedding,
-    search_isomorphism,
     verify_rigidity,
 )
 
-from oracles import label_action_automorphisms
+from oracles import label_action_automorphisms, search_isomorphism
 
 
 @contextmanager

@@ -21,12 +21,11 @@ from spherecomplex import (
     catalog_names,
     f_vector,
     is_connected,
-    search_isomorphism,
     spheres_disjoint,
 )
 from spherecomplex.genus_zero import _label_generators
 
-from oracles import label_action_automorphisms
+from oracles import label_action_automorphisms, search_isomorphism
 
 
 def closure(gens) -> set[tuple[int, ...]]:

@@ -62,7 +62,7 @@ PUBLIC = {
     "is_edge_isomorphism", "is_maximal_system", "lift_edge_isomorphism",
     "link_of", "link_equivalence_classes", "maximal_cliques", "nonpants_regions",
     "pair_type", "pants_flip_graph",
-    "random_connected_multigraph", "scramble", "search_embedding", "search_isomorphism", "signature_of_dual",
+    "random_connected_multigraph", "scramble", "search_embedding", "signature_of_dual",
     "slot_id", "smith_normal_form", "spheres_disjoint",
     "split_slot", "verify_rigidity",
 }

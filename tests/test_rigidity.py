@@ -152,7 +152,7 @@ def reference_certificate(X_vertices, ambient, mode):
         kwargs = {"require_maximal": True, "ambient_maximal_cliques": inside}
     group = automorphism_group(ambient)
     restrictions = {}
-    for k, g in enumerate(group.elements):
+    for k, g in enumerate(enumerate_automorphisms(ambient)):
         restrictions.setdefault(tuple(g[v] for v in xs), []).append(k)
     extensions, counterexample = [], None
     for m in enumerate_locally_injective_maps(X, ambient, **kwargs):
@@ -257,7 +257,8 @@ class TestOrbitPruning:
         xs = c.vertices[:3]
         cert = verify_rigidity(xs, c)
         assert cert == reference_certificate(xs, c, PLAIN)
-        assert (automorphism_group(c)._byte_rows() is None) == (n > 256)
+        kept = automorphism_group(c)._kept
+        assert {type(g) for g in kept} == {bytes if n <= 256 else tuple}
         expected = (2 * n, True, 2 * n) if closed else (2 * n - 4, False, 2)
         assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == expected
         assert (cert.counterexample is None) == closed
@@ -426,13 +427,13 @@ class TestGroupCache:
 
     def test_two_certificates_share_the_byte_rows(self, monkeypatch):
         seen = []
-        real = AutomorphismGroup._byte_rows
+        real = AutomorphismGroup._elements
 
         def recording(group):
             seen.append(real(group))
             return seen[-1]
 
-        monkeypatch.setattr(AutomorphismGroup, "_byte_rows", recording)
+        monkeypatch.setattr(AutomorphismGroup, "_elements", recording)
         c = build_genus_zero_complex(6)
         xs = build_x_sigma(enumerate_pants(6)[0]).vertices
         first = verify_rigidity(xs, c)
@@ -442,15 +443,18 @@ class TestGroupCache:
         assert all(len(row) == 256 for row in seen[0])
 
     def test_certificates_keep_each_element_once(self):
-        """Up to 256 vertices a certificate reads the elements only as
-        bytes rows, built from the chain in the index tuples' order."""
+        """Up to 256 vertices the group keeps one list, of bytes rows in
+        the index tuples' order, and the enumerator reads the same list."""
         c = build_genus_zero_complex(6)
         verify_rigidity(build_x_sigma(enumerate_pants(6)[0]).vertices, c)
         group = automorphism_group(c)
-        assert group._perms is None and group._rows is not None
+        rows = group._kept
+        assert rows is not None
         n, tail = c.n_vertices, bytes(range(c.n_vertices, 256))
-        assert [row[:n] for row in group._rows] == list(map(bytes, group._sorted_perms()))
-        assert all(row[n:] == tail for row in group._rows)
+        perms = [tuple(map(c.index_of, a.key())) for a in enumerate_automorphisms(c)]
+        assert group._kept is rows
+        assert [row[:n] for row in rows] == list(map(bytes, perms))
+        assert all(row[n:] == tail for row in rows)
 
     def test_element_cap_is_read_at_call_time(self, monkeypatch):
         """A group kept from an earlier call still meets a lowered cap."""
