@@ -7,8 +7,13 @@ are meaningful, so the representation is by half-edges: each vertex
 carries exactly three slots and every slot is used by exactly one bond
 end or one labeled leg (boundary cuff).
 
-Slot ids read ``pantsId.slotIndex``; pants ids therefore must not
-contain a dot.
+Inside, slots are integers: slot ``3*k + j`` is slot ``j`` of
+``pants[k]``, bonds are pairs of slots and legs (slot, label) pairs, so
+the pants of slot ``x`` is ``pants[x // 3]`` and the I-H move permutes
+six slots.  Slot ids, which read ``pantsId.slotIndex``, appear only at
+the boundary: the constructor parses them once, and the ``bonds`` and
+``legs`` views spell them out on first read.  Pants ids therefore must
+not contain a dot.
 """
 
 from __future__ import annotations
@@ -26,10 +31,13 @@ def slot_id(pants_id: str, index: int) -> str:
 
 
 def split_slot(slot: str) -> tuple[str, int]:
+    """The pants id and slot index of a slot id.  Only the form
+    ``slot_id`` writes is accepted: a non-negative decimal index with no
+    sign, space or leading zero."""
     pid, _, idx = slot.rpartition(".")
-    if not pid:
-        raise ValueError("malformed slot id: %r" % (slot,))
-    return pid, int(idx)
+    if pid and idx.isdecimal() and slot_id(pid, int(idx)) == slot:
+        return pid, int(idx)
+    raise ValueError("malformed slot id: %r" % (slot,))
 
 
 class DualMultigraph:
@@ -39,16 +47,20 @@ class DualMultigraph:
     legs: (slot id, boundary label) pairs.
     bond_labels: optional names parallel to bonds (the defining sphere
     ids when the graph was extracted from a pants decomposition).
+
+    Both views are built from the integer slots on first read.
     """
 
-    __slots__ = ("pants", "bonds", "legs", "bond_labels", "_slot_pants")
+    __slots__ = ("pants", "bond_labels", "_bonds", "_legs", "_bond_ids", "_leg_ids")
 
     def __init__(self, pants: Sequence[str], bonds: Iterable[tuple[str, str]],
                  legs: Iterable[tuple[str, str]],
                  bond_labels: Optional[Sequence[str]] = None):
         self.pants: tuple[str, ...] = tuple(pants)
-        self.bonds: tuple[tuple[str, str], ...] = tuple((a, b) for a, b in bonds)
-        self.legs: tuple[tuple[str, str], ...] = tuple((sl, str(lb)) for sl, lb in legs)
+        # split_slot accepts only the ids slot_id writes, so once parsed
+        # the given ids are the views
+        self._bond_ids = tuple((a, b) for a, b in bonds)
+        self._leg_ids = tuple((sl, str(lb)) for sl, lb in legs)
         self.bond_labels: Optional[tuple[str, ...]] = (
             tuple(bond_labels) if bond_labels is not None else None)
         if len(set(self.pants)) != len(self.pants):
@@ -56,31 +68,58 @@ class DualMultigraph:
         for pid in self.pants:
             if "." in pid:
                 raise ValueError("pants id may not contain '.': %r" % (pid,))
-        if self.bond_labels is not None and len(self.bond_labels) != len(self.bonds):
+        if self.bond_labels is not None and len(self.bond_labels) != len(self._bond_ids):
             raise ValueError("bond_labels length mismatch")
-        used: dict[str, str] = {}  # slot id -> pants id
-        for pair in self.bonds:
-            for sl in pair:
-                self._claim(sl, used)
-        for sl, _ in self.legs:
-            self._claim(sl, used)
-        expected = {slot_id(p, k) for p in self.pants for k in range(3)}
-        if used.keys() != expected:
-            missing = sorted(expected - used.keys())
-            extra = sorted(used.keys() - expected)
-            raise ValueError("slots must be used exactly once each"
-                             " (missing %r, extra %r)" % (missing, extra))
-        self._slot_pants = used
+        first_slot = {pid: 3 * k for k, pid in enumerate(self.pants)}
+        used: set[str] = set()
 
-    def _claim(self, sl: str, used: dict[str, str]) -> None:
-        pid, idx = split_slot(sl)
-        if pid not in self.pants:
-            raise ValueError("slot on unknown pants: %r" % (sl,))
-        if not 0 <= idx <= 2:
-            raise ValueError("slot index out of range: %r" % (sl,))
-        if sl in used:
-            raise ValueError("slot used twice: %r" % (sl,))
-        used[sl] = pid
+        def claim(sl: str) -> int:
+            pid, idx = split_slot(sl)
+            if pid not in first_slot:
+                raise ValueError("slot on unknown pants: %r" % (sl,))
+            if idx > 2:
+                raise ValueError("slot index out of range: %r" % (sl,))
+            if sl in used:
+                raise ValueError("slot used twice: %r" % (sl,))
+            used.add(sl)
+            return first_slot[pid] + idx
+
+        self._bonds = tuple((claim(a), claim(b)) for a, b in self._bond_ids)
+        self._legs = tuple((claim(sl), lb) for sl, lb in self._leg_ids)
+        if len(used) != 3 * len(self.pants):
+            expected = {slot_id(p, k) for p in self.pants for k in range(3)}
+            raise ValueError("slots must be used exactly once each"
+                             " (missing %r, extra %r)"
+                             % (sorted(expected - used), sorted(used - expected)))
+
+    @classmethod
+    def _from_slots(cls, pants: tuple[str, ...], bonds: tuple[tuple[int, int], ...],
+                    legs: tuple[tuple[int, str], ...],
+                    bond_labels: Optional[tuple[str, ...]]) -> "DualMultigraph":
+        """The graph on integer slots, for the builders in this module;
+        it checks that every slot is used exactly once."""
+        slots = sorted([x for pair in bonds for x in pair] + [x for x, _ in legs])
+        if slots != list(range(3 * len(pants))):
+            raise ValueError("slots must be used exactly once each")
+        d = cls.__new__(cls)
+        d.pants, d._bonds, d._legs, d.bond_labels = pants, bonds, legs, bond_labels
+        d._bond_ids = d._leg_ids = None
+        return d
+
+    def _slot_id(self, x: int) -> str:
+        return slot_id(self.pants[x // 3], x % 3)
+
+    @property
+    def bonds(self) -> tuple[tuple[str, str], ...]:
+        if self._bond_ids is None:
+            self._bond_ids = tuple((self._slot_id(a), self._slot_id(b)) for a, b in self._bonds)
+        return self._bond_ids
+
+    @property
+    def legs(self) -> tuple[tuple[str, str], ...]:
+        if self._leg_ids is None:
+            self._leg_ids = tuple((self._slot_id(x), lb) for x, lb in self._legs)
+        return self._leg_ids
 
     # -- queries --------------------------------------------------------
 
@@ -89,12 +128,12 @@ class DualMultigraph:
         return len(self.pants)
 
     def bond_endpoints(self, i: int) -> tuple[str, str]:
-        a, b = self.bonds[i]
-        return self._slot_pants[a], self._slot_pants[b]
+        a, b = self._bonds[i]
+        return self.pants[a // 3], self.pants[b // 3]
 
     def is_loop_bond(self, i: int) -> bool:
-        u, v = self.bond_endpoints(i)
-        return u == v
+        a, b = self._bonds[i]
+        return a // 3 == b // 3
 
     def bond_label(self, i: int) -> str:
         if self.bond_labels is not None:
@@ -102,12 +141,12 @@ class DualMultigraph:
         return "b%d" % i
 
     def is_connected(self) -> bool:
-        sp = self._slot_pants
-        return len(pair_components(self.pants, ((sp[a], sp[b]) for a, b in self.bonds))) <= 1
+        ends = ((a // 3, b // 3) for a, b in self._bonds)
+        return len(pair_components(range(len(self.pants)), ends)) <= 1
 
     def __repr__(self) -> str:
         return "DualMultigraph(%d pants, %d bonds, %d legs)" % (
-            len(self.pants), len(self.bonds), len(self.legs))
+            len(self.pants), len(self._bonds), len(self._legs))
 
 
 @dataclass(frozen=True)
@@ -131,8 +170,8 @@ def signature_of_dual(d: DualMultigraph) -> ManifoldSignature:
     number of legs.  Defined for connected graphs only."""
     if not d.is_connected():
         raise ValueError("dual graph is disconnected; classify per component instead")
-    n = len(d.bonds) - len(d.pants) + 1
-    return ManifoldSignature(n, len(d.legs))
+    n = len(d._bonds) - len(d.pants) + 1
+    return ManifoldSignature(n, len(d._legs))
 
 
 def classify_link(d: DualMultigraph, eta: Iterable[int]) -> JoinDecomposition:
@@ -146,21 +185,22 @@ def classify_link(d: DualMultigraph, eta: Iterable[int]) -> JoinDecomposition:
     """
     eta_set = set(eta)
     for i in eta_set:
-        if not 0 <= i < len(d.bonds):
+        if not 0 <= i < len(d._bonds):
             raise ValueError("bond index out of range: %r" % (i,))
 
-    comps = pair_components(d.pants, (d.bond_endpoints(i) for i in eta_set))
-    comp_of = {d.pants[k]: c for c, m in enumerate(comps) for k in _bits(m)}
+    ends = [(a // 3, b // 3) for a, b in d._bonds]
+    comps = pair_components(range(len(d.pants)), (ends[i] for i in eta_set))
+    comp_of = {k: c for c, m in enumerate(comps) for k in _bits(m)}
     n_eta = [0] * len(comps)
     n_boundary = [0] * len(comps)
     for i in eta_set:
-        n_eta[comp_of[d.bond_endpoints(i)[0]]] += 1
-    for sl, _ in d.legs:
-        n_boundary[comp_of[split_slot(sl)[0]]] += 1
-    for i in range(len(d.bonds)):
+        n_eta[comp_of[ends[i][0]]] += 1
+    for x, _ in d._legs:
+        n_boundary[comp_of[x // 3]] += 1
+    for i, (u, v) in enumerate(ends):
         if i not in eta_set:
-            for p in d.bond_endpoints(i):
-                n_boundary[comp_of[p]] += 1
+            n_boundary[comp_of[u]] += 1
+            n_boundary[comp_of[v]] += 1
 
     factors = []
     for c, m in enumerate(comps):
@@ -186,23 +226,23 @@ def dual_of_pants(P: PantsDecomposition) -> DualMultigraph:
         raise ValueError("dual_of_pants needs a genus-zero pants decomposition")
     members = P.sorted_members()
     _, regions = _laminar_tree(members, s)
-    pants_ids = ["q%d" % k for k in range(len(regions))]
-    up: dict[int, str] = {}
-    down: dict[int, str] = {}
+    up = [0] * len(members)
+    down = [0] * len(members)
     legs = []
-    for pid, (key, labels, children) in zip(pants_ids, regions):
+    for k, (key, labels, children) in enumerate(regions):
         if (key is not None) + len(children) + len(labels) != 3:
             raise AssertionError("region of a pants decomposition must be trivalent")
         # slots in order: parent sphere, child spheres, own labels
-        slots = (slot_id(pid, k) for k in range(3))
+        slots = iter(range(3 * k, 3 * k + 3))
         if key is not None:
             up[key] = next(slots)
         for ch in children:
             down[ch] = next(slots)
-        legs += [(next(slots), str(lb)) for lb in labels]
-    legs.sort(key=lambda t: int(t[1]))
-    bonds = [(down[i], up[i]) for i in range(len(members))]
-    return DualMultigraph(pants_ids, bonds, legs, members)
+        legs += [(lb, next(slots)) for lb in labels]
+    legs.sort()
+    pants = tuple("q%d" % k for k in range(len(regions)))
+    return DualMultigraph._from_slots(pants, tuple(zip(down, up)),
+                                      tuple((x, str(lb)) for lb, x in legs), members)
 
 
 def ih_flip(d: DualMultigraph, bond_index: int, pairing_choice: int) -> DualMultigraph:
@@ -210,33 +250,26 @@ def ih_flip(d: DualMultigraph, bond_index: int, pairing_choice: int) -> DualMult
 
     Contracting the bond leaves four surrounding slots; the two
     alternative ways to split them back into two trivalent vertices are
-    selected by pairing_choice in {0, 1}.  Legs, vertex count, and the
-    signature are preserved.
+    selected by pairing_choice in {0, 1}.  The bond takes slot 2 of both
+    its pants, and the other two slots of each take the pair chosen for
+    it, so the move permutes those six slots and leaves the rest.
+    Legs, vertex count, and the signature are preserved.  The result
+    has no bond_labels (None): the re-routed bond is a new sphere, so
+    the label of the one it replaced would misname it.
     """
-    if not 0 <= bond_index < len(d.bonds):
+    if not 0 <= bond_index < len(d._bonds):
         raise ValueError("bond index out of range: %r" % (bond_index,))
     if pairing_choice not in (0, 1):
         raise ValueError("pairing_choice must be 0 or 1")
     if d.is_loop_bond(bond_index):
         raise ValueError("flip is undefined on a loop bond")
-    fu, fv = d.bonds[bond_index]
-    u, v = d.bond_endpoints(bond_index)
-    su = [slot_id(u, k) for k in range(3) if slot_id(u, k) != fu]
-    sv = [slot_id(v, k) for k in range(3) if slot_id(v, k) != fv]
-
-    rename = {fu: slot_id(u, 2), fv: slot_id(v, 2)}
-    if pairing_choice == 0:
-        grouping = [(su[0], sv[0]), (su[1], sv[1])]
-    else:
-        grouping = [(su[0], sv[1]), (su[1], sv[0])]
-    rename[grouping[0][0]] = slot_id(u, 0)
-    rename[grouping[0][1]] = slot_id(u, 1)
-    rename[grouping[1][0]] = slot_id(v, 0)
-    rename[grouping[1][1]] = slot_id(v, 1)
-
-    def rn(sl: str) -> str:
-        return rename.get(sl, sl)
-
-    bonds = [(rn(a), rn(b)) for a, b in d.bonds]
-    legs = [(rn(sl), lb) for sl, lb in d.legs]
-    return DualMultigraph(d.pants, bonds, legs, d.bond_labels)
+    fu, fv = d._bonds[bond_index]
+    u, v = fu - fu % 3, fv - fv % 3  # slot 0 of each end's pants
+    su = [x for x in range(u, u + 3) if x != fu]
+    sv = [x for x in range(v, v + 3) if x != fv]
+    if pairing_choice:
+        sv.reverse()
+    perm = {fu: u + 2, fv: v + 2, su[0]: u, sv[0]: u + 1, su[1]: v, sv[1]: v + 1}
+    bonds = tuple((perm.get(a, a), perm.get(b, b)) for a, b in d._bonds)
+    legs = tuple((perm.get(x, x), lb) for x, lb in d._legs)
+    return DualMultigraph._from_slots(d.pants, bonds, legs, None)

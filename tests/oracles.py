@@ -4,8 +4,10 @@ from itertools import permutations
 from typing import Optional
 
 from spherecomplex import (FlagComplex, FlipGraph, SpherePartition, VertexMap,
-                           build_genus_zero_complex, f_vector, flag_from_adjacency)
-from spherecomplex.flagcomplex import _bits, mask_components
+                           build_genus_zero_complex, f_vector, flag_from_adjacency,
+                           slot_id, split_slot)
+from spherecomplex.flagcomplex import _bits, mask_components, pair_components
+from spherecomplex.genus_zero import _laminar_tree
 from spherecomplex.search import _placements, _to_map
 
 
@@ -114,3 +116,98 @@ def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:
     pairs = c1.edges() + c2.edges()
     pairs += [(u, v) for u in c1.vertices for v in c2.vertices]
     return flag_from_adjacency(list(c1.vertices) + list(c2.vertices), pairs)
+
+
+class StringDual:
+    """A dual multigraph kept by slot-id strings, as ``dual.DualMultigraph``
+    was before it stored slots as integers: the same validation, the
+    same ``pants``/``bonds``/``legs``/``bond_labels`` and the queries
+    ``serialization.dual_to_dict`` and ``dual_to_dot`` read."""
+
+    def __init__(self, pants, bonds, legs, bond_labels=None):
+        self.pants = tuple(pants)
+        self.bonds = tuple((a, b) for a, b in bonds)
+        self.legs = tuple((sl, str(lb)) for sl, lb in legs)
+        self.bond_labels = tuple(bond_labels) if bond_labels is not None else None
+        if len(set(self.pants)) != len(self.pants):
+            raise ValueError("duplicate pants ids")
+        for pid in self.pants:
+            if "." in pid:
+                raise ValueError("pants id may not contain '.': %r" % (pid,))
+        if self.bond_labels is not None and len(self.bond_labels) != len(self.bonds):
+            raise ValueError("bond_labels length mismatch")
+        used = {}  # slot id -> pants id
+        for sl in [sl for pair in self.bonds for sl in pair] + [sl for sl, _ in self.legs]:
+            pid, idx = split_slot(sl)
+            if pid not in self.pants:
+                raise ValueError("slot on unknown pants: %r" % (sl,))
+            if not 0 <= idx <= 2:
+                raise ValueError("slot index out of range: %r" % (sl,))
+            if sl in used:
+                raise ValueError("slot used twice: %r" % (sl,))
+            used[sl] = pid
+        expected = {slot_id(p, k) for p in self.pants for k in range(3)}
+        if used.keys() != expected:
+            missing = sorted(expected - used.keys())
+            extra = sorted(used.keys() - expected)
+            raise ValueError("slots must be used exactly once each"
+                             " (missing %r, extra %r)" % (missing, extra))
+        self._slot_pants = used
+
+    def bond_endpoints(self, i):
+        a, b = self.bonds[i]
+        return self._slot_pants[a], self._slot_pants[b]
+
+    def is_loop_bond(self, i):
+        u, v = self.bond_endpoints(i)
+        return u == v
+
+    def bond_label(self, i):
+        return "b%d" % i if self.bond_labels is None else self.bond_labels[i]
+
+    def is_connected(self):
+        sp = self._slot_pants
+        return len(pair_components(self.pants, ((sp[a], sp[b]) for a, b in self.bonds))) <= 1
+
+
+def string_dual_of_pants(P) -> StringDual:
+    """``dual.dual_of_pants`` assembled from slot-id strings."""
+    members = P.sorted_members()
+    _, regions = _laminar_tree(members, P.complex.meta["s"])
+    pants_ids = ["q%d" % k for k in range(len(regions))]
+    up, down, legs = {}, {}, []
+    for pid, (key, labels, children) in zip(pants_ids, regions):
+        slots = (slot_id(pid, k) for k in range(3))
+        if key is not None:
+            up[key] = next(slots)
+        for ch in children:
+            down[ch] = next(slots)
+        legs += [(next(slots), str(lb)) for lb in labels]
+    legs.sort(key=lambda t: int(t[1]))
+    bonds = [(down[i], up[i]) for i in range(len(members))]
+    return StringDual(pants_ids, bonds, legs, members)
+
+
+def string_ih_flip(d: StringDual, bond_index: int, pairing_choice: int) -> StringDual:
+    """``dual.ih_flip`` by renaming slot-id strings: the flipped bond
+    takes slot 2 of both its pants, and the four surrounding slots,
+    paired up by ``pairing_choice``, take slots 0 and 1.  Bond labels
+    are dropped, as the library drops them."""
+    fu, fv = d.bonds[bond_index]
+    u, v = d.bond_endpoints(bond_index)
+    if u == v:
+        raise ValueError("flip is undefined on a loop bond")
+    su = [slot_id(u, k) for k in range(3) if slot_id(u, k) != fu]
+    sv = [slot_id(v, k) for k in range(3) if slot_id(v, k) != fv]
+    rename = {fu: slot_id(u, 2), fv: slot_id(v, 2)}
+    if pairing_choice == 0:
+        grouping = [(su[0], sv[0]), (su[1], sv[1])]
+    else:
+        grouping = [(su[0], sv[1]), (su[1], sv[0])]
+    rename[grouping[0][0]] = slot_id(u, 0)
+    rename[grouping[0][1]] = slot_id(u, 1)
+    rename[grouping[1][0]] = slot_id(v, 0)
+    rename[grouping[1][1]] = slot_id(v, 1)
+    bonds = [(rename.get(a, a), rename.get(b, b)) for a, b in d.bonds]
+    legs = [(rename.get(sl, sl), lb) for sl, lb in d.legs]
+    return StringDual(d.pants, bonds, legs)

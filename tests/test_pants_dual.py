@@ -19,6 +19,7 @@ from spherecomplex import (
     JoinDecomposition,
     ManifoldSignature,
     PantsDecomposition,
+    SpherePartition,
     SphereSystem,
     classify_link,
     cliques_of_size,
@@ -37,7 +38,9 @@ from spherecomplex import (
 )
 from spherecomplex import pants
 
-from oracles import flip_graph_shape
+from spherecomplex.flagcomplex import _bits, pair_components
+from spherecomplex.serialization import dual_to_dict, dual_to_dot
+from oracles import StringDual, flip_graph_shape, string_dual_of_pants, string_ih_flip
 
 
 def chain_pants(c6) -> PantsDecomposition:
@@ -85,6 +88,24 @@ def oracle_classify(d: DualMultigraph, eta) -> list[tuple[int, int]]:
         if (rank, boundary) != (0, 3):
             factors.append((rank, boundary))
     return sorted(factors)
+
+
+def assert_same_dual(d: DualMultigraph, oracle: StringDual) -> None:
+    assert d.pants == oracle.pants
+    assert d.bonds == oracle.bonds and d.legs == oracle.legs
+    assert d.bond_labels == oracle.bond_labels
+    assert dual_to_dict(d) == dual_to_dict(oracle)
+    assert dual_to_dot(d) == dual_to_dot(oracle)
+
+
+def leg_partition(d: DualMultigraph, i: int) -> set[frozenset[int]]:
+    """The leg labels on either side of bond i of a tree."""
+    comps = pair_components(d.pants, (d.bond_endpoints(j) for j in range(len(d.bonds)) if j != i))
+    side = {d.pants[k]: c for c, m in enumerate(comps) for k in _bits(m)}
+    blocks = [set() for _ in comps]
+    for sl, lb in d.legs:
+        blocks[side[split_slot(sl)[0]]].add(int(lb))
+    return set(map(frozenset, blocks))
 
 
 def assert_every_bond_subset_matches(duals) -> None:
@@ -293,6 +314,35 @@ class TestDualMultigraph:
             oracle = eta_multigraph(h, range(len(h.bonds)))
             assert h.is_connected() == nx.is_connected(oracle), f"seed {seed}"
 
+    @pytest.mark.parametrize("pants, bonds, legs, labels, message", [
+        (["u", "u"], [], [], None, "duplicate pants ids"),
+        (["u.v"], [], [], None, "pants id may not contain '.': 'u.v'"),
+        (["u"], [("u.0", "u.1")], [("u.2", "1")], ["x", "y"], "bond_labels length mismatch"),
+        (["u"], [("u.0", "w.1")], [("u.2", "1")], None, "slot on unknown pants: 'w.1'"),
+        (["u"], [("u.0", "u.3")], [("u.2", "1")], None, "slot index out of range: 'u.3'"),
+        (["u"], [("u.0", "u.1")], [("u.1", "1")], None, "slot used twice: 'u.1'"),
+        (["u"], [("u.0", "u.1")], [("u.01", "1")], None, "malformed slot id: 'u.01'"),
+        (["u", "v"], [("u.0", "u.1")], [("u.2", "1")], None,
+         "slots must be used exactly once each (missing ['v.0', 'v.1', 'v.2'], extra [])"),
+    ])
+    def test_constructor_messages(self, pants, bonds, legs, labels, message):
+        """Each malformed input is named as it was when slots were kept
+        as strings."""
+        for cls in (DualMultigraph, StringDual):
+            with pytest.raises(ValueError) as info:
+                cls(pants, bonds, legs, labels)
+            assert str(info.value) == message
+
+    def test_integer_slots_checked(self):
+        """The integer constructor behind dual_of_pants and ih_flip still
+        refuses a slot used twice or left out, with a ValueError that
+        ``python -O`` keeps."""
+        for bonds, legs in [(((0, 0),), ((1, "1"), (2, "2"))),
+                            (((0, 1),), ((2, "1"), (3, "2"))),
+                            (((0, 1),), ())]:
+            with pytest.raises(ValueError, match="slots must be used exactly once each"):
+                DualMultigraph._from_slots(("u",), bonds, legs, None)
+
     def test_trivalence_enforced(self):
         with pytest.raises(ValueError):
             DualMultigraph(["q0"], [("q0.0", "q0.1")], [])  # q0.2 unused
@@ -310,6 +360,23 @@ class TestDualMultigraph:
         d = dual_of_pants(chain_pants(c6))
         for i in range(len(d.bonds)):
             assert d.bond_label(i) == d.bond_labels[i]
+
+
+class TestSplitSlot:
+    @pytest.mark.parametrize("slot, parts", [
+        ("q0.0", ("q0", 0)), ("q0.2", ("q0", 2)), ("q0.10", ("q0", 10)), ("a.b.1", ("a.b", 1)),
+    ])
+    def test_canonical_ids(self, slot, parts):
+        assert split_slot(slot) == parts
+        assert slot_id(*parts) == slot
+
+    @pytest.mark.parametrize("slot", [
+        "q0.01", "q0. 1", "q0.-1", "q0.+1", "q0.x", "q0.", "q0", ".1", "q0.1 ", "q0.\u0661",
+    ])
+    def test_non_canonical_ids_rejected(self, slot):
+        with pytest.raises(ValueError) as info:
+            split_slot(slot)
+        assert str(info.value) == "malformed slot id: %r" % (slot,)
 
 
 class TestClassifyLink:
@@ -439,3 +506,70 @@ class TestIHFlip:
         d = dual_of_pants(chain_pants(c6))
         with pytest.raises(ValueError):
             ih_flip(d, 0, 2)
+
+    def test_bond_labels_dropped(self, c6):
+        d = dual_of_pants(chain_pants(c6))
+        assert d.bond_labels is not None
+        for i in range(3):
+            f = ih_flip(d, i, 0)
+            assert f.bond_labels is None
+            assert "bond_labels" not in dual_to_dict(f)
+            assert [f.bond_label(j) for j in range(3)] == ["b0", "b1", "b2"]
+
+    @pytest.mark.parametrize("s", [5, 6, 7])
+    def test_flips_are_the_flip_partners(self, s):
+        """Across the flipped bond the legs split as the blocks of the
+        two spheres that can replace its member, one per pairing."""
+        for P in enumerate_pants(s):
+            d = dual_of_pants(P)
+            for i, a in enumerate(d.bond_labels):
+                want = {frozenset(map(frozenset, (sp.block, sp.other_block)))
+                        for sp in map(SpherePartition.from_vertex_id, flip_partners(P, a))}
+                got = {frozenset(leg_partition(ih_flip(d, i, choice), i)) for choice in (0, 1)}
+                assert got == want, f"{P.system_id()} at {a}"
+
+
+class TestStringOracle:
+    """Integer slots give the same graphs as slot-id strings did."""
+
+    @pytest.mark.parametrize("s", [5, 6, 7])
+    def test_pants_duals_and_flips(self, s):
+        """Every pants decomposition, every bond, both pairings, and then
+        a second flip of the next bond with either pairing."""
+        for P in enumerate_pants(s):
+            d, oracle = dual_of_pants(P), string_dual_of_pants(P)
+            assert_same_dual(d, oracle)
+            n = len(d.bonds)
+            for i in range(n):
+                for choice in (0, 1):
+                    f, g = ih_flip(d, i, choice), string_ih_flip(oracle, i, choice)
+                    assert_same_dual(f, g)
+                    j = (i + 1) % n
+                    if f.is_loop_bond(j):
+                        continue
+                    for second in (0, 1):
+                        assert_same_dual(ih_flip(f, j, second), string_ih_flip(g, j, second))
+
+    def test_random_duals_with_loops_and_bigons(self):
+        rng = random.Random(20)
+        duals = [
+            DualMultigraph(["u", "v"], [("u.0", "v.0"), ("u.1", "v.1")],
+                           [("u.2", "1"), ("v.2", "2")]),
+            DualMultigraph(["u", "v"], [("u.0", "u.1"), ("u.2", "v.0")],
+                           [("v.1", "1"), ("v.2", "2")]),
+        ]
+        duals += [random_dual(rng, n, rng.randint(n - 1, 3 * n // 2))
+                  for n in (2, 3, 4, 5, 6) * 8]
+        loops = bigons = 0
+        for d in duals:
+            oracle = StringDual(d.pants, d.bonds, d.legs)
+            assert_same_dual(d, oracle)
+            ends = [frozenset(d.bond_endpoints(i)) for i in range(len(d.bonds))]
+            loops += sum(d.is_loop_bond(i) for i in range(len(d.bonds)))
+            bigons += len(ends) - len(set(ends))
+            for i in range(len(d.bonds)):
+                if d.is_loop_bond(i):
+                    continue
+                for choice in (0, 1):
+                    assert_same_dual(ih_flip(d, i, choice), string_ih_flip(oracle, i, choice))
+        assert loops and bigons
