@@ -12,7 +12,8 @@ option to the text it asked for; ``main`` builds every report from it
 and writes every file, and when a write fails it removes the files it
 has already written and the directories it made for them, so a failed
 command leaves no partial outputs.  Each command imports the library
-modules it runs, so a process loads no others.
+modules it runs, so a process loads no others, and ``main`` gives only
+the command its argv names its arguments (see ``build_parser``).
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import contextlib
 import hashlib
 import json
 import os
-import random
 import sys
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from . import serialization as ser
 
@@ -102,14 +102,13 @@ def _digest(command: str, values: dict) -> str:
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _add_output_flags(p: argparse.ArgumentParser, artifact: bool = True,
-                      dot: bool = True) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, outputs: str) -> None:
     p.add_argument("--out", metavar="PATH",
                    help="write the report here instead of stdout")
-    if artifact:
+    if "--json" in outputs:
         p.add_argument("--json", metavar="PATH",
                        help="also write the primary artifact as JSON")
-    if dot:
+    if "--dot" in outputs:
         p.add_argument("--dot", metavar="PATH",
                        help="also write a DOT drawing")
 
@@ -302,11 +301,13 @@ def _cmd_pants_dual(args) -> tuple[dict, dict, bool, dict]:
 def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
     from .dual import classify_link, dual_of_pants
     if args.input is not None:
+        if args.s is not None or args.members is not None:
+            raise ValueError("--input FILE cannot be combined with --s or --members")
         doc = _read_json("--input", args.input)
         d = ser.dual_from_dict(doc)
         values = {"input_document": doc}
     else:
-        if not (args.s and args.members):
+        if args.s is None or args.members is None:
             raise ValueError("need --input FILE or both --s and --members")
         P = _pants_from_args(args.s, args.members)
         d = dual_of_pants(P)
@@ -330,10 +331,14 @@ def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
 # -- whitney --------------------------------------------------------------
 
 def _cmd_whitney_check(args) -> tuple[dict, dict, bool, dict]:
+    import random
+
     from .multigraph import random_connected_multigraph, scramble
     from .whitney import (LIFTED, EdgeBijection, find_k3_k13_pair, is_edge_isomorphism,
                           lift_edge_isomorphism)
     if args.random_roundtrip is not None:
+        if args.map is not None:
+            raise ValueError("--map FILE cannot be combined with --random-roundtrip N")
         trials = args.random_roundtrip
         if trials < 0:
             raise ValueError("--random-roundtrip N needs N >= 0")
@@ -361,8 +366,10 @@ def _cmd_whitney_check(args) -> tuple[dict, dict, bool, dict]:
             "failures": failures,
         }
         return {"random_roundtrip": trials, "seed": seed}, results, not failures, {}
-    if not args.map:
+    if args.map is None:
         raise ValueError("need --map FILE or --random-roundtrip N")
+    if args.seed is not None:
+        raise ValueError("--seed S needs --random-roundtrip N")
     doc = _read_json("--map", args.map)
     psi = ser.edge_bijection_from_dict(doc)
     ok = is_edge_isomorphism(psi)
@@ -518,138 +525,134 @@ def _cmd_catalog(args) -> tuple[dict, dict, bool, dict]:
 
 # -- parser ----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_S = ("--s", {"type": int, "required": True})
+_GENUS_ZERO = ("--genus-zero", {"type": int, "required": True, "metavar": "S"})
+_MEMBERS = ("--members", {"required": True})
+_COMPLEX_SPEC = "catalog name, genus-zero:S, caterpillar:M, or file"
+
+# group -> (help, {action: leaf}), or the group's one leaf itself; a leaf
+# is (help, command, whether it reads a complex source, its other
+# arguments, its output files besides --out)
+_COMMANDS = {
+    "complex": ("build and measure flag complexes", {
+        "build": ("build a complex and export it", _cmd_complex_build, True, (),
+                  "--json --dot"),
+        "stats": ("f-vector, connectivity, cliques", _cmd_complex_stats, True, (), ""),
+        "homology": ("integer homology via Smith normal form", _cmd_complex_homology, True, (
+            ("--max-dim", {"type": int, "default": None,
+                           "help": "top homology dimension (default: top simplex dimension)"}),
+        ), "--json"),
+    }),
+    "pants": ("pants decompositions and flip moves", {
+        "enumerate": ("all pants decompositions for s labels", _cmd_pants_enumerate, False,
+                      (_S,), ""),
+        "flip-graph": ("flip graph over pants decompositions", _cmd_pants_flip_graph, False, (
+            _S,
+            ("--check-connected", {"action": "store_true",
+                                   "help": "fail (exit 1) when the flip graph is disconnected"}),
+        ), "--dot"),
+        "dual": ("dual multigraph of a pants decomposition", _cmd_pants_dual, False, (
+            _S,
+            ("--members", {"required": True,
+                           "help": "semicolon-separated sphere ids, e.g. "
+                                   "'p:1,2|s=5;p:1,2,5|s=5'"}),
+        ), "--json --dot"),
+    }),
+    "dual": ("operations on dual multigraphs", {
+        "classify": ("classify the link of an edge subset", _cmd_dual_classify, False, (
+            ("--edges", {"required": True, "help": "comma-separated bond indices, e.g. '0,2'"}),
+            ("--input", {"metavar": "FILE", "help": "dual multigraph JSON file"}),
+            ("--s", {"type": int, "help": "genus-zero s (with --members)"}),
+            ("--members", {"help": "pants decomposition members (with --s)"}),
+        ), ""),
+    }),
+    "whitney": ("edge isomorphisms and lifting", {
+        "check": ("check an edge map, or run random roundtrips", _cmd_whitney_check, False, (
+            ("--map", {"metavar": "FILE", "help": "edge map JSON file"}),
+            ("--random-roundtrip", {"type": int, "metavar": "N",
+                                    "help": "run N scramble-recover trials instead"}),
+            ("--seed", {"type": int, "default": None}),
+        ), ""),
+        "lift": ("lift an edge isomorphism to vertices", _cmd_whitney_lift, False,
+                 (("--map", {"metavar": "FILE", "required": True}),), "--json"),
+    }),
+    "rigidity": ("automorphisms and rigidity certification", {
+        "aut": ("automorphism group", _cmd_rigidity_aut, True, (), ""),
+        "verify": ("exhaustive rigidity certificate", _cmd_rigidity_verify, True, (
+            ("--subcomplex", {"help": "semicolon-separated vertex ids "
+                                      "(default: the whole complex)"}),
+            ("--mode", {"choices": ["plain", "over-maximal-maps"], "default": "plain"}),
+        ), "--json"),
+        "split": ("split spheres for a pants member", _cmd_rigidity_split, False,
+                  (_GENUS_ZERO, _MEMBERS, ("--sphere", {"required": True})), ""),
+        "xsigma": ("sigma plus the links of its co-member sets", _cmd_rigidity_xsigma, False,
+                   (_GENUS_ZERO, _MEMBERS), "--json --dot"),
+        "witness": ("caterpillar non-rigidity witness", _cmd_rigidity_witness, False, (
+            ("--m", {"type": int, "required": True, "help": "window half-width"}),
+            ("--x", {"required": True, "help": "semicolon-separated interior vertex ids"}),
+        ), "--json"),
+    }),
+    "nonembed": ("exhaustively refute injective simplicial embeddings", _cmd_nonembed, False, (
+        ("--source", {"required": True, "help": _COMPLEX_SPEC}),
+        ("--target", {"required": True, "help": _COMPLEX_SPEC}),
+        ("--no-shortcut", {"action": "store_true", "help": "skip the acyclic-target pruning"}),
+    ), ""),
+    "census": ("good-pair censuses", {
+        "good-pairs": ("good pairs for one cut-sphere pair", _cmd_census_good_pairs, False, (
+            ("--n", {"type": int, "required": True}),
+            _S,
+            ("--pair", {"type": int, "default": 1, "help": "cut-sphere pair index"}),
+        ), "--json"),
+    }),
+    "catalog": ("list the named reference complexes", _cmd_catalog, False, (), ""),
+}
+
+
+def _add_leaf(p: argparse.ArgumentParser, leaf: tuple) -> None:
+    _, command, source, arguments, outputs = leaf
+    if source:
+        _add_complex_source(p)
+    for flag, options in arguments:
+        p.add_argument(flag, **options)
+    _add_output_flags(p, outputs)
+    p.set_defaults(func=command)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Without ``argv`` it holds every command;
+    with the ``argv`` it is about to parse, only the group and action
+    that argv names get their subcommands and arguments.  Every group
+    and action is still registered with its help, so help texts and
+    usage errors are those of the whole tree."""
+    group = action = None
+    if argv and argv[0] in _COMMANDS:
+        group, action = argv[0], (argv[1] if len(argv) > 1 else None)
     top = argparse.ArgumentParser(
         prog="spherecomplex",
         description="Finite sphere-complex machinery: genus-zero models, "
                     "pants and flip graphs, dual multigraphs, edge-isomorphism "
                     "lifting, homology, and rigidity certification.")
     sub = top.add_subparsers(dest="group", required=True)
-
-    cx = sub.add_parser("complex", help="build and measure flag complexes")
-    cxsub = cx.add_subparsers(dest="action", required=True)
-    p = cxsub.add_parser("build", help="build a complex and export it")
-    _add_complex_source(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_complex_build)
-    p = cxsub.add_parser("stats", help="f-vector, connectivity, cliques")
-    _add_complex_source(p)
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_complex_stats)
-    p = cxsub.add_parser("homology", help="integer homology via Smith normal form")
-    _add_complex_source(p)
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="top homology dimension (default: top simplex dimension)")
-    _add_output_flags(p, dot=False)
-    p.set_defaults(func=_cmd_complex_homology)
-
-    pa = sub.add_parser("pants", help="pants decompositions and flip moves")
-    pasub = pa.add_subparsers(dest="action", required=True)
-    p = pasub.add_parser("enumerate", help="all pants decompositions for s labels")
-    p.add_argument("--s", type=int, required=True)
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_pants_enumerate)
-    p = pasub.add_parser("flip-graph", help="flip graph over pants decompositions")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--check-connected", action="store_true",
-                   help="fail (exit 1) when the flip graph is disconnected")
-    _add_output_flags(p, artifact=False)
-    p.set_defaults(func=_cmd_pants_flip_graph)
-    p = pasub.add_parser("dual", help="dual multigraph of a pants decomposition")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--members", required=True,
-                   help="semicolon-separated sphere ids, e.g. "
-                        "'p:1,2|s=5;p:1,2,5|s=5'")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_pants_dual)
-
-    du = sub.add_parser("dual", help="operations on dual multigraphs")
-    dusub = du.add_subparsers(dest="action", required=True)
-    p = dusub.add_parser("classify", help="classify the link of an edge subset")
-    p.add_argument("--edges", required=True,
-                   help="comma-separated bond indices, e.g. '0,2'")
-    p.add_argument("--input", metavar="FILE", help="dual multigraph JSON file")
-    p.add_argument("--s", type=int, help="genus-zero s (with --members)")
-    p.add_argument("--members", help="pants decomposition members (with --s)")
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_dual_classify)
-
-    wh = sub.add_parser("whitney", help="edge isomorphisms and lifting")
-    whsub = wh.add_subparsers(dest="action", required=True)
-    p = whsub.add_parser("check", help="check an edge map, or run random roundtrips")
-    p.add_argument("--map", metavar="FILE", help="edge map JSON file")
-    p.add_argument("--random-roundtrip", type=int, metavar="N",
-                   help="run N scramble-recover trials instead")
-    p.add_argument("--seed", type=int, default=None)
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_whitney_check)
-    p = whsub.add_parser("lift", help="lift an edge isomorphism to vertices")
-    p.add_argument("--map", metavar="FILE", required=True)
-    _add_output_flags(p, dot=False)
-    p.set_defaults(func=_cmd_whitney_lift)
-
-    ri = sub.add_parser("rigidity", help="automorphisms and rigidity certification")
-    risub = ri.add_subparsers(dest="action", required=True)
-    p = risub.add_parser("aut", help="automorphism group")
-    _add_complex_source(p)
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_rigidity_aut)
-    p = risub.add_parser("verify", help="exhaustive rigidity certificate")
-    _add_complex_source(p)
-    p.add_argument("--subcomplex", help="semicolon-separated vertex ids "
-                                        "(default: the whole complex)")
-    p.add_argument("--mode", choices=["plain", "over-maximal-maps"],
-                   default="plain")
-    _add_output_flags(p, dot=False)
-    p.set_defaults(func=_cmd_rigidity_verify)
-    p = risub.add_parser("split", help="split spheres for a pants member")
-    p.add_argument("--genus-zero", type=int, required=True, metavar="S")
-    p.add_argument("--members", required=True)
-    p.add_argument("--sphere", required=True)
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_rigidity_split)
-    p = risub.add_parser("xsigma", help="sigma plus the links of its co-member sets")
-    p.add_argument("--genus-zero", type=int, required=True, metavar="S")
-    p.add_argument("--members", required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_rigidity_xsigma)
-    p = risub.add_parser("witness", help="caterpillar non-rigidity witness")
-    p.add_argument("--m", type=int, required=True,
-                   help="window half-width")
-    p.add_argument("--x", required=True,
-                   help="semicolon-separated interior vertex ids")
-    _add_output_flags(p, dot=False)
-    p.set_defaults(func=_cmd_rigidity_witness)
-
-    p = sub.add_parser("nonembed",
-                       help="exhaustively refute injective simplicial embeddings")
-    p.add_argument("--source", required=True,
-                   help="catalog name, genus-zero:S, caterpillar:M, or file")
-    p.add_argument("--target", required=True,
-                   help="catalog name, genus-zero:S, caterpillar:M, or file")
-    p.add_argument("--no-shortcut", action="store_true",
-                   help="skip the acyclic-target pruning")
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_nonembed)
-
-    ce = sub.add_parser("census", help="good-pair censuses")
-    cesub = ce.add_subparsers(dest="action", required=True)
-    p = cesub.add_parser("good-pairs", help="good pairs for one cut-sphere pair")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--pair", type=int, default=1, help="cut-sphere pair index")
-    _add_output_flags(p, dot=False)
-    p.set_defaults(func=_cmd_census_good_pairs)
-
-    p = sub.add_parser("catalog", help="list the named reference complexes")
-    _add_output_flags(p, artifact=False, dot=False)
-    p.set_defaults(func=_cmd_catalog)
-
+    for name, entry in _COMMANDS.items():
+        p = sub.add_parser(name, help=entry[0])
+        if group not in (None, name):
+            continue
+        leaves = entry[1]
+        if not isinstance(leaves, dict):
+            _add_leaf(p, entry)
+            continue
+        actions = p.add_subparsers(dest="action", required=True)
+        for key, leaf in leaves.items():
+            q = actions.add_parser(key, help=leaf[0])
+            if action not in leaves or action == key:
+                _add_leaf(q, leaf)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     command = " ".join(filter(None, (args.group, getattr(args, "action", None))))
     started = time.perf_counter()
     try:

@@ -18,8 +18,7 @@ not contain a dot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import _bits, pair_components
 from .genus_zero import ManifoldSignature, _laminar_tree
@@ -149,17 +148,26 @@ class DualMultigraph:
             len(self.pants), len(self._bonds), len(self._legs))
 
 
-@dataclass(frozen=True)
-class JoinDecomposition:
+class _Join(NamedTuple):
+    factors: tuple[ManifoldSignature, ...]
+
+
+class JoinDecomposition(_Join):
     """The factors a link of a sphere system decomposes into, one
     signature per complementary piece, trivial (0,3) factors dropped,
     canonically sorted."""
 
-    factors: tuple[ManifoldSignature, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if tuple(sorted(self.factors)) != self.factors:
+    def __new__(cls, factors: tuple[ManifoldSignature, ...]):
+        if tuple(sorted(factors)) != factors:
             raise ValueError("join factors not in canonical order")
+        return super().__new__(cls, factors)
+
+    @classmethod
+    def _make(cls, iterable) -> "JoinDecomposition":
+        # so that _replace validates too
+        return cls(*iterable)
 
     def as_pairs(self) -> list[tuple[int, int]]:
         return [f.as_pair() for f in self.factors]

@@ -16,28 +16,37 @@ their good-pair census, and a catalog of named reference complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .flagcomplex import FlagComplex, _bits, complex_id, flag_from_adjacency
 
 
-@dataclass(frozen=True, order=True)
-class ManifoldSignature:
-    """Rank and boundary count (n, s) of a doubled handlebody.
+class _Signature(NamedTuple):
+    n: int
+    s: int
+
+
+class ManifoldSignature(_Signature):
+    """Rank and boundary count (n, s) of a doubled handlebody, ordered
+    as the pair (n, s).
 
     Pants decompositions have 3n + s - 3 spheres when 3n + s >= 4;
     below that there are no essential spheres (a pair of pants contains
     none, and the once-holed model has a single sphere).
     """
 
-    n: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.s < 0:
+    def __new__(cls, n: int, s: int):
+        if n < 0 or s < 0:
             raise ValueError("signature entries must be nonnegative")
+        return super().__new__(cls, n, s)
+
+    @classmethod
+    def _make(cls, iterable) -> "ManifoldSignature":
+        # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def pants_size(self) -> int:
@@ -208,8 +217,7 @@ NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
 
 
-@dataclass(frozen=True)
-class CaterpillarWindow:
+class CaterpillarWindow(NamedTuple):
     """A finite window of the caterpillar tree: spine vertices ``z:k``
     (nonseparating type, trivalent in the ideal tree) for -m <= k <= m,
     each carrying one pendant leaf ``w:k`` (separating type, valence 1).
@@ -251,8 +259,7 @@ def build_caterpillar_window(m: int) -> CaterpillarWindow:
     return CaterpillarWindow(c, types, frontier, m)
 
 
-@dataclass(frozen=True)
-class CutLabeling:
+class CutLabeling(NamedTuple):
     """Boundary labels of the genus-zero complement of a maximal
     nonseparating sphere system: n pairs A_i+/A_i- from the cut spheres
     plus the s original boundary labels, with the source record delta.
@@ -288,8 +295,7 @@ class CutLabeling:
         return ("A%d+" % i, "A%d-" % i)
 
 
-@dataclass(frozen=True)
-class GoodPairCensus:
+class GoodPairCensus(NamedTuple):
     pair_index: int
     spare_labels: tuple[str, ...]
     good_spheres: tuple[tuple[str, str], ...]

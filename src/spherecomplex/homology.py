@@ -23,14 +23,13 @@ make coefficients explode (Kannan & Bachem, 1979).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .flagcomplex import FlagComplex, _clique_levels
 
 
-@dataclass(frozen=True)
-class ChainBoundary:
+class ChainBoundary(NamedTuple):
     """The boundary map from k-chains to (k-1)-chains.
 
     rows index the (k-1)-simplex basis, cols the k-simplex basis, both
@@ -71,8 +70,7 @@ def _boundary(levels: list[list[tuple[str, ...]]], k: int) -> ChainBoundary:
     return ChainBoundary(k, tuple(rows), tuple(cols), columns)
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     rank: int
     factors: tuple[int, ...]
 
@@ -201,8 +199,7 @@ def _dense_snf(a: list[list[int]]) -> SNFResult:
     return SNFResult(len(diag), tuple(diag))
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     """Betti numbers, boundary ranks, torsion, and the Euler cross-check
     for dimensions 0..max_dim."""
 

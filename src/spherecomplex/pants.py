@@ -10,8 +10,7 @@ one member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import FlagComplex, _bits, _link_mask, maximal_cliques
 from .genus_zero import _label_generators, build_genus_zero_complex
@@ -82,8 +81,7 @@ def flip_partners(P: PantsDecomposition, a: str) -> tuple[str, ...]:
     return tuple(c.vertices[i] for i in _bits(partners))
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(NamedTuple):
     """The pants/flip graph: nodes are pants decompositions (by system
     id), edges are flip moves."""
 

@@ -12,10 +12,9 @@ regions, and the caterpillar non-rigidity witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
                           complex_id, is_connected, link_of, mask_components)
@@ -29,7 +28,6 @@ PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
 
 
-@dataclass(frozen=True)
 class RigidityCertificate:
     """Outcome of exhaustive rigidity verification.
 
@@ -38,17 +36,20 @@ class RigidityCertificate:
     ``all_extend`` holds iff every map matches exactly one automorphism.
     ``counterexample`` is the assignment of the first failing map, if
     any.  ``verify_rigidity`` leaves ``extensions`` to be built on its
-    first read, since it lists every map.
+    first read, since it lists every map.  Certificates are immutable
+    records: equality, hash and repr go by the fields in ``_fields``
+    order.
     """
 
-    subcomplex_id: str
-    ambient_id: str
-    mode: str
-    total_maps: int
-    all_extend: bool
-    extensions: tuple[Optional[int], ...]
-    counterexample: Optional[dict[str, str]]
-    automorphism_order: int
+    _fields = ("subcomplex_id", "ambient_id", "mode", "total_maps", "all_extend",
+               "extensions", "counterexample", "automorphism_order")
+
+    def __init__(self, subcomplex_id: str, ambient_id: str, mode: str, total_maps: int,
+                 all_extend: bool, extensions: tuple[Optional[int], ...],
+                 counterexample: Optional[dict[str, str]], automorphism_order: int):
+        vars(self).update(zip(self._fields, (
+            subcomplex_id, ambient_id, mode, total_maps, all_extend, extensions,
+            counterexample, automorphism_order)))
 
     @classmethod
     def _deferred(cls, expand: Callable[[], tuple[Optional[int], ...]],
@@ -73,6 +74,27 @@ class RigidityCertificate:
         # pickles and copies carry the tuple, not its builder
         self.extensions
         return vars(self)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % (name,))
 
 
 def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
@@ -268,16 +290,14 @@ class TransitivityError(AssertionError):
     a modeling bug, not a data error."""
 
 
-@dataclass(frozen=True)
-class LinkClass:
+class LinkClass(NamedTuple):
     members: tuple[str, ...]
     region_labels: tuple[int, ...]   # boundary labels inside the region
     region_spheres: tuple[str, ...]  # sphere ids cutting the region off
     factor: ManifoldSignature
 
 
-@dataclass(frozen=True)
-class LinkClasses:
+class LinkClasses(NamedTuple):
     classes: tuple[LinkClass, ...]
 
     def as_partition(self) -> list[tuple[str, ...]]:
@@ -357,8 +377,7 @@ def nonpants_regions(sigma: SphereSystem) -> list[tuple[tuple[int, ...], tuple[s
             for _, labels, spheres, boundary in regions if boundary >= 4]
 
 
-@dataclass(frozen=True)
-class CaterpillarWitness:
+class CaterpillarWitness(NamedTuple):
     """A locally injective simplicial map of an interior subcomplex of
     a caterpillar window that no automorphism of the ideal caterpillar
     restricts to: the cited vertex changes type, and ideal automorphisms

@@ -9,7 +9,6 @@ runs on equal inputs.  Schemas for each format ship in the
 from __future__ import annotations
 
 import json
-from importlib import resources
 from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:
@@ -224,6 +223,8 @@ SCHEMA_NAMES = (
 
 def load_schema(name: str) -> dict:
     """A published JSON schema by short name (see SCHEMA_NAMES)."""
+    # no command reads a schema, so the CLI does not pay for this import
+    from importlib import resources
     if name not in SCHEMA_NAMES:
         raise ValueError("unknown schema %r (have %s)"
                          % (name, ", ".join(SCHEMA_NAMES)))

@@ -16,9 +16,8 @@ constructively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .multigraph import Multigraph
 
@@ -110,8 +109,7 @@ def find_k3_k13_pair(psi: EdgeBijection) -> Optional[tuple[str, str, str]]:
     return None
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     """Outcome of lifting an edge isomorphism.
 
     verdict is one of ``lifted``, ``obstructed``, ``ambiguous-order-2``.

@@ -1,6 +1,8 @@
 """Import cost: ``import spherecomplex`` loads no submodule, the CLI
 loads only ``cli`` and ``serialization`` until a command runs, and each
-command loads exactly the library modules it runs.  The public names
+command loads exactly the library modules it runs.  No module and no
+command loads ``dataclasses``, ``inspect`` or ``importlib.resources``,
+which cost a fresh process tens of milliseconds.  The public names
 resolve lazily to the objects their modules define."""
 
 import importlib
@@ -15,6 +17,12 @@ from spherecomplex import flagcomplex, rigidity
 
 M5 = "p:1,2|s=5;p:1,2,3|s=5"
 CLI = {"cli", "serialization"}
+LIBRARY = ["cli", "dual", "flagcomplex", "genus_zero", "homology", "multigraph", "pants",
+           "rigidity", "search", "serialization", "whitney"]
+# standard-library modules no import or command may load
+HEAVY = ("dataclasses", "inspect", "importlib.resources")
+RUN_MAIN = ("import sys\nfrom spherecomplex.cli import main\n"
+            "if main(sys.argv[1:]) != 0:\n    sys.exit('command failed')")
 
 # the benchmark's CLI commands, on small inputs: which modules a command
 # loads depends on its code path, not on the input size
@@ -68,17 +76,30 @@ PUBLIC = {
 }
 
 
-def loaded_after(code: str, *argv: str) -> set[str]:
-    """The ``spherecomplex`` submodules a fresh interpreter holds after
-    running ``code`` with ``argv``."""
+def fresh_run(code: str, *argv: str,
+              flags: tuple[str, ...] = ()) -> tuple[set[str], set[str]]:
+    """The ``spherecomplex`` submodules a fresh interpreter (started with
+    ``flags``) holds after running ``code`` with ``argv``, and the
+    ``HEAVY`` modules it loaded that were not loaded at start-up."""
     src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
-    probe = (code + "\nprint(' '.join(m[len('spherecomplex.'):] for m in sys.modules"
-             " if m.startswith('spherecomplex.')))\n")
-    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+    probe = ("import sys\nheavy = [m for m in %r if m not in sys.modules]\n" % (HEAVY,)
+             + code + "\nprint(' '.join(m[len('spherecomplex.'):] for m in sys.modules"
+             " if m.startswith('spherecomplex.')))\n"
+             "print(' '.join(m for m in heavy if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", probe, *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    modules, heavy = proc.stdout.splitlines()[-2:]
+    return set(modules.split()), set(heavy.split())
+
+
+def loaded_after(code: str, *argv: str) -> set[str]:
+    """The ``spherecomplex`` submodules a fresh interpreter holds after
+    running ``code`` with ``argv``; it loaded no ``HEAVY`` module."""
+    modules, heavy = fresh_run(code, *argv)
+    assert heavy == set()
+    return modules
 
 
 class TestImportGraph:
@@ -91,9 +112,27 @@ class TestImportGraph:
     @pytest.mark.parametrize("argv, modules", COMMANDS,
                              ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
     def test_command_loads_only_its_modules(self, argv, modules):
-        code = ("import sys\nfrom spherecomplex.cli import main\n"
-                "if main(sys.argv[1:]) != 0:\n    sys.exit('command failed')")
-        assert loaded_after(code, *argv) == CLI | modules
+        assert loaded_after(RUN_MAIN, *argv) == CLI | modules
+
+
+class TestHeavyStdlib:
+    """Under ``python -S`` no site hook has loaded any ``HEAVY`` module
+    before the probe starts, so each one a module or command loads shows."""
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS],
+                             ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
+    def test_command_loads_none(self, argv):
+        assert fresh_run(RUN_MAIN, *argv, flags=("-S",))[1] == set()
+
+    @pytest.mark.parametrize("module", LIBRARY)
+    def test_module_loads_none(self, module):
+        modules, heavy = fresh_run("import spherecomplex.%s" % module, flags=("-S",))
+        assert module in modules and heavy == set()
+
+    def test_library_list_is_complete(self):
+        package = os.path.dirname(spherecomplex.__file__)
+        assert sorted(name[:-3] for name in os.listdir(package)
+                      if name.endswith(".py") and name != "__init__.py") == LIBRARY
 
 
 class TestLazyNamespace:

@@ -4,7 +4,6 @@ link equivalence classes, caterpillar witnesses, and the good-pair
 census."""
 
 import copy
-import dataclasses
 import hashlib
 import json
 import os
@@ -695,7 +694,7 @@ class TestCaterpillarWitness:
     def test_self_checks_raise_without_assert(self, win, monkeypatch):
         """The three checks raise AssertionError themselves, so
         ``python -O`` keeps them; each is forced to fail."""
-        one_type = dataclasses.replace(win, types=dict.fromkeys(win.types, "nonseparating"))
+        one_type = win._replace(types=dict.fromkeys(win.types, "nonseparating"))
         with pytest.raises(AssertionError, match="keeps its type"):
             caterpillar_witness(["z:0", "w:0"], one_type)
         with monkeypatch.context() as m:

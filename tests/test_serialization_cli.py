@@ -391,6 +391,49 @@ class TestFrozenReports:
         assert hashlib.sha256(ser.dumps(rep).encode("utf-8")).hexdigest() == digest
 
 
+# ``--help`` of the top level, every group and every leaf, and usage
+# errors, as (argv, exit code, stdout, stderr), recorded at 80 columns
+# with Python 3.11 from the parser that built the whole tree on every run
+with open(os.path.join(os.path.dirname(__file__), "frozen_cli_help.json"),
+          encoding="utf-8") as _fh:
+    FROZEN_HELP = json.load(_fh)
+
+
+def parse_output(parse, argv, capsys):
+    """Exit code, stdout and stderr of ``parse(argv)``."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestFrozenHelp:
+    """``main`` builds only the branch its argv names; help texts and
+    usage errors are those of the whole tree."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_every_command_has_frozen_help(self):
+        helped = sorted(" ".join(case["argv"][:-1]) for case in FROZEN_HELP
+                        if case["argv"][-1:] == ["--help"])
+        groups = {command.split()[0] for command in FROZEN_REPORTS}
+        assert helped == sorted({"", *groups, *FROZEN_REPORTS})
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse formats help differently in other versions")
+    @pytest.mark.parametrize("case", FROZEN_HELP, ids=lambda case: " ".join(case["argv"]))
+    def test_main_output_is_frozen(self, case, capsys):
+        assert parse_output(main, case["argv"], capsys) == (
+            case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("case", FROZEN_HELP, ids=lambda case: " ".join(case["argv"]))
+    def test_branch_parser_matches_the_whole_tree(self, case, capsys):
+        assert (parse_output(main, case["argv"], capsys)
+                == parse_output(build_parser().parse_args, case["argv"], capsys))
+
+
 class TestCliErrors:
     def test_missing_input_file(self, tmp_path):
         code, _ = run_cli(
@@ -476,12 +519,53 @@ class TestCliErrors:
         assert_one_error_line(capsys)
 
     def test_empty_dual_input_exits_two(self, tmp_path, capsys):
-        """An empty --input is an unreadable file, not a fall-back to
-        --s and --members."""
-        code, report = run_cli(["dual", "classify", "--input", "", "--s", "6",
-                                "--members", M6, "--edges", "0"], tmp_path)
+        """An empty --input is an unreadable file, not a missing one."""
+        code, report = run_cli(["dual", "classify", "--input", "", "--edges", "0"],
+                               tmp_path)
         assert code == 2 and report is None
-        assert_one_error_line(capsys)
+        assert capsys.readouterr().err.startswith("error: cannot read --input '': ")
+
+    @pytest.mark.parametrize("extra", [["--s", "6", "--members", M6], ["--s", "6"],
+                                       ["--members", M6]],
+                             ids=["both", "s", "members"])
+    def test_dual_input_with_s_or_members_exits_two(self, extra, tmp_path, capsys, c6):
+        """--input and --s/--members name the dual twice; neither wins."""
+        doc = tmp_path / "dual.json"
+        doc.write_text(ser.dumps(ser.dual_to_dict(dual_of_pants(
+            PantsDecomposition(c6, M6.split(";"))))))
+        code, report = run_cli(["dual", "classify", "--input", str(doc), *extra,
+                                "--edges", "0"], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == (
+            "error: --input FILE cannot be combined with --s or --members\n")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--s", "6"], "need --input FILE or both --s and --members"),
+        (["--members", M6], "need --input FILE or both --s and --members"),
+        # both given: the error is about s, not about a missing option
+        (["--s", "0", "--members", M6], "need s >= 3"),
+    ], ids=["s", "members", "s-zero"])
+    def test_dual_classify_source_errors(self, extra, message, tmp_path, capsys):
+        code, report = run_cli(["dual", "classify", *extra, "--edges", "0"], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--random-roundtrip", "2", "--map", "MAP"],
+         "--map FILE cannot be combined with --random-roundtrip N"),
+        (["--map", "MAP", "--seed", "5"], "--seed S needs --random-roundtrip N"),
+        (["--seed", "5"], "need --map FILE or --random-roundtrip N"),
+        (["--map", ""], "cannot read --map '': [Errno 2] No such file or directory: ''"),
+    ], ids=["roundtrip-and-map", "map-and-seed", "seed", "empty-map"])
+    def test_whitney_check_source_errors(self, extra, message, tmp_path, capsys):
+        """No option is silently dropped, and an empty --map is an
+        unreadable file, not a missing one."""
+        doc = tmp_path / "map.json"
+        doc.write_text(ser.dumps(k3_to_star_doc()))
+        argv = [str(doc) if x == "MAP" else x for x in extra]
+        code, report = run_cli(["whitney", "check", *argv], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     @pytest.mark.parametrize("argv", [
         ["complex", "build", "--genus-zero", "5", "--json"],
