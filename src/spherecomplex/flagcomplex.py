@@ -85,17 +85,22 @@ class FlagComplex:
                     out.append((self.vertices[i], self.vertices[j]))
         return out
 
+    def _indices(self, ids: Iterable[str]) -> list[int]:
+        """The indices of ``ids`` in the order given; ``ValueError``
+        names the first id that is not a vertex."""
+        try:
+            return [self._index[v] for v in ids]
+        except KeyError as exc:
+            raise ValueError("unknown vertex id: %r" % (exc.args[0],)) from None
+
     def is_clique(self, vs: Iterable[str]) -> bool:
-        idx = [self._index[v] for v in vs]
+        idx = self._indices(vs)
         return all((self._adj[a] >> b) & 1 for k, a in enumerate(idx) for b in idx[:k])
 
     def induced(self, vs: Iterable[str]) -> "FlagComplex":
         """The induced subcomplex on the given vertex set (ids preserved)."""
         keep = sorted(set(vs))
-        for v in keep:
-            if v not in self._index:
-                raise ValueError("unknown vertex id: %r" % (v,))
-        old = [self._index[v] for v in keep]
+        old = self._indices(keep)
         pos = {o: k for k, o in enumerate(old)}
         masks = []
         for o in old:
@@ -136,8 +141,6 @@ def flag_from_adjacency(vertices: Iterable[str],
     """
     vs = sorted(set(vertices))
     index = {v: i for i, v in enumerate(vs)}
-    if len(index) != len(vs):
-        raise ValueError("duplicate vertex ids")
     masks = [0] * len(vs)
     for u, v in adjacency_pairs:
         if u not in index:

@@ -54,13 +54,6 @@ class Multigraph:
         u, v = self.edges[eid]
         return u == v
 
-    def degree(self, v: str) -> int:
-        """Loops count twice."""
-        d = 0
-        for u, w in self.edges.values():
-            d += (u == v) + (w == v)
-        return d
-
     def is_connected(self) -> bool:
         """Connectivity on vertices; the empty graph is connected."""
         return len(pair_components(self.vertices, self.edges.values())) <= 1

@@ -12,12 +12,13 @@ regions, and the caterpillar non-rigidity witness.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, compress
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques,
-                          complex_id, is_connected, link_of, mask_components)
+from .flagcomplex import (FlagComplex, _bits, _maximal_cliques, complex_id,
+                          is_connected, link_of, mask_components)
 from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
                          _innermost_block, _laminar_tree)
 from .pants import PantsDecomposition, SphereSystem, flip_partners
@@ -60,15 +61,11 @@ class RigidityCertificate:
         vars(cert).update(fields, _expand=expand)
         return cert
 
-    def __getattr__(self, name: str):
-        # reached only for attributes the instance lacks
-        expand = vars(self).get("_expand") if name == "extensions" else None
-        if expand is None:
-            raise AttributeError("%r object has no attribute %r"
-                                 % (type(self).__name__, name))
-        value = vars(self)["extensions"] = expand()
-        vars(self).pop("_expand", None)
-        return value
+    @cached_property
+    def extensions(self) -> tuple[Optional[int], ...]:
+        # reached only by a deferred certificate: the constructor stores
+        # the field in the instance dict, which this descriptor yields to
+        return vars(self).pop("_expand")()
 
     def __getstate__(self) -> dict:
         # pickles and copies carry the tuple, not its builder
@@ -274,14 +271,13 @@ def detect_x_detectable(X_vertices: Iterable[str], ambient: FlagComplex,
 
 
 def build_x_sigma(sigma: PantsDecomposition) -> FlagComplex:
-    """The induced subcomplex on sigma plus the link of every co-member
-    set sigma minus a.  In genus zero each such link has exactly three
-    vertices: a and its two flip partners."""
-    c = sigma.complex
-    vs = 0
+    """The induced subcomplex on sigma plus the flip partners of every
+    member a: the link of the co-member set sigma minus a is a and its
+    partners (in genus zero, exactly two)."""
+    vs = set(sigma.members)
     for a in sigma.members:
-        vs |= _link_mask(c, sigma.members - {a})
-    return c.induced(c.vertices[i] for i in _bits(vs))
+        vs.update(flip_partners(sigma, a))
+    return sigma.complex.induced(vs)
 
 
 class TransitivityError(AssertionError):
@@ -299,9 +295,6 @@ class LinkClass(NamedTuple):
 
 class LinkClasses(NamedTuple):
     classes: tuple[LinkClass, ...]
-
-    def as_partition(self) -> list[tuple[str, ...]]:
-        return [cl.members for cl in self.classes]
 
 
 def _regions(sigma: SphereSystem, what: str):
@@ -405,14 +398,12 @@ def caterpillar_witness(X_vertices: Iterable[str],
     """
     xs = sorted(set(X_vertices))
     c = window.complex
+    sub = c.induced(xs)
     for v in xs:
-        if v not in c:
-            raise ValueError("unknown vertex id: %r" % (v,))
         if v in window.frontier:
             raise ValueError("X must avoid the boundary-effect vertices, got %r" % (v,))
     if len(xs) < 2:
         raise ValueError("X needs at least two vertices")
-    sub = c.induced(xs)
     if not is_connected(sub):
         raise ValueError("X must be connected")
 
@@ -423,12 +414,11 @@ def caterpillar_witness(X_vertices: Iterable[str],
     assignment = {v: v for v in xs}
     if "w:%d" % j in xs:
         moved, target = "w:%d" % j, "z:%d" % (j + 1)
-    elif "w:%d" % (j - 1) not in xs:
-        moved, target = "z:%d" % j, "w:%d" % (j - 1)
     else:
-        # swap the frontier spine vertex with its predecessor's leaf
         moved, target = "z:%d" % j, "w:%d" % (j - 1)
-        assignment["w:%d" % (j - 1)] = "z:%d" % j
+        if target in xs:
+            # swap the frontier spine vertex with its predecessor's leaf
+            assignment[target] = moved
     assignment[moved] = target
     vm = VertexMap(sub, c, assignment)
     if not (vm.is_simplicial() and vm.is_locally_injective()):

@@ -57,14 +57,16 @@ class VertexMap:
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        missing = set(source.vertices) - set(self.assignment)
-        if missing:
-            raise ValueError("assignment not total, missing %r" % (sorted(missing)[0],))
-        for v, w in self.assignment.items():
-            if v not in source:
-                raise ValueError("unknown source vertex %r" % (v,))
-            if w not in target:
-                raise ValueError("unknown target vertex %r" % (w,))
+        if self.assignment.keys() != source._index.keys() or \
+                not all(map(target._index.__contains__, self.assignment.values())):
+            missing = set(source.vertices) - set(self.assignment)
+            if missing:
+                raise ValueError("assignment not total, missing %r" % (sorted(missing)[0],))
+            for v, w in self.assignment.items():
+                if v not in source:
+                    raise ValueError("unknown source vertex %r" % (v,))
+                if w not in target:
+                    raise ValueError("unknown target vertex %r" % (w,))
 
     def __getitem__(self, v: str) -> str:
         return self.assignment[v]

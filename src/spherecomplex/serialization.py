@@ -96,7 +96,7 @@ def dual_from_dict(doc: Mapping) -> DualMultigraph:
         raise ValueError("malformed dual multigraph document: "
                          "bond_labels must be an array")
     return DualMultigraph(pants, bonds, legs,
-                          bond_labels=[str(x) for x in labels] if labels else None)
+                          bond_labels=None if labels is None else [str(x) for x in labels])
 
 
 def dual_to_dot(d: DualMultigraph, name: str = "dual") -> str:

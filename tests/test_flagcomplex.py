@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import join_of
 from spherecomplex import (
     FlagComplex,
+    SphereSystem,
     build_genus_zero_complex,
     build_x_sigma,
     catalog,
@@ -30,6 +31,7 @@ from spherecomplex import (
     is_connected,
     link_of,
     maximal_cliques,
+    verify_rigidity,
 )
 from spherecomplex.flagcomplex import _maximal_cliques, mask_components
 
@@ -160,6 +162,20 @@ class TestLinkAndJoin:
         k = catalog("k33")
         assert j.vertices == k.vertices
         assert sorted(j.edges()) == sorted(k.edges())
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda c, ids: link_of(c, ids), "nope"),
+    (lambda c, ids: c.is_clique(ids), "zz"),
+    (lambda c, ids: c.induced(ids), "nope"),
+    (lambda c, ids: SphereSystem(c, ids), "nope"),
+    (lambda c, ids: verify_rigidity(ids, c), "nope"),
+], ids=["link_of", "is_clique", "induced", "SphereSystem", "verify_rigidity"])
+def test_unknown_vertex_id_is_a_value_error(petersen, call, named):
+    """Every entry point names the first unknown id: in the order given
+    for is_clique, the least id for the others, which sort first."""
+    with pytest.raises(ValueError, match="^unknown vertex id: '%s'$" % named):
+        call(petersen, ["k:12", "zz", "nope"])
 
 
 class TestCliqueEnumeration:

@@ -120,6 +120,12 @@ class TestPantsEnumeration:
         assert len(enumerate_pants(5)) == 15
         assert len(enumerate_pants(6)) == 105
 
+    @pytest.mark.parametrize("s", range(4, 9))
+    def test_system_id_order(self, s):
+        """pants_flip_graph keys its nodes on this order without sorting."""
+        ids = [P.system_id() for P in enumerate_pants(s)]
+        assert ids == sorted(ids)
+
     def test_size_and_maximality(self, c6):
         for P in enumerate_pants(6):
             assert len(P) == 3

@@ -21,6 +21,7 @@ from spherecomplex import (
     Multigraph,
     PantsDecomposition,
     build_caterpillar_window,
+    build_genus_zero_complex,
     caterpillar_witness,
     dual_of_pants,
     scramble,
@@ -74,12 +75,14 @@ class TestDocuments:
     def test_dual_roundtrip(self, c6):
         P = PantsDecomposition(
             c6, ["p:1,2|s=6", "p:1,2,3|s=6", "p:1,2,3,4|s=6"])
-        d = dual_of_pants(P)
-        doc = ser.dual_to_dict(d)
-        validate(doc, "dual_multigraph")
-        back = ser.dual_from_dict(doc)
-        assert back.pants == d.pants and back.bonds == d.bonds
-        assert back.legs == d.legs and back.bond_labels == d.bond_labels
+        # one pants and no bonds: its label list is empty, not absent
+        P3 = PantsDecomposition(build_genus_zero_complex(3), [])
+        for d in (dual_of_pants(P), dual_of_pants(P3)):
+            doc = ser.dual_to_dict(d)
+            validate(doc, "dual_multigraph")
+            back = ser.dual_from_dict(json.loads(json.dumps(doc)))
+            assert back.pants == d.pants and back.bonds == d.bonds
+            assert back.legs == d.legs and back.bond_labels == d.bond_labels
 
     def test_multigraph_roundtrip(self):
         g = Multigraph(["u", "v"], {"a": ("u", "u"), "b": ("u", "v")})
