@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import _bits, pair_components
-from .genus_zero import ManifoldSignature, _laminar_tree
+from .genus_zero import ManifoldSignature, _clusters, _laminar_tree
 from .pants import PantsDecomposition
 
 
@@ -222,8 +222,8 @@ def dual_of_pants(P: PantsDecomposition) -> DualMultigraph:
     """The dual tree of a genus-zero pants decomposition, built from the
     laminar family of its blocks.
 
-    For each member sphere take its block away from label 1; these
-    blocks are pairwise nested or disjoint.  Together with the root
+    For each member sphere take its cluster, its block away from label
+    1; these are pairwise nested or disjoint.  Together with the root
     {1..s} they form a tree, and each tree node is one complementary
     region: a pants vertex whose three boundary items are its parent
     sphere (absent at the root), its children's spheres, and its own
@@ -233,10 +233,11 @@ def dual_of_pants(P: PantsDecomposition) -> DualMultigraph:
     if P.complex.meta.get("model") != "genus-zero" or s is None:
         raise ValueError("dual_of_pants needs a genus-zero pants decomposition")
     members = P.sorted_members()
-    _, regions = _laminar_tree(members, s)
+    table = _clusters(P.complex)
+    regions = _laminar_tree([table[i] for i in P.complex._indices(members)], s)
     up = [0] * len(members)
     down = [0] * len(members)
-    legs = []
+    leg = [0] * (s + 1)  # the slot of each label
     for k, (key, labels, children) in enumerate(regions):
         if (key is not None) + len(children) + len(labels) != 3:
             raise AssertionError("region of a pants decomposition must be trivalent")
@@ -246,11 +247,11 @@ def dual_of_pants(P: PantsDecomposition) -> DualMultigraph:
             up[key] = next(slots)
         for ch in children:
             down[ch] = next(slots)
-        legs += [(lb, next(slots)) for lb in labels]
-    legs.sort()
+        for lb in labels:
+            leg[lb] = next(slots)
     pants = tuple("q%d" % k for k in range(len(regions)))
-    return DualMultigraph._from_slots(pants, tuple(zip(down, up)),
-                                      tuple((x, str(lb)) for lb, x in legs), members)
+    legs = tuple((leg[lb], str(lb)) for lb in range(1, s + 1))
+    return DualMultigraph._from_slots(pants, tuple(zip(down, up)), legs, members)
 
 
 def ih_flip(d: DualMultigraph, bond_index: int, pairing_choice: int) -> DualMultigraph:

@@ -21,11 +21,11 @@ class FlagComplex:
 
     Instances are immutable after construction.  Use
     :func:`flag_from_adjacency` rather than calling the constructor with
-    raw bitmasks.  ``_aut`` holds the automorphism group once
-    :func:`search.automorphism_group` has computed it.
+    raw bitmasks.  ``_aut`` and ``_clusters`` keep the automorphism group
+    and the genus-zero cluster table once computed.
     """
 
-    __slots__ = ("vertices", "_index", "_adj", "meta", "_aut")
+    __slots__ = ("vertices", "_index", "_adj", "meta", "_aut", "_clusters")
 
     def __init__(self, vertices: Sequence[str], adj_masks: Sequence[int],
                  meta: Optional[Mapping] = None):
@@ -33,7 +33,7 @@ class FlagComplex:
         self._index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         self._adj: tuple[int, ...] = tuple(adj_masks)
         self.meta = dict(meta) if meta else {}
-        self._aut = None
+        self._aut = self._clusters = None
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         if list(self.vertices) != sorted(self.vertices):

@@ -131,41 +131,40 @@ def all_spheres(s: int) -> list[SpherePartition]:
     return out
 
 
-def _innermost_block(block: frozenset[int],
-                     blocks: Sequence[frozenset[int]]) -> Optional[int]:
-    """Index of the smallest of ``blocks`` strictly containing ``block``,
-    or None when none does (the root region).  In a laminar family the
-    strictly containing blocks form a chain, so the smallest is unique."""
-    best: Optional[int] = None
-    for i, b in enumerate(blocks):
-        if block < b and (best is None or len(b) < len(blocks[best])):
-            best = i
-    return best
+def _clusters(c: FlagComplex) -> tuple[int, ...]:
+    """The cluster table of a genus-zero complex: ``clusters[i]`` is the
+    label mask (bit x for label x) of vertex i's ``other_block``.  Built
+    with the complex, or parsed once from the vertex ids, and kept."""
+    if c._clusters is None:
+        c._clusters = tuple(sum(1 << x for x in SpherePartition.from_vertex_id(v).other_block)
+                            for v in c.vertices)
+    return c._clusters
 
 
-def _laminar_tree(members: Iterable[str], s: int):
-    """The dual tree of a genus-zero sphere system.
-
-    The members' blocks away from label 1 are pairwise nested or
-    disjoint; with the root {1..s} they form a tree whose nodes are the
-    complementary regions.  Returns (blocks, regions): blocks in member
-    vertex-id order, and one region (key, labels, children) per node,
-    the root (key None) first, then the region inside each block (key =
-    block index) by descending size and label tuple.  ``labels`` are the
-    region's own boundary labels, ascending; ``children`` the indices of
-    the blocks directly inside it, ascending.
-    """
-    blocks = [SpherePartition.from_vertex_id(v).other_block for v in sorted(members)]
-    keys = [None, *sorted(range(len(blocks)), key=lambda i: (-len(blocks[i]), sorted(blocks[i])))]
-    children: dict[Optional[int], list[int]] = {key: [] for key in keys}
-    for i, b in enumerate(blocks):
-        children[_innermost_block(b, blocks)].append(i)
+def _laminar_tree(clusters: Sequence[int], s: int):
+    """The dual tree of a genus-zero sphere system from its members'
+    clusters, in member vertex-id order: pairwise nested or disjoint,
+    with the root {1..s} they form a tree whose nodes are the
+    complementary regions.  Returns one region (key, labels, children)
+    per node, the root (key None) first, then the region inside each
+    cluster (key = its position) by descending size and label tuple.
+    ``labels`` are the region's own boundary labels, ascending;
+    ``children`` the positions of the clusters directly inside it,
+    ascending."""
+    keys = sorted(range(len(clusters)),
+                  key=lambda i: (-clusters[i].bit_count(), tuple(_bits(clusters[i]))))
+    children: dict[Optional[int], list[int]] = {key: [] for key in (None, *keys)}
+    for n, i in enumerate(keys):
+        # the larger clusters holding b form a chain; its last is b's parent
+        b = clusters[i]
+        children[next((j for j in reversed(keys[:n]) if b & clusters[j] == b), None)].append(i)
     regions = []
-    for key in keys:
-        zone = frozenset(range(1, s + 1)) if key is None else blocks[key]
-        labels = zone.difference(*(blocks[ch] for ch in children[key]))
-        regions.append((key, tuple(sorted(labels)), tuple(children[key])))
-    return blocks, regions
+    for key in (None, *keys):
+        inside = sorted(children[key])
+        own = (2 << s) - 2 if key is None else clusters[key]
+        own &= ~sum(map(clusters.__getitem__, inside))  # clear the children's labels
+        regions.append((key, tuple(_bits(own)), tuple(inside)))
+    return regions
 
 
 def build_genus_zero_complex(s: int) -> FlagComplex:
@@ -175,13 +174,13 @@ def build_genus_zero_complex(s: int) -> FlagComplex:
     if s < 3:
         raise ValueError("need s >= 3")
     spheres = all_spheres(s)
-    ids = [sp.vertex_id() for sp in spheres]
-    pairs = []
-    for i, p in enumerate(spheres):
-        for j in range(i):
-            if spheres_disjoint(p, spheres[j]):
-                pairs.append((ids[i], ids[j]))
-    return flag_from_adjacency(ids, pairs, meta={"model": "genus-zero", "s": s})
+    clusters = [sum(1 << x for x in sp.other_block) for sp in spheres]
+    # distinct spheres are disjoint when their clusters are nested or disjoint
+    masks = [sum(1 << j for j, b in enumerate(clusters) if a & b in (0, a, b) and a != b)
+             for a in clusters]
+    c = FlagComplex([sp.vertex_id() for sp in spheres], masks, {"model": "genus-zero", "s": s})
+    c._clusters = tuple(clusters)
+    return c
 
 
 def _label_generators(c: FlagComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -200,11 +199,12 @@ def _label_generators(c: FlagComplex) -> tuple[tuple[int, ...], tuple[int, ...]]
         raise ValueError("label generators need a genus-zero complex, not %s"
                          % (complex_id(c),))
     s = c.meta["s"]
+    position, full = {b: i for i, b in enumerate(_clusters(c))}, (2 << s) - 2
     gens = []
     for relabel in ({1: 2, 2: 1}, {x: x % s + 1 for x in range(1, s + 1)}):
-        blocks = (SpherePartition.from_vertex_id(v).block for v in c.vertices)
-        g = tuple(c.index_of(SpherePartition(s, [relabel.get(x, x) for x in b]).vertex_id())
-                  for b in blocks)
+        images = (sum(1 << relabel.get(x, x) for x in _bits(b)) for b in position)
+        # an image holding label 1 is the other block of its sphere
+        g = tuple(position[m ^ full if m & 2 else m] for m in images)
         for i, m in enumerate(c._adj):
             if c._adj[g[i]] != sum(1 << g[j] for j in _bits(m)):
                 raise AssertionError("label permutation is not an automorphism at %s"

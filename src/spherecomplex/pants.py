@@ -93,80 +93,79 @@ def pants_flip_graph(s: int) -> FlipGraph:
     """Build the flip graph, check its connectivity and, when connected,
     find its diameter.
 
-    Nodes are keyed by the frozenset of their members' vertex indices;
-    neighbours are kept as sorted index lists.  The permutations of the
-    boundary labels act on the graph by automorphisms (each generator
-    from ``genus_zero._label_generators`` is checked to be a complex
-    automorphism, so it maps pants to pants and flips to flips), and
-    eccentricity is constant on an orbit.  So the diameter is the
-    largest eccentricity over the least index of each orbit, one
-    breadth-first search each; the graph is connected when the first
-    search, from node 0, reaches every node.
+    Nodes are the maximal cliques, keyed by vertex-index masks.  Pants
+    sharing a codimension-1 face are joined; in genus zero each face
+    lies in exactly three pants (the four-holed sphere it leaves holds
+    three spheres), so the faces, keyed by mask, give the edges three at
+    a time.  The boundary-label permutations act by automorphisms
+    (``genus_zero._label_generators`` checks its generators), and
+    eccentricity is constant on an orbit: the diameter is the largest
+    eccentricity over the least node of each orbit, one breadth-first
+    search each.  The first, from node 0, decides connectivity.
     """
-    decomps = enumerate_pants(s)  # in system-id order
-    c = decomps[0].complex
-    keys = [frozenset(map(c.index_of, P.members)) for P in decomps]
-    index = {key: i for i, key in enumerate(keys)}
-    nbrs = []
-    for P, key in zip(decomps, keys):
-        out = []
-        for a in P.sorted_members():
-            rest = key - {c.index_of(a)}
-            out += [index[rest | {c.index_of(b)}] for b in flip_partners(P, a)]
-        nbrs.append(sorted(out))
-    nodes = tuple(P.system_id() for P in decomps)
-    edges = tuple((nodes[i], nodes[j]) for i, js in enumerate(nbrs) for j in js if j > i)
+    if s < 4:
+        raise ValueError("need s >= 4")
+    c = build_genus_zero_complex(s)
+    members = maximal_cliques(c)  # in system-id order
+    bit = {v: 1 << i for i, v in enumerate(c.vertices)}
+    keys = [sum(map(bit.__getitem__, q)) for q in members]
+    nbrs: list[list[int]] = [[] for _ in keys]
+    pending: dict[int, tuple[int, ...]] = {}  # face -> the pants seen on it
+    for i, (q, key) in enumerate(zip(members, keys)):
+        for v in q:
+            seen = pending.pop(face := key ^ bit[v], ())
+            if len(seen) < 2:
+                pending[face] = seen + (i,)
+            else:  # the face's third pants: join all three
+                nbrs[i] += seen
+                nbrs[seen[0]] += (seen[1], i)
+                nbrs[seen[1]] += (seen[0], i)
+    if pending:
+        raise AssertionError("a codimension-1 face lies in fewer than three pants")
     depth, reached = _eccentricity(nbrs, 0)
     connected = reached == len(nbrs)
     diameter = None
     if connected:
-        reps = _label_orbits(keys, index, _label_generators(c))
+        images = [{v: 1 << j for v, j in zip(c.vertices, g)} for g in _label_generators(c)]
+        reps = _label_orbits(members, {key: i for i, key in enumerate(keys)}, images)
         diameter = max([depth] + [_eccentricity(nbrs, r)[0] for r in reps if r])
-    members = {u: P.sorted_members() for u, P in zip(nodes, decomps)}
-    return FlipGraph(nodes, members, edges, connected, diameter)
+    nodes = tuple(map(";".join, members))
+    edges = tuple([(u, nodes[j]) for i, (u, js) in enumerate(zip(nodes, nbrs))
+                   for j in sorted(js) if j > i])
+    return FlipGraph(nodes, dict(zip(nodes, members)), edges, connected, diameter)
 
 
-def _label_orbits(keys: list[frozenset[int]], index: dict[frozenset[int], int],
-                  gens: Sequence[Sequence[int]]) -> dict[int, int]:
-    """The orbits of the nodes ``keys`` under the vertex permutations
-    ``gens``, as {least node index: orbit size} in ascending order.  In a
-    finite group the forward images under the generators already reach
-    the whole orbit."""
-    seen = bytearray(len(keys))
-    sizes = {}
-    for rep in range(len(keys)):
-        if seen[rep]:
-            continue
-        seen[rep] = 1
-        todo, size = [rep], 0
-        while todo:
-            key = keys[todo.pop()]
-            size += 1
-            for g in gens:
-                j = index[frozenset([g[v] for v in key])]
-                if not seen[j]:
-                    seen[j] = 1
-                    todo.append(j)
-        sizes[rep] = size
+def _label_orbits(members: Sequence[Sequence[str]], index: dict[int, int],
+                  images: Sequence[dict[str, int]]) -> dict[int, int]:
+    """The orbits of the nodes ``members`` under vertex permutations, as
+    {least node index: orbit size} in ascending order.  Each of
+    ``images`` maps a vertex id to the bit of its image; ``index`` maps
+    node keys, vertex masks, to node indices.  In a finite group the
+    forward images under the generators already reach the whole orbit."""
+    moves = list(zip(*[[index[sum(map(image.__getitem__, q))] for q in members]
+                       for image in images]))
+    sizes, seen = {}, bytearray(len(members))
+    for rep in range(len(members)):
+        if not seen[rep]:
+            seen[rep], todo, size = 1, [rep], 0
+            while todo:
+                size += 1
+                for j in moves[todo.pop()]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        todo.append(j)
+            sizes[rep] = size
     return sizes
 
 
-def _eccentricity(nbrs: list[list[int]], start: int) -> tuple[int, int]:
+def _eccentricity(nbrs: Sequence[Sequence[int]], start: int) -> tuple[int, int]:
     """Breadth-first search from ``start`` over index adjacency lists:
-    the number of layers beyond ``start`` and the number of nodes
-    reached, which is less than ``len(nbrs)`` when the graph is
-    disconnected."""
-    seen = bytearray(len(nbrs))
-    seen[start] = 1
-    layer = [start]
-    depth, reached = -1, 0
+    the number of layers beyond it and of nodes reached, fewer than
+    ``len(nbrs)`` when the graph is disconnected."""
+    seen = layer = {start}
+    depth = -1
     while layer:
-        depth, reached = depth + 1, reached + len(layer)
-        nxt = []
-        for i in layer:
-            for j in nbrs[i]:
-                if not seen[j]:
-                    seen[j] = 1
-                    nxt.append(j)
-        layer = nxt
-    return depth, reached
+        depth += 1
+        layer = set().union(*map(nbrs.__getitem__, layer)) - seen
+        seen |= layer
+    return depth, len(seen)

@@ -19,8 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _maximal_cliques, complex_id,
                           is_connected, link_of, mask_components)
-from .genus_zero import (CaterpillarWindow, ManifoldSignature, SpherePartition,
-                         _innermost_block, _laminar_tree)
+from .genus_zero import CaterpillarWindow, ManifoldSignature, _clusters, _laminar_tree
 from .pants import PantsDecomposition, SphereSystem, flip_partners
 from .search import (AutomorphismGroup, VertexMap, _after, _encoding,
                      _locally_injective_placements, _search_order, automorphism_group)
@@ -224,8 +223,6 @@ def find_split_spheres(P: PantsDecomposition, a: str) -> list[str]:
     """All spheres b outside P that intersect a and are disjoint from
     every other member of P: the spheres for which a is the unique
     member of P they intersect."""
-    if a not in P.members:
-        raise ValueError("%r is not a member of the decomposition" % (a,))
     # a flip partner b misses a, or P + b would be a larger clique
     return list(flip_partners(P, a))
 
@@ -236,15 +233,15 @@ def find_split_pairs(a: str, X_vertices: Iterable[str],
     pants decompositions contained in X.  Pairs are unordered and
     canonically sorted."""
     xs = set(X_vertices)
+    ambient._indices(sorted(xs))  # names the least id that is not a vertex
     if a not in xs:
         raise ValueError("a must lie in X")
     candidates: set[str] = set()
     for q in _maximal_cliques(ambient, xs):
         if a in q:
             candidates.update(find_split_spheres(PantsDecomposition(ambient, q), a))
-    pairs = [(b1, b2) for b1, b2 in combinations(sorted(candidates), 2)
-             if ambient.adjacent(b1, b2)]
-    return pairs
+    return [(b1, b2) for b1, b2 in combinations(sorted(candidates), 2)
+            if ambient.adjacent(b1, b2)]
 
 
 def detect_x_detectable(X_vertices: Iterable[str], ambient: FlagComplex,
@@ -254,6 +251,7 @@ def detect_x_detectable(X_vertices: Iterable[str], ambient: FlagComplex,
     or None.  Any witness implies the two spheres intersect (checked).
     """
     xs = set(X_vertices)
+    ambient._indices(sorted(xs))  # names the least id that is not a vertex
     if a not in xs or a2 not in xs:
         raise ValueError("a and a2 must lie in X")
     if a == a2:
@@ -298,19 +296,19 @@ class LinkClasses(NamedTuple):
 
 
 def _regions(sigma: SphereSystem, what: str):
-    """The member blocks of a genus-zero sphere system and its
+    """The member clusters of a genus-zero sphere system and its
     complementary regions, each as (key, labels, spheres, boundary
     count); see :func:`genus_zero._laminar_tree` for keys and order."""
     s = sigma.complex.meta.get("s")
     if sigma.complex.meta.get("model") != "genus-zero" or s is None:
         raise ValueError("%s needs the genus-zero model" % what)
     vids = sorted(sigma.members)
-    blocks, tree = _laminar_tree(vids, s)
+    clusters = list(map(_clusters(sigma.complex).__getitem__, sigma.complex._indices(vids)))
     regions = []
-    for key, labels, children in tree:
+    for key, labels, children in _laminar_tree(clusters, s):
         spheres = [vids[ch] for ch in children] + ([] if key is None else [vids[key]])
         regions.append((key, labels, tuple(sorted(spheres)), len(labels) + len(spheres)))
-    return blocks, regions
+    return clusters, regions
 
 
 def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
@@ -319,7 +317,8 @@ def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
     instance and failure is a hard error; each class is annotated with
     the complementary region it fills and that region's factor.
     """
-    blocks, regions = _regions(sigma, "link_equivalence_classes")
+    clusters, regions = _regions(sigma, "link_equivalence_classes")
+    table, position = _clusters(sigma.complex), {b: i for i, b in enumerate(clusters)}
     lk = link_of(sigma.complex, sigma.members)
     verts = lk.vertices
     n = len(verts)
@@ -350,8 +349,9 @@ def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
                     "link relation not transitive between %r and %r"
                     % (verts[i], verts[j]))
         members = tuple(verts[i] for i in _bits(comp))
-        keys = {_innermost_block(SpherePartition.from_vertex_id(v).other_block, blocks)
-                for v in members}
+        # each lies in the region of the least member cluster holding its own
+        keys = {position.get(min([b for b in clusters if x & b == x], default=None))
+                for x in map(table.__getitem__, sigma.complex._indices(members))}
         if len(keys) != 1:
             raise TransitivityError(
                 "class %r spans several complementary regions" % (members,))

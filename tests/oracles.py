@@ -3,11 +3,10 @@
 from itertools import permutations
 from typing import Optional
 
-from spherecomplex import (FlagComplex, FlipGraph, SpherePartition, VertexMap,
-                           build_genus_zero_complex, f_vector, flag_from_adjacency,
-                           slot_id, split_slot)
+from spherecomplex import (FlagComplex, FlipGraph, LinkClass, LinkClasses, ManifoldSignature,
+                           SpherePartition, VertexMap, build_genus_zero_complex, f_vector,
+                           flag_from_adjacency, slot_id, split_slot)
 from spherecomplex.flagcomplex import _bits, mask_components, pair_components
-from spherecomplex.genus_zero import _laminar_tree
 from spherecomplex.search import _placements, _to_map
 
 
@@ -170,10 +169,116 @@ class StringDual:
         return len(pair_components(self.pants, ((sp[a], sp[b]) for a, b in self.bonds))) <= 1
 
 
+def _innermost_block(block, blocks):
+    """Index of the smallest of ``blocks`` strictly containing ``block``,
+    or None when none does (the root region).  In a laminar family the
+    strictly containing blocks form a chain, so the smallest is unique."""
+    best = None
+    for i, b in enumerate(blocks):
+        if block < b and (best is None or len(b) < len(blocks[best])):
+            best = i
+    return best
+
+
+def string_laminar_tree(members, s: int):
+    """``genus_zero._laminar_tree`` from vertex ids, as it was before the
+    cluster table: each member's block away from label 1 parsed from its
+    id as a frozenset.  Returns (blocks, regions): blocks in member
+    vertex-id order, and the regions as ``_laminar_tree`` gives them."""
+    blocks = [SpherePartition.from_vertex_id(v).other_block for v in sorted(members)]
+    keys = [None, *sorted(range(len(blocks)), key=lambda i: (-len(blocks[i]), sorted(blocks[i])))]
+    children = {key: [] for key in keys}
+    for i, b in enumerate(blocks):
+        children[_innermost_block(b, blocks)].append(i)
+    regions = []
+    for key in keys:
+        zone = frozenset(range(1, s + 1)) if key is None else blocks[key]
+        labels = zone.difference(*(blocks[ch] for ch in children[key]))
+        regions.append((key, tuple(sorted(labels)), tuple(children[key])))
+    return blocks, regions
+
+
+def string_regions(sigma):
+    """``rigidity._regions`` from vertex ids: the members' blocks and, by
+    region key, each region's (labels, spheres, boundary count)."""
+    vids = sorted(sigma.members)
+    blocks, tree = string_laminar_tree(vids, sigma.complex.meta["s"])
+    regions = {}
+    for key, labels, children in tree:
+        spheres = [vids[ch] for ch in children] + ([] if key is None else [vids[key]])
+        regions[key] = (labels, tuple(sorted(spheres)), len(labels) + len(spheres))
+    return blocks, regions
+
+
+def string_nonpants_regions(sigma):
+    """``rigidity.nonpants_regions`` from vertex ids."""
+    return [r for r in string_regions(sigma)[1].values() if r[2] >= 4]
+
+
+def string_link_classes(sigma) -> LinkClasses:
+    """``rigidity.link_equivalence_classes`` from its definition and
+    vertex ids: two link spheres are related when some link sphere
+    crosses both (a sphere crosses itself); each component, sorted, is
+    annotated with the region holding its least member, the innermost
+    member block strictly containing that member's block."""
+    c = sigma.complex
+    link = [v for v in c.vertices
+            if v not in sigma.members and all(c.adjacent(v, m) for m in sigma.members)]
+
+    def related(a, b):
+        return any((x == a or not c.adjacent(x, a)) and (x == b or not c.adjacent(x, b))
+                   for x in link)
+
+    blocks, regions = string_regions(sigma)
+    classes, left = [], sorted(link)
+    while left:
+        comp, todo = {left[0]}, [left[0]]
+        while todo:
+            a = todo.pop()
+            new = [b for b in left if b not in comp and related(a, b)]
+            comp.update(new)
+            todo += new
+        left = [v for v in left if v not in comp]
+        members = tuple(sorted(comp))
+        key = _innermost_block(SpherePartition.from_vertex_id(members[0]).other_block, blocks)
+        labels, spheres, boundary = regions[key]
+        classes.append(LinkClass(members, labels, spheres, ManifoldSignature(0, boundary)))
+    return LinkClasses(tuple(classes))
+
+
+def cluster_flips(clusters, s: int):
+    """The two flip partners of each member of a genus-zero pants
+    decomposition, as clusters, read off the tree rooted at label 1
+    (bit x for label x): member E has the children A, the largest member
+    strictly inside E or else E's lowest label, and B = E - A; with C =
+    P - E, where P is the smallest member containing E or else the
+    labels 2..s, the partners are A + C and B + C."""
+    out = []
+    for e in clusters:
+        inside = [b for b in clusters if b & e == b != e]
+        a = max(inside, default=e & -e)
+        p = min([b for b in clusters if b & e == e != b], default=(2 << s) - 4)
+        out.append((a | (p ^ e), (e ^ a) | (p ^ e)))
+    return out
+
+
+def string_label_generators(c: FlagComplex):
+    """``genus_zero._label_generators`` from vertex ids, without its
+    automorphism check: the transposition (1 2) and the s-cycle, each
+    applied to every parsed block and looked up by its vertex id."""
+    s = c.meta["s"]
+    gens = []
+    for relabel in ({1: 2, 2: 1}, {x: x % s + 1 for x in range(1, s + 1)}):
+        blocks = (SpherePartition.from_vertex_id(v).block for v in c.vertices)
+        gens.append(tuple(c.index_of(SpherePartition(s, [relabel.get(x, x) for x in b]).vertex_id())
+                          for b in blocks))
+    return gens[0], gens[1]
+
+
 def string_dual_of_pants(P) -> StringDual:
     """``dual.dual_of_pants`` assembled from slot-id strings."""
     members = P.sorted_members()
-    _, regions = _laminar_tree(members, P.complex.meta["s"])
+    _, regions = string_laminar_tree(members, P.complex.meta["s"])
     pants_ids = ["q%d" % k for k in range(len(regions))]
     up, down, legs = {}, {}, []
     for pid, (key, labels, children) in zip(pants_ids, regions):

@@ -24,8 +24,10 @@ from spherecomplex import (
     build_x_sigma,
     catalog,
     cliques_of_size,
+    detect_x_detectable,
     enumerate_pants,
     f_vector,
+    find_split_pairs,
     flag_from_adjacency,
     has_cycle,
     is_connected,
@@ -170,7 +172,10 @@ class TestLinkAndJoin:
     (lambda c, ids: c.induced(ids), "nope"),
     (lambda c, ids: SphereSystem(c, ids), "nope"),
     (lambda c, ids: verify_rigidity(ids, c), "nope"),
-], ids=["link_of", "is_clique", "induced", "SphereSystem", "verify_rigidity"])
+    (lambda c, ids: find_split_pairs(ids[0], ids, c), "nope"),
+    (lambda c, ids: detect_x_detectable(ids, c, ids[0], ids[1]), "nope"),
+], ids=["link_of", "is_clique", "induced", "SphereSystem", "verify_rigidity",
+        "find_split_pairs", "detect_x_detectable"])
 def test_unknown_vertex_id_is_a_value_error(petersen, call, named):
     """Every entry point names the first unknown id: in the order given
     for is_clique, the least id for the others, which sort first."""

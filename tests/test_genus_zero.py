@@ -14,18 +14,27 @@ from hypothesis import given, settings, strategies as st
 from spherecomplex import (
     FlagComplex,
     SpherePartition,
+    SphereSystem,
     all_spheres,
     build_caterpillar_window,
     build_genus_zero_complex,
     catalog,
     catalog_names,
+    dual_of_pants,
+    enumerate_pants,
     f_vector,
     is_connected,
+    link_equivalence_classes,
+    maximal_cliques,
+    nonpants_regions,
+    pants_flip_graph,
     spheres_disjoint,
 )
-from spherecomplex.genus_zero import _label_generators
+from spherecomplex.flagcomplex import _bits
+from spherecomplex.genus_zero import _clusters, _label_generators, _laminar_tree
 
-from oracles import label_action_automorphisms, search_isomorphism
+from oracles import (label_action_automorphisms, search_isomorphism, string_label_generators,
+                     string_laminar_tree)
 
 
 def closure(gens) -> set[tuple[int, ...]]:
@@ -176,10 +185,63 @@ class TestCatalog:
             catalog("dodecahedron")
 
 
+class TestClusterTable:
+    @pytest.mark.parametrize("s", [3, 4, 5, 6, 7, 8])
+    def test_built_table_is_the_parsed_one(self, s):
+        """The table built with the complex equals the one parsed, on
+        first use, from the vertex ids of a copy, which keeps it."""
+        c = build_genus_zero_complex(s)
+        copy = FlagComplex(c.vertices, c._adj, c.meta)
+        assert copy._clusters is None
+        want = tuple(sum(1 << x for x in SpherePartition.from_vertex_id(v).other_block)
+                     for v in c.vertices)
+        assert c._clusters == want == _clusters(copy)
+        assert _clusters(copy) is copy._clusters
+
+    def test_no_id_is_parsed_after_the_build(self, monkeypatch):
+        """Duals, flip graphs, label generators and link classes read
+        the table kept on a built complex."""
+        c = build_genus_zero_complex(6)
+        P = enumerate_pants(6)[7]
+
+        def refuse(vid):
+            raise AssertionError("parsed %r" % (vid,))
+
+        monkeypatch.setattr(SpherePartition, "from_vertex_id", refuse)
+        dual_of_pants(P)
+        pants_flip_graph(6)
+        _label_generators(c)
+        sigma = SphereSystem(c, sorted(P.members)[:1])
+        link_equivalence_classes(sigma)
+        nonpants_regions(sigma)
+
+
+class TestLaminarTree:
+    @pytest.mark.parametrize("s", [5, 6, 7, 8])
+    def test_every_pants_decomposition_matches_the_string_tree(self, s):
+        """Clusters and regions equal those parsed from the member ids,
+        for every pants decomposition."""
+        c = build_genus_zero_complex(s)
+        table = _clusters(c)
+        for members in maximal_cliques(c):
+            clusters = [table[c.index_of(v)] for v in members]
+            blocks, regions = string_laminar_tree(members, s)
+            assert [frozenset(_bits(b)) for b in clusters] == blocks
+            assert _laminar_tree(clusters, s) == regions, members
+
+    def test_empty_system_is_one_root_region(self):
+        assert _laminar_tree([], 6) == [(None, (1, 2, 3, 4, 5, 6), ())]
+
+
 class TestLabelGenerators:
     @pytest.mark.parametrize("s", [5, 6, 7, 8])
     def test_generate_all_label_permutations(self, s):
         assert len(closure(_label_generators(build_genus_zero_complex(s)))) == factorial(s)
+
+    @pytest.mark.parametrize("s", [4, 5, 6, 7, 8])
+    def test_equal_the_id_parsing_generators(self, s):
+        c = build_genus_zero_complex(s)
+        assert _label_generators(c) == string_label_generators(c)
 
     @pytest.mark.parametrize("s", [4, 5, 6])
     def test_generate_the_oracle_action(self, s):

@@ -39,7 +39,9 @@ from spherecomplex import pants
 
 from spherecomplex.flagcomplex import _bits, pair_components
 from spherecomplex.serialization import dual_to_dict, dual_to_dot
-from oracles import StringDual, flip_graph_shape, string_dual_of_pants, string_ih_flip
+from spherecomplex.genus_zero import _clusters
+from oracles import (StringDual, cluster_flips, flip_graph_shape, string_dual_of_pants,
+                     string_ih_flip)
 
 
 def chain_pants(c6) -> PantsDecomposition:
@@ -213,6 +215,54 @@ class TestFlipMoves:
         fg = pants_flip_graph(s)
         text = json.dumps(fg._asdict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestClusterFlips:
+    @pytest.mark.parametrize("s", [4, 5, 6, 7])
+    def test_tree_rule_and_graph_edges_are_the_flip_partners(self, s):
+        """For every node and member: the two clusters the tree rule
+        gives are those of the member's flip partners, and the flip graph
+        joins the node to exactly the pants that swap a member for one
+        of its partners."""
+        fg = pants_flip_graph(s)
+        nbrs = {u: set() for u in fg.nodes}
+        for u, v in fg.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        for P in enumerate_pants(s):
+            table, index_of = _clusters(P.complex), P.complex.index_of
+            members = P.sorted_members()
+            flips = cluster_flips([table[index_of(a)] for a in members], s)
+            across = set()
+            for a, pair in zip(members, flips):
+                partners = flip_partners(P, a)
+                assert set(pair) == {table[index_of(b)] for b in partners}, (P, a)
+                across |= {";".join(sorted(P.members - {a} | {b})) for b in partners}
+            assert nbrs[P.system_id()] == across
+
+    @pytest.mark.parametrize("s", [5, 6, 7])
+    def test_searches_run_over_the_graph(self, s, monkeypatch):
+        """Every breadth-first search gets each node's neighbours in the
+        flip graph, each once."""
+        searched, bfs = [], pants._eccentricity
+
+        def recording_bfs(nbrs, start):
+            searched.append(nbrs)
+            return bfs(nbrs, start)
+
+        monkeypatch.setattr(pants, "_eccentricity", recording_bfs)
+        fg = pants_flip_graph(s)
+        index = {u: i for i, u in enumerate(fg.nodes)}
+        want = [[] for _ in fg.nodes]
+        for u, v in fg.edges:
+            want[index[u]].append(index[v])
+            want[index[v]].append(index[u])
+        assert searched and all([sorted(js) for js in nbrs] == [sorted(w) for w in want]
+                                for nbrs in searched)
+
+    def test_below_four_labels_rejected(self):
+        with pytest.raises(ValueError, match="need s >= 4"):
+            pants_flip_graph(3)
 
 
 def double_factorial(n: int) -> int:

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -51,7 +52,7 @@ from spherecomplex import (
 )
 from spherecomplex import rigidity, search
 
-from oracles import label_action_automorphisms
+from oracles import label_action_automorphisms, string_link_classes, string_nonpants_regions
 
 
 def vid(s, *labels):
@@ -642,6 +643,19 @@ class TestLinkClasses:
         got = sorted((cl.region_labels, cl.region_spheres) for cl in lc.classes)
         want = sorted((labels, spheres) for labels, spheres, _ in regions)
         assert got == want
+
+    @pytest.mark.parametrize("s", [6, 7])
+    def test_subsystems_match_the_string_oracle(self, s):
+        """Every non-maximal subsystem, the empty one included, of 10
+        seeded pants decompositions: classes from the definition and
+        regions from the member ids."""
+        c = build_genus_zero_complex(s)
+        for q in random.Random(s).sample(maximal_cliques(c), 10):
+            for r in range(len(q)):
+                for sub in combinations(q, r):
+                    sigma = SphereSystem(c, sub)
+                    assert link_equivalence_classes(sigma) == string_link_classes(sigma), sub
+                    assert nonpants_regions(sigma) == string_nonpants_regions(sigma), sub
 
 
 @pytest.fixture(scope="module")
