@@ -94,12 +94,15 @@ class DualMultigraph:
     @classmethod
     def _from_slots(cls, pants: tuple[str, ...], bonds: tuple[tuple[int, int], ...],
                     legs: tuple[tuple[int, str], ...],
-                    bond_labels: Optional[tuple[str, ...]]) -> "DualMultigraph":
+                    bond_labels: Optional[tuple[str, ...]],
+                    check: bool = True) -> "DualMultigraph":
         """The graph on integer slots, for the builders in this module;
-        it checks that every slot is used exactly once."""
-        slots = sorted([x for pair in bonds for x in pair] + [x for x, _ in legs])
-        if slots != list(range(3 * len(pants))):
-            raise ValueError("slots must be used exactly once each")
+        it checks that every slot is used exactly once, unless ``check``
+        is False because the caller has made sure of it."""
+        if check:
+            slots = sorted([x for pair in bonds for x in pair] + [x for x, _ in legs])
+            if slots != list(range(3 * len(pants))):
+                raise ValueError("slots must be used exactly once each")
         d = cls.__new__(cls)
         d.pants, d._bonds, d._legs, d.bond_labels = pants, bonds, legs, bond_labels
         d._bond_ids = d._leg_ids = None
@@ -279,6 +282,10 @@ def ih_flip(d: DualMultigraph, bond_index: int, pairing_choice: int) -> DualMult
     if pairing_choice:
         sv.reverse()
     perm = {fu: u + 2, fv: v + 2, su[0]: u, sv[0]: u + 1, su[1]: v, sv[1]: v + 1}
+    # d uses every slot once, and so does its image under a permutation
+    # of slots; the other slots are left as they are
+    if perm.keys() != set(perm.values()):
+        raise ValueError("a flip must permute the slots it moves")
     bonds = tuple((perm.get(a, a), perm.get(b, b)) for a, b in d._bonds)
     legs = tuple((perm.get(x, x), lb) for x, lb in d._legs)
-    return DualMultigraph._from_slots(d.pants, bonds, legs, None)
+    return DualMultigraph._from_slots(d.pants, bonds, legs, None, False)

@@ -21,11 +21,13 @@ class FlagComplex:
 
     Instances are immutable after construction.  Use
     :func:`flag_from_adjacency` rather than calling the constructor with
-    raw bitmasks.  ``_aut`` and ``_clusters`` keep the automorphism group
-    and the genus-zero cluster table once computed.
+    raw bitmasks.  ``_aut``, ``_clusters`` and ``_profile_classes`` keep
+    the automorphism group, the genus-zero cluster table and the
+    degree-profile classes of the search once computed.
     """
 
-    __slots__ = ("vertices", "_index", "_adj", "meta", "_aut", "_clusters")
+    __slots__ = ("vertices", "_index", "_adj", "meta", "_aut", "_clusters",
+                 "_profile_classes")
 
     def __init__(self, vertices: Sequence[str], adj_masks: Sequence[int],
                  meta: Optional[Mapping] = None):
@@ -33,7 +35,7 @@ class FlagComplex:
         self._index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         self._adj: tuple[int, ...] = tuple(adj_masks)
         self.meta = dict(meta) if meta else {}
-        self._aut = self._clusters = None
+        self._aut = self._clusters = self._profile_classes = None
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         if list(self.vertices) != sorted(self.vertices):

@@ -35,8 +35,11 @@ class RigidityCertificate:
     index of the unique ambient automorphism it restricts, or None;
     ``all_extend`` holds iff every map matches exactly one automorphism.
     ``counterexample`` is the assignment of the first failing map, if
-    any.  ``verify_rigidity`` leaves ``extensions`` to be built on its
-    first read, since it lists every map.  Certificates are immutable
+    any.  ``verify_rigidity`` finds the other fields from one map per
+    orbit of the ambient automorphism group, and leaves ``extensions``,
+    with the table of every automorphism's restriction to X that it
+    reads, to be built on its first read, since it lists every map.
+    Certificates are immutable
     records: equality, hash and repr go by the fields in ``_fields``
     order.
     """
@@ -111,8 +114,23 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     p; p's verdict is its orbit's; and the counterexample is the least
     map of the failing orbits.  Each stabiliser is filtered from its
     parent's element list and kept, for this call only, by the images
-    it fixes, in search order.  ``extensions`` lists every map of every
-    orbit, sorted, on its first read.
+    it fixes.
+
+    Verdicts and the counterexample come from least images (Linton
+    2004), not from a table of every element's restriction to X and
+    the least of {g∘p : g in G} per failing orbit: the least map of
+    p's orbit is built entry by entry in X order, each entry sent to
+    the least point of its orbit under the pointwise stabiliser of the
+    least entries before it, by an element of that stabiliser, until
+    the stabiliser is trivial.  Only the first step reads all of G, one
+    entry of each element.  p extends to some automorphism iff its
+    least image is the inclusion's, and then to exactly those of a
+    coset of the pointwise stabiliser of X, which the inclusion's walk
+    finds trivial or not; so p extends uniquely iff both hold.  The
+    counterexample is the least of the failing orbits' least images.
+    ``extensions`` lists every map of every orbit, sorted, on its first
+    read, and looks each up among the restrictions of every element to
+    X.
 
     Maps and group elements are encoded as ``search._encoding`` says
     (``bytes`` up to 256 ambient vertices, index tuples above), the
@@ -174,28 +192,44 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
             h = stabiliser(fixed)
         return group.order // len(h)
 
-    # the element restricting to each map, None when several do
-    extending: dict[Sequence[int], Optional[int]] = {}
-    restrict = _after(encode(ambient.index_of(v) for v in xs))
-    for k, key in enumerate(map(restrict, elements)):
-        extending[key] = None if key in extending else k
+    def least_image(p: Sequence[int]) -> tuple[Sequence[int], bool]:
+        # min {g∘p : g in G}, walked as the docstring says, and whether
+        # the stabiliser of its entries is trivial
+        h, fixed = elements, ()
+        while len(h) > 1 and len(fixed) < len(p):
+            y = p[len(fixed)]
+            g = min(h, key=itemgetter(y))
+            p = _after(p)(g)
+            fixed += (g[y],)
+            h = stabiliser(fixed)
+        return p, len(h) == 1
+
+    # p extends uniquely iff it has the inclusion's least image and the
+    # pointwise stabiliser of X (a conjugate of the least image's) is
+    # trivial, i.e. X contains a base of G
+    inclusion = encode(ambient.index_of(v) for v in xs)
+    least_inclusion, based = least_image(inclusion)
 
     # one found map per orbit, with its orbit size; vertex ids are
     # sorted, so index order is the canonical map order
     found: list[tuple[Sequence[int], int]] = []
     total_maps = 0
     failing = None
-    for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
+    for p in _locally_injective_placements(X, ambient, inside, orbit_minima, order):
         size = orbit_size(p)
         p = encode(p)
         found.append((p, size))
         total_maps += size
-        if extending.get(p) is None:
+        least = least_image(p)[0]
+        if not based or least != least_inclusion:
             # every map of the orbit fails; its least one is a candidate
-            least = min(map(_after(p), elements))
             failing = least if failing is None else min(failing, least)
 
     def expand() -> tuple[Optional[int], ...]:
+        # the element restricting to each map, None when several do
+        extending: dict[Sequence[int], Optional[int]] = {}
+        for k, key in enumerate(map(_after(inclusion), elements)):
+            extending[key] = None if key in extending else k
         maps: list[Sequence[int]] = []
         for p, size in found:
             orbit = map(_after(p), elements)

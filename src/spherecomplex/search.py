@@ -134,27 +134,33 @@ def _search_order(c: FlagComplex) -> list[int]:
     return order
 
 
+def _profiles(c: FlagComplex) -> list[tuple[int, ...]]:
+    """Each vertex's degree followed by its neighbors' degrees, descending."""
+    deg = [m.bit_count() for m in c._adj]
+    return [(d,) + tuple(sorted((deg[k] for k in _bits(c._adj[i])), reverse=True))
+            for i, d in enumerate(deg)]
+
+
 def _degree_feasible(src: FlagComplex, dst: FlagComplex) -> list[int]:
     """Candidate masks for a simplicial map injective on closed stars:
     feasible[i] has bit j set when source vertex i may map to target
     vertex j, judged by degree and sorted neighbor-degree domination.
 
     Target vertices are grouped by profile (degree and sorted neighbor
-    degrees), so the domination test runs once per source profile and
-    distinct target profile."""
-    def profiles(c: FlagComplex) -> list[tuple[int, ...]]:
-        deg = [c._adj[i].bit_count() for i in range(c.n_vertices)]
-        return [(d,) + tuple(sorted((deg[k] for k in _bits(c._adj[i])), reverse=True))
-                for i, d in enumerate(deg)]
-
-    targets: dict[tuple[int, ...], int] = {}
-    for j, prof in enumerate(profiles(dst)):
-        targets[prof] = targets.get(prof, 0) | 1 << j
+    degrees), once per target complex, which keeps the groups; the
+    domination test runs once per source profile and distinct target
+    profile."""
+    targets = dst._profile_classes
+    if targets is None:
+        targets = {}
+        for j, prof in enumerate(_profiles(dst)):
+            targets[prof] = targets.get(prof, 0) | 1 << j
+        dst._profile_classes = targets
     # t dominates prof when it is at least as large entry by entry; the
     # first entries compare degrees, so t is then at least as long
     memo: dict[tuple[int, ...], int] = {}
     feas = []
-    for prof in profiles(src):
+    for prof in _profiles(src):
         m = memo.get(prof)
         if m is None:
             m = memo[prof] = sum(mask for t, mask in targets.items()
@@ -167,6 +173,7 @@ def _placements(src: FlagComplex, dst: FlagComplex,
                 scope: Optional[Sequence[int]] = None,
                 masks: Optional[Sequence[int]] = None,
                 minima: Optional[Callable[[tuple[int, ...], int], Optional[int]]] = None,
+                order: Optional[Sequence[int]] = None,
                 ) -> Iterator[tuple[int, ...]]:
     """Every placement of src on dst that sends edges to edges, depth
     first along ``_search_order`` with candidates in ascending order.
@@ -177,7 +184,8 @@ def _placements(src: FlagComplex, dst: FlagComplex,
     With ``masks`` given, source vertex v may only map into the target
     vertices of ``masks[v]``; the masks then replace ``_degree_feasible``,
     so a caller restricting the search starts from it once and ANDs its
-    restrictions in.
+    restrictions in.  A caller that has ``_search_order(src)`` at hand
+    may pass it as ``order``.
 
     With ``minima`` given, only one placement per orbit of a group G of
     automorphisms of dst is emitted.  ``minima(images, cand)`` is called
@@ -198,7 +206,8 @@ def _placements(src: FlagComplex, dst: FlagComplex,
     if n == 0:
         yield ()
         return
-    order = _search_order(src)
+    if order is None:
+        order = _search_order(src)
     feas = _degree_feasible(src, dst) if masks is None else masks
     adj_t = dst._adj
     # per position: the already-placed neighbors and scope members
@@ -333,7 +342,8 @@ def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]
     """
     masks = _degree_feasible(c, c)
     levels = []
-    for b in _search_order(c):
+    order = _search_order(c)
+    for b in order:
         if masks[b] != 1 << b:
             levels.append((b, masks))
         masks = _fix(c, masks, b, b)
@@ -347,7 +357,7 @@ def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]
             if t in orbit:
                 continue
             searches += 1
-            g = next(_placements(c, c, None, _fix(c, masks, b, t)), None)
+            g = next(_placements(c, c, None, _fix(c, masks, b, t), None, order), None)
             if g is None:
                 continue
             gens.append(g)
@@ -490,12 +500,14 @@ def _locally_injective_placements(
         X: FlagComplex, target: FlagComplex,
         inside: Optional[Iterable[Sequence[str]]] = None,
         minima: Optional[Callable[[tuple[int, ...], int], Optional[int]]] = None,
+        order: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Placements of X on target injective on closed stars, one per
-    orbit when ``minima`` is given (see ``_placements``).  With
-    ``inside`` given (cliques of X as vertex sequences), only placements
-    carrying each of them onto a maximal clique of target are kept."""
-    placements = _placements(X, target, _dist2_masks(X), None, minima)
+    orbit when ``minima`` is given (see ``_placements``, which also
+    takes ``order``).  With ``inside`` given (cliques of X as vertex
+    sequences), only placements carrying each of them onto a maximal
+    clique of target are kept."""
+    placements = _placements(X, target, _dist2_masks(X), None, minima, order)
     if inside is None:
         return placements
     # a placement carries a clique onto a clique of the same size, which

@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 from itertools import combinations
 from math import factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,9 +292,12 @@ def test_x_sigma_s7_certificate_memory():
     once the group's stabiliser chain is built, so listing its elements
     is counted.  Every map listed: 11.3 MB as index tuples, 7.8 MB as
     bytes rows beside the group's index tuples.  Summed per orbit, with
-    the group kept only as bytes rows: 2.07 MB, and 5.20 MB once
-    ``extensions`` is read (Python 3.11; the same under every hash
-    seed).  The bounds leave 25% for other Python versions."""
+    the group kept only as bytes rows: 2.07 MB with a table of every
+    element's restriction to X, 1.57 MB from least images (the element
+    list, 1.46 MB, is most of it), and 5.20 MB once ``extensions`` is
+    read (Python 3.11; the same under every hash seed).  The bounds
+    leave 25% for other Python versions; the summary's is below the
+    per-element table's 2.07 MB."""
     P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
     xs = build_x_sigma(P).vertices
     automorphism_group(P.complex)
@@ -305,8 +309,47 @@ def test_x_sigma_s7_certificate_memory():
         listed = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert summary <= 2_600_000
+    assert summary <= 2_000_000
     assert listed <= 6_500_000
+
+
+class TestAtEight:
+    """Certificates at s = 8 with ``ELEMENT_CAP`` lifted to |Aut| = 8! =
+    40320.  The summary comes from least images, without a table of
+    every element's restriction to X; a call takes well under a
+    second."""
+
+    @pytest.fixture(scope="class")
+    def pants8(self):
+        return enumerate_pants(8)
+
+    @pytest.fixture(autouse=True)
+    def lifted_cap(self, monkeypatch):
+        monkeypatch.setattr(AutomorphismGroup, "ELEMENT_CAP", 40320)
+
+    def test_whole_complex(self, pants8):
+        c8 = pants8[0].complex
+        cert = verify_rigidity(c8.vertices, c8, PLAIN)
+        assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == (40320, True, 40320)
+        assert cert.counterexample is None
+
+    @pytest.mark.parametrize("k, total", [(2, 322560), (3, 806400), (4, 2016000)])
+    def test_first_x_sigma(self, pants8, k, total):
+        """The first X_sigma with k cherries: only the identity fixes X
+        pointwise, and no automorphism restricts to the counterexample,
+        a locally injective simplicial map."""
+        P = next(P for P in pants8 if cherries(P.members, 8) == k)
+        c8, xs = P.complex, build_x_sigma(P).vertices
+        cert = verify_rigidity(xs, c8, PLAIN)
+        assert (cert.total_maps, cert.all_extend) == (total, False)
+        elements = automorphism_group(c8)._elements()
+        idx = c8._indices(xs)
+        restrict = itemgetter(*idx)
+        assert sum(restrict(g) == tuple(idx) for g in elements) == 1
+        m = VertexMap(c8.induced(xs), c8, cert.counterexample)
+        assert m.is_simplicial() and m.is_locally_injective()
+        images = tuple(c8._indices(m[v] for v in xs))
+        assert images not in set(map(restrict, elements))
 
 
 class TestLazyExtensions:

@@ -28,7 +28,8 @@ from spherecomplex import (
     maximal_cliques,
     search_embedding,
 )
-from spherecomplex.search import _dist2_masks, _placements, _stabiliser_chain
+from spherecomplex.search import (_degree_feasible, _dist2_masks, _placements,
+                                  _stabiliser_chain)
 
 from oracles import _iso_precheck, search_isomorphism
 
@@ -364,6 +365,22 @@ class TestStabiliserChain:
         assert [len(t) for t in chain] == orbits
         assert n == searches
         assert prod(orbits) == factorial(s)
+
+
+def test_degree_classes_are_kept_on_the_target(petersen):
+    """The target's degree-profile classes are computed on the first
+    search into it and read by every later one; the masks are those a
+    fresh copy of the target gives."""
+    star = petersen.induced(["k:12", "k:34", "k:35", "k:45"])
+    twin = petersen.induced(petersen.vertices)
+    assert twin._profile_classes is None
+    first = _degree_feasible(star, twin)
+    classes = twin._profile_classes
+    assert classes is not None
+    assert _degree_feasible(twin, twin) == [(1 << 10) - 1] * 10
+    assert _degree_feasible(star, twin) == first
+    assert twin._profile_classes is classes
+    assert first == _degree_feasible(star, petersen.induced(petersen.vertices))
 
 
 class TestLocallyInjectiveMaps:
