@@ -178,16 +178,16 @@ def link_of(c: FlagComplex, simplex: Iterable[str]) -> FlagComplex:
     s = sorted(set(simplex))
     if not c.is_clique(s):
         raise ValueError("not a clique: %r" % (s,))
-    return c.induced(c.vertices[i] for i in _bits(_link_mask(c, s)))
+    return c.induced(c.vertices[i] for i in _bits(_link_mask(c, c._indices(s))))
 
 
-def _link_mask(c: FlagComplex, ids: Iterable[str]) -> int:
-    """Mask of the vertices adjacent to every vertex in ``ids``: all
+def _link_mask(c: FlagComplex, indices: Iterable[int]) -> int:
+    """Mask of the vertices adjacent to every vertex in ``indices``: all
     vertices for the empty set, and never a vertex of a nonempty
-    ``ids`` (adjacency is irreflexive)."""
+    ``indices`` (adjacency is irreflexive)."""
     common = (1 << c.n_vertices) - 1
-    for v in ids:
-        common &= c._adj[c._index[v]]
+    for i in indices:
+        common &= c._adj[i]
     return common
 
 

@@ -42,7 +42,8 @@ class SphereSystem:
 
 def is_maximal_system(sys: SphereSystem) -> bool:
     """Whether no ambient vertex is disjoint from every member."""
-    return _link_mask(sys.complex, sys.members) == 0
+    c = sys.complex
+    return _link_mask(c, c._indices(sys.members)) == 0
 
 
 class PantsDecomposition(SphereSystem):
@@ -74,7 +75,7 @@ def flip_partners(P: PantsDecomposition, a: str) -> tuple[str, ...]:
     if a not in P.members:
         raise ValueError("%r is not a member of the decomposition" % (a,))
     c = P.complex
-    partners = _link_mask(c, P.members - {a}) & ~(1 << c.index_of(a))
+    partners = _link_mask(c, c._indices(P.members - {a})) & ~(1 << c.index_of(a))
     return tuple(c.vertices[i] for i in _bits(partners))
 
 

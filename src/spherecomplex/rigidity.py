@@ -22,7 +22,7 @@ from .flagcomplex import (FlagComplex, _bits, _maximal_cliques, complex_id,
 from .genus_zero import CaterpillarWindow, ManifoldSignature, _clusters, _laminar_tree
 from .pants import PantsDecomposition, SphereSystem, flip_partners
 from .search import (AutomorphismGroup, VertexMap, _after, _encoding,
-                     _locally_injective_placements, _search_order, automorphism_group)
+                     _locally_injective_placements, automorphism_group)
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -116,21 +116,21 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     parent's element list and kept, for this call only, by the images
     it fixes.
 
-    Verdicts and the counterexample come from least images (Linton
-    2004), not from a table of every element's restriction to X and
-    the least of {g∘p : g in G} per failing orbit: the least map of
-    p's orbit is built entry by entry in X order, each entry sent to
-    the least point of its orbit under the pointwise stabiliser of the
-    least entries before it, by an element of that stabiliser, until
-    the stabiliser is trivial.  Only the first step reads all of G, one
-    entry of each element.  p extends to some automorphism iff its
-    least image is the inclusion's, and then to exactly those of a
-    coset of the pointwise stabiliser of X, which the inclusion's walk
-    finds trivial or not; so p extends uniquely iff both hold.  The
-    counterexample is the least of the failing orbits' least images.
-    ``extensions`` lists every map of every orbit, sorted, on its first
-    read, and looks each up among the restrictions of every element to
-    X.
+    One least-image walk per found map (Linton 2004) gives its orbit
+    size and verdict: the least map q = g∘p of p's orbit is built entry
+    by entry in X order, each entry sent to the least point of its orbit
+    under the pointwise stabiliser of the least entries before it, by an
+    element of that stabiliser, until the stabiliser is trivial.  Only
+    the first step reads all of G, one entry of each element.  The
+    stabiliser the walk stops at has the order of H: if it fixes every
+    entry of q it is g∘H∘g⁻¹, and otherwise it is trivial, and so is H.
+    p extends to some automorphism iff q is the inclusion's least image,
+    and then to exactly those of a coset of the pointwise stabiliser of
+    X, a conjugate of H; so p extends uniquely iff both that holds and
+    |H| = 1.  The counterexample is the least of the failing orbits'
+    least images.  ``extensions`` lists every map of every orbit,
+    sorted, on its first read, and looks each up among the restrictions
+    of every element to X.
 
     Maps and group elements are encoded as ``search._encoding`` says
     (``bytes`` up to 256 ambient vertices, index tuples above), the
@@ -148,7 +148,6 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
         raise ValueError("ambient automorphism group of order %d is too large "
                          "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
     inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
-    order = _search_order(X)
 
     encode = _encoding(ambient.n_vertices)
     elements = group._elements()
@@ -181,20 +180,9 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
                     least |= 1 << y
         return least
 
-    def orbit_size(p: tuple[int, ...]) -> int:
-        # |G| / |H|, H fixing every image of p; walking the images in
-        # search order reuses the stabilisers the search filtered
-        h, fixed = elements, ()
-        for x in map(p.__getitem__, order):
-            if len(h) == 1:
-                break
-            fixed += (x,)
-            h = stabiliser(fixed)
-        return group.order // len(h)
-
-    def least_image(p: Sequence[int]) -> tuple[Sequence[int], bool]:
-        # min {g∘p : g in G}, walked as the docstring says, and whether
-        # the stabiliser of its entries is trivial
+    def least_image(p: Sequence[int]) -> tuple[Sequence[int], int]:
+        # min {g∘p : g in G}, walked as the docstring says, and the
+        # order of the stabiliser the walk stops at
         h, fixed = elements, ()
         while len(h) > 1 and len(fixed) < len(p):
             y = p[len(fixed)]
@@ -202,26 +190,23 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
             p = _after(p)(g)
             fixed += (g[y],)
             h = stabiliser(fixed)
-        return p, len(h) == 1
+        return p, len(h)
 
-    # p extends uniquely iff it has the inclusion's least image and the
-    # pointwise stabiliser of X (a conjugate of the least image's) is
-    # trivial, i.e. X contains a base of G
     inclusion = encode(ambient.index_of(v) for v in xs)
-    least_inclusion, based = least_image(inclusion)
+    least_inclusion = least_image(inclusion)[0]
 
     # one found map per orbit, with its orbit size; vertex ids are
     # sorted, so index order is the canonical map order
     found: list[tuple[Sequence[int], int]] = []
     total_maps = 0
     failing = None
-    for p in _locally_injective_placements(X, ambient, inside, orbit_minima, order):
-        size = orbit_size(p)
+    for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
         p = encode(p)
+        least, fixing = least_image(p)
+        size = group.order // fixing
         found.append((p, size))
         total_maps += size
-        least = least_image(p)[0]
-        if not based or least != least_inclusion:
+        if fixing > 1 or least != least_inclusion:
             # every map of the orbit fails; its least one is a candidate
             failing = least if failing is None else min(failing, least)
 

@@ -500,14 +500,12 @@ def _locally_injective_placements(
         X: FlagComplex, target: FlagComplex,
         inside: Optional[Iterable[Sequence[str]]] = None,
         minima: Optional[Callable[[tuple[int, ...], int], Optional[int]]] = None,
-        order: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Placements of X on target injective on closed stars, one per
-    orbit when ``minima`` is given (see ``_placements``, which also
-    takes ``order``).  With ``inside`` given (cliques of X as vertex
-    sequences), only placements carrying each of them onto a maximal
-    clique of target are kept."""
-    placements = _placements(X, target, _dist2_masks(X), None, minima, order)
+    orbit when ``minima`` is given (see ``_placements``).  With
+    ``inside`` given (cliques of X as vertex sequences), only placements
+    carrying each of them onto a maximal clique of target are kept."""
+    placements = _placements(X, target, _dist2_masks(X), None, minima)
     if inside is None:
         return placements
     # a placement carries a clique onto a clique of the same size, which
@@ -515,10 +513,9 @@ def _locally_injective_placements(
     inside = [tuple(q) for q in inside]
     if not all(map(X.is_clique, inside)):
         raise ValueError("not a clique of the source")
-    ids = target.vertices
     cliques = [tuple(map(X.index_of, q)) for q in inside]
     return (p for p in placements
-            if not any(_link_mask(target, [ids[p[i]] for i in q]) for q in cliques))
+            if not any(_link_mask(target, map(p.__getitem__, q)) for q in cliques))
 
 
 def enumerate_locally_injective_maps(

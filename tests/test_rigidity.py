@@ -248,16 +248,19 @@ class TestOrbitPruning:
         ambient, xs = case
         assert verify_rigidity(xs, ambient, mode) == reference_certificate(xs, ambient, mode)
 
+    @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     @pytest.mark.parametrize("n", [256, 300])
     @pytest.mark.parametrize("closed", [True, False], ids=["cycle", "path"])
-    def test_either_side_of_the_byte_rows(self, n, closed):
+    def test_either_side_of_the_byte_rows(self, n, closed, mode):
         """Maps are bytes rows up to 256 ambient vertices and index
-        tuples above; both give the reference certificate.  On the path
-        most maps do not extend, so both build a counterexample."""
+        tuples above; both give the reference certificate, in both modes.
+        On the path most maps do not extend, so both build a
+        counterexample.  Every edge is a maximal clique, so the
+        over-maximal filter keeps every map."""
         c = cycle_or_path(n, closed)
         xs = c.vertices[:3]
-        cert = verify_rigidity(xs, c)
-        assert cert == reference_certificate(xs, c, PLAIN)
+        cert = verify_rigidity(xs, c, mode)
+        assert cert == reference_certificate(xs, c, mode)
         kept = automorphism_group(c)._kept
         assert {type(g) for g in kept} == {bytes if n <= 256 else tuple}
         expected = (2 * n, True, 2 * n) if closed else (2 * n - 4, False, 2)
