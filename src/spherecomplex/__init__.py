@@ -29,10 +29,10 @@ _EXPORTS = {
     "pants": ("FlipGraph", "PantsDecomposition", "SphereSystem", "enumerate_pants",
               "flip_partners", "is_maximal_system", "pants_flip_graph"),
     "rigidity": ("OVER_MAXIMAL_MAPS", "PLAIN", "CaterpillarWitness", "LinkClass",
-                 "LinkClasses", "RigidityCertificate", "TransitivityError",
-                 "build_x_sigma", "caterpillar_witness", "detect_x_detectable",
-                 "find_split_pairs", "find_split_spheres", "link_equivalence_classes",
-                 "nonpants_regions", "verify_rigidity"),
+                 "LinkClasses", "MapOrbit", "RigidityCertificate", "TransitivityError",
+                 "build_x_sigma", "caterpillar_witness", "certificate_extensions",
+                 "detect_x_detectable", "find_split_pairs", "find_split_spheres",
+                 "link_equivalence_classes", "nonpants_regions", "verify_rigidity"),
     "search": ("AutomorphismGroup", "VertexMap", "automorphism_group",
                "enumerate_automorphisms", "enumerate_locally_injective_maps",
                "search_embedding"),

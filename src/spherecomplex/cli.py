@@ -418,7 +418,7 @@ def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
-    from .rigidity import verify_rigidity
+    from .rigidity import certificate_extensions, verify_rigidity
     c, values = _complex_from_args(args)
     xs = _split_members(args.subcomplex) if args.subcomplex is not None else list(c.vertices)
     unknown = [v for v in xs if v not in c]
@@ -426,7 +426,7 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
         raise ValueError("subcomplex vertices not in the ambient: %r" % unknown)
     values.update({"subcomplex": sorted(set(xs)), "mode": args.mode})
     cert = verify_rigidity(xs, c, mode=args.mode)
-    results = ser.certificate_to_dict(cert)
+    results = ser.certificate_to_dict(cert, certificate_extensions(xs, c, cert))
     files = {} if args.json is None else {"--json": ser.dumps(results)}
     return values, results, cert.all_extend, files
 

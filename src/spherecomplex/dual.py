@@ -232,11 +232,9 @@ def dual_of_pants(P: PantsDecomposition) -> DualMultigraph:
     sphere (absent at the root), its children's spheres, and its own
     labels.  Spheres become bonds, labels become legs.
     """
-    s = P.complex.meta.get("s")
-    if P.complex.meta.get("model") != "genus-zero" or s is None:
-        raise ValueError("dual_of_pants needs a genus-zero pants decomposition")
-    members = P.sorted_members()
     table = _clusters(P.complex)
+    s = P.complex.meta["s"]
+    members = P.sorted_members()
     regions = _laminar_tree([table[i] for i in P.complex._indices(members)], s)
     up = [0] * len(members)
     down = [0] * len(members)

@@ -134,7 +134,14 @@ def all_spheres(s: int) -> list[SpherePartition]:
 def _clusters(c: FlagComplex) -> tuple[int, ...]:
     """The cluster table of a genus-zero complex: ``clusters[i]`` is the
     label mask (bit x for label x) of vertex i's ``other_block``.  Built
-    with the complex, or parsed once from the vertex ids, and kept."""
+    with the complex, or parsed once from the vertex ids, and kept.
+    Raises ValueError unless ``c.meta`` names the genus-zero model and
+    an integer s, which every caller reads."""
+    model, s = c.meta.get("model"), c.meta.get("s")
+    if model != "genus-zero" or type(s) is not int:
+        # complex_id reads s of a genus-zero complex
+        name = complex_id(c) if model != "genus-zero" else "meta %r" % (c.meta,)
+        raise ValueError("need a genus-zero complex, not %s" % (name,))
     if c._clusters is None:
         c._clusters = tuple(sum(1 << x for x in SpherePartition.from_vertex_id(v).other_block)
                             for v in c.vertices)
@@ -192,14 +199,12 @@ def _label_generators(c: FlagComplex) -> tuple[tuple[int, ...], tuple[int, ...]]
     Each is checked to map every adjacency mask onto its image's mask,
     so each is a complex automorphism whatever the partition model says:
     it maps maximal cliques to maximal cliques and flips to flips.
-    Raises ValueError for a complex not tagged genus-zero and
-    AssertionError when the check fails.
+    Raises ValueError for a complex not tagged genus-zero (see
+    :func:`_clusters`) and AssertionError when the check fails.
     """
-    if c.meta.get("model") != "genus-zero":
-        raise ValueError("label generators need a genus-zero complex, not %s"
-                         % (complex_id(c),))
+    position = {b: i for i, b in enumerate(_clusters(c))}
     s = c.meta["s"]
-    position, full = {b: i for i, b in enumerate(_clusters(c))}, (2 << s) - 2
+    full = (2 << s) - 2
     gens = []
     for relabel in ({1: 2, 2: 1}, {x: x % s + 1 for x in range(1, s + 1)}):
         images = (sum(1 << relabel.get(x, x) for x in _bits(b)) for b in position)

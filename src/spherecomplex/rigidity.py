@@ -12,10 +12,9 @@ regions, and the caterpillar non-rigidity witness.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, compress
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _maximal_cliques, complex_id,
                           is_connected, link_of, mask_components)
@@ -28,72 +27,41 @@ PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
 
 
-class RigidityCertificate:
-    """Outcome of exhaustive rigidity verification.
+class MapOrbit(NamedTuple):
+    """One orbit of the locally injective maps X -> ambient under
+    post-composition by G = Aut(ambient).
 
-    ``extensions`` lists, per enumerated map in canonical order, the
-    index of the unique ambient automorphism it restricts, or None;
-    ``all_extend`` holds iff every map matches exactly one automorphism.
-    ``counterexample`` is the assignment of the first failing map, if
-    any.  ``verify_rigidity`` finds the other fields from one map per
-    orbit of the ambient automorphism group, and leaves ``extensions``,
-    with the table of every automorphism's restriction to X that it
-    reads, to be built on its first read, since it lists every map.
-    Certificates are immutable
-    records: equality, hash and repr go by the fields in ``_fields``
-    order.
+    ``least`` is the orbit's least map, as ambient vertex indices in X's
+    sorted-id order; ``size`` is its number of maps; ``extends`` holds
+    iff every map of the orbit extends to exactly one automorphism (the
+    verdict is the same on an orbit).
     """
 
-    _fields = ("subcomplex_id", "ambient_id", "mode", "total_maps", "all_extend",
-               "extensions", "counterexample", "automorphism_order")
+    least: tuple[int, ...]
+    size: int
+    extends: bool
 
-    def __init__(self, subcomplex_id: str, ambient_id: str, mode: str, total_maps: int,
-                 all_extend: bool, extensions: tuple[Optional[int], ...],
-                 counterexample: Optional[dict[str, str]], automorphism_order: int):
-        vars(self).update(zip(self._fields, (
-            subcomplex_id, ambient_id, mode, total_maps, all_extend, extensions,
-            counterexample, automorphism_order)))
 
-    @classmethod
-    def _deferred(cls, expand: Callable[[], tuple[Optional[int], ...]],
-                  **fields) -> "RigidityCertificate":
-        """A certificate with every field but ``extensions``, which
-        ``expand()`` builds on first read."""
-        cert = cls.__new__(cls)
-        vars(cert).update(fields, _expand=expand)
-        return cert
+class RigidityCertificate(NamedTuple):
+    """Outcome of exhaustive rigidity verification.
 
-    @cached_property
-    def extensions(self) -> tuple[Optional[int], ...]:
-        # reached only by a deferred certificate: the constructor stores
-        # the field in the instance dict, which this descriptor yields to
-        return vars(self).pop("_expand")()
+    ``orbits`` holds one :class:`MapOrbit` per orbit of the maps under
+    the ambient automorphism group, sorted by least map; ``total_maps``
+    is the sum of their sizes, and ``all_extend`` holds iff every orbit
+    extends.  ``counterexample`` is the first failing orbit's least map
+    as a vertex assignment, or None.  Every field is canonical, so equal
+    inputs give equal certificates whatever the search order;
+    :func:`certificate_extensions` lists the maps one by one.
+    """
 
-    def __getstate__(self) -> dict:
-        # pickles and copies carry the tuple, not its builder
-        self.extensions
-        return vars(self)
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("cannot delete field %r" % (name,))
+    subcomplex_id: str
+    ambient_id: str
+    mode: str
+    total_maps: int
+    all_extend: bool
+    orbits: tuple[MapOrbit, ...]
+    counterexample: Optional[dict[str, str]]
+    automorphism_order: int
 
 
 def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
@@ -109,15 +77,12 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     and extendability (h restricts to p iff g∘h restricts to g∘p), so
     every map is g∘p for a found p and some g in G, the orbits of two
     found maps are disjoint, and the verdict is the same on an orbit.
-    The certificate is therefore summed over the found maps: the orbit
-    of p has |G| / |H| maps, H the pointwise stabiliser of the images of
-    p; p's verdict is its orbit's; and the counterexample is the least
-    map of the failing orbits.  Each stabiliser is filtered from its
-    parent's element list and kept, for this call only, by the images
-    it fixes.
+    The orbit of p has |G| / |H| maps, H the pointwise stabiliser of the
+    images of p.  Each stabiliser is filtered from its parent's element
+    list and kept, for this call only, by the images it fixes.
 
-    One least-image walk per found map (Linton 2004) gives its orbit
-    size and verdict: the least map q = g∘p of p's orbit is built entry
+    One least-image walk per found map (Linton 2004) gives its orbit's
+    :class:`MapOrbit`: the least map q = g∘p of p's orbit is built entry
     by entry in X order, each entry sent to the least point of its orbit
     under the pointwise stabiliser of the least entries before it, by an
     element of that stabiliser, until the stabiliser is trivial.  Only
@@ -128,16 +93,14 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     and then to exactly those of a coset of the pointwise stabiliser of
     X, a conjugate of H; so p extends uniquely iff both that holds and
     |H| = 1.  The counterexample is the least of the failing orbits'
-    least images.  ``extensions`` lists every map of every orbit,
-    sorted, on its first read, and looks each up among the restrictions
-    of every element to X.
+    least maps.
 
     Maps and group elements are encoded as ``search._encoding`` says
     (``bytes`` up to 256 ambient vertices, index tuples above), the
     elements are the group's one kept list, and g∘p is
     ``search._after(p)(g)``.  Every map has len(X) entries, each below
-    the vertex count, so the two encodings sort, compare and hash alike
-    and give the same certificate.
+    the vertex count, so the two encodings sort, compare and hash alike;
+    the certificate holds each least map as an index tuple.
     """
     if mode not in (PLAIN, OVER_MAXIMAL_MAPS):
         raise ValueError("unknown mode: %r" % (mode,))
@@ -192,50 +155,56 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
             h = stabiliser(fixed)
         return p, len(h)
 
-    inclusion = encode(ambient.index_of(v) for v in xs)
-    least_inclusion = least_image(inclusion)[0]
-
-    # one found map per orbit, with its orbit size; vertex ids are
-    # sorted, so index order is the canonical map order
-    found: list[tuple[Sequence[int], int]] = []
-    total_maps = 0
-    failing = None
+    least_inclusion = least_image(encode(ambient._indices(xs)))[0]
+    orbits = []
     for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
-        p = encode(p)
-        least, fixing = least_image(p)
-        size = group.order // fixing
-        found.append((p, size))
-        total_maps += size
-        if fixing > 1 or least != least_inclusion:
-            # every map of the orbit fails; its least one is a candidate
-            failing = least if failing is None else min(failing, least)
-
-    def expand() -> tuple[Optional[int], ...]:
-        # the element restricting to each map, None when several do
-        extending: dict[Sequence[int], Optional[int]] = {}
-        for k, key in enumerate(map(_after(inclusion), elements)):
-            extending[key] = None if key in extending else k
-        maps: list[Sequence[int]] = []
-        for p, size in found:
-            orbit = map(_after(p), elements)
-            # every element fixing the images of p sends it to the same map
-            maps += orbit if size == group.order else set(orbit)
-        maps.sort()
-        return tuple(map(extending.get, maps))
-
-    counterexample: Optional[dict[str, str]] = None
+        least, fixing = least_image(encode(p))
+        orbits.append(MapOrbit(tuple(least), group.order // fixing,
+                               fixing == 1 and least == least_inclusion))
+    # vertex ids are sorted, so index order is the canonical map order
+    orbits.sort()
+    failing = next((orbit.least for orbit in orbits if not orbit.extends), None)
+    counterexample = None
     if failing is not None:
-        counterexample = dict(zip(xs, (ambient.vertices[j] for j in failing)))
-    return RigidityCertificate._deferred(
-        expand,
-        subcomplex_id=";".join(xs),
-        ambient_id=complex_id(ambient),
-        mode=mode,
-        total_maps=total_maps,
-        all_extend=failing is None,
-        counterexample=counterexample,
-        automorphism_order=group.order,
-    )
+        counterexample = dict(zip(xs, map(ambient.vertices.__getitem__, failing)))
+    return RigidityCertificate(";".join(xs), complex_id(ambient), mode,
+                               sum(orbit.size for orbit in orbits), failing is None,
+                               tuple(orbits), counterexample, group.order)
+
+
+def certificate_extensions(X_vertices: Iterable[str], ambient: FlagComplex,
+                           cert: RigidityCertificate) -> tuple[Optional[int], ...]:
+    """Every map of a certificate of X in ``ambient``, in canonical map
+    order, as the index of the unique ambient automorphism restricting
+    to it (in the group's element order), or None when none or several
+    do.  Each orbit is listed as {g∘q : g in G} from its least map q,
+    deduplicated only when it has fewer than |G| maps, and each map is
+    looked up among the restrictions of the elements to X.  Raises
+    ValueError when X, the ambient's id or its group order are not the
+    certificate's.
+    """
+    xs = sorted(set(X_vertices))
+    if ";".join(xs) != cert.subcomplex_id:
+        raise ValueError("the certificate is for X = %s, not %s"
+                         % (cert.subcomplex_id, ";".join(xs)))
+    group = automorphism_group(ambient)
+    if (complex_id(ambient), group.order) != (cert.ambient_id, cert.automorphism_order):
+        raise ValueError("the certificate is for %s with |Aut| = %d, not %s with |Aut| = %d"
+                         % (cert.ambient_id, cert.automorphism_order,
+                            complex_id(ambient), group.order))
+    encode = _encoding(ambient.n_vertices)
+    elements = group._elements()
+    # the element restricting to each map, None when several do
+    extending: dict[Sequence[int], Optional[int]] = {}
+    for k, key in enumerate(map(_after(encode(ambient._indices(xs))), elements)):
+        extending[key] = None if key in extending else k
+    maps: list[Sequence[int]] = []
+    for orbit in cert.orbits:
+        images = map(_after(encode(orbit.least)), elements)
+        # every element fixing the images of q sends it to the same map
+        maps += images if orbit.size == group.order else set(images)
+    maps.sort()
+    return tuple(map(extending.get, maps))
 
 
 def find_split_spheres(P: PantsDecomposition, a: str) -> list[str]:
@@ -314,17 +283,15 @@ class LinkClasses(NamedTuple):
     classes: tuple[LinkClass, ...]
 
 
-def _regions(sigma: SphereSystem, what: str):
+def _regions(sigma: SphereSystem):
     """The member clusters of a genus-zero sphere system and its
     complementary regions, each as (key, labels, spheres, boundary
     count); see :func:`genus_zero._laminar_tree` for keys and order."""
-    s = sigma.complex.meta.get("s")
-    if sigma.complex.meta.get("model") != "genus-zero" or s is None:
-        raise ValueError("%s needs the genus-zero model" % what)
+    table = _clusters(sigma.complex)
     vids = sorted(sigma.members)
-    clusters = list(map(_clusters(sigma.complex).__getitem__, sigma.complex._indices(vids)))
+    clusters = list(map(table.__getitem__, sigma.complex._indices(vids)))
     regions = []
-    for key, labels, children in _laminar_tree(clusters, s):
+    for key, labels, children in _laminar_tree(clusters, sigma.complex.meta["s"]):
         spheres = [vids[ch] for ch in children] + ([] if key is None else [vids[key]])
         regions.append((key, labels, tuple(sorted(spheres)), len(labels) + len(spheres)))
     return clusters, regions
@@ -336,7 +303,7 @@ def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
     instance and failure is a hard error; each class is annotated with
     the complementary region it fills and that region's factor.
     """
-    clusters, regions = _regions(sigma, "link_equivalence_classes")
+    clusters, regions = _regions(sigma)
     table, position = _clusters(sigma.complex), {b: i for i, b in enumerate(clusters)}
     lk = link_of(sigma.complex, sigma.members)
     verts = lk.vertices
@@ -384,7 +351,7 @@ def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
 def nonpants_regions(sigma: SphereSystem) -> list[tuple[tuple[int, ...], tuple[str, ...], int]]:
     """The complementary regions of sigma with more than three boundary
     items (the ones that can still contain spheres)."""
-    _, regions = _regions(sigma, "nonpants_regions")
+    _, regions = _regions(sigma)
     return [(labels, spheres, boundary)
             for _, labels, spheres, boundary in regions if boundary >= 4]
 

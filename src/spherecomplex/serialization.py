@@ -9,7 +9,7 @@ runs on equal inputs.  Schemas for each format ship in the
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
     from .dual import DualMultigraph
@@ -186,14 +186,17 @@ def witness_to_dict(w: CaterpillarWitness) -> dict:
     })
 
 
-def certificate_to_dict(cert: RigidityCertificate) -> dict:
+def certificate_to_dict(cert: RigidityCertificate,
+                        extensions: Sequence[Optional[int]]) -> dict:
+    """The certificate with its listed extensions (see
+    ``rigidity.certificate_extensions``) in place of its orbits."""
     return {
         "subcomplex": cert.subcomplex_id,
         "ambient": cert.ambient_id,
         "mode": cert.mode,
         "total_maps": cert.total_maps,
         "all_extend": cert.all_extend,
-        "extensions": list(cert.extensions),
+        "extensions": list(extensions),
         "counterexample": cert.counterexample,
         "automorphism_order": cert.automorphism_order,
     }

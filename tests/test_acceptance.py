@@ -25,6 +25,7 @@ from spherecomplex import (
     build_genus_zero_complex,
     catalog,
     caterpillar_witness,
+    certificate_extensions,
     classify_link,
     enumerate_automorphisms,
     enumerate_pants,
@@ -214,7 +215,8 @@ def test_criterion_08_exhaustive_rigidity():
             assert cert.total_maps == order, \
                 f"s={s}: {cert.total_maps} locally injective self-maps"
             assert cert.all_extend
-            assert len(set(cert.extensions)) == order, \
+            extensions = certificate_extensions(c.vertices, c, cert)
+            assert len(set(extensions)) == order, \
                 f"s={s}: extensions must be pairwise distinct"
 
 

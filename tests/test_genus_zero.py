@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
     FlagComplex,
+    PantsDecomposition,
     SpherePartition,
     SphereSystem,
     all_spheres,
@@ -214,6 +215,21 @@ class TestClusterTable:
         sigma = SphereSystem(c, sorted(P.members)[:1])
         link_equivalence_classes(sigma)
         nonpants_regions(sigma)
+
+    def test_untagged_complexes_are_rejected(self, c5):
+        """The one model check, in ``_clusters``: an induced copy has no
+        meta, so duals, link classes and regions of a pants decomposition
+        in it raise; so does a genus-zero tag without an integer s."""
+        sub = c5.induced(c5.vertices)
+        P = PantsDecomposition(sub, maximal_cliques(sub)[0])
+        for call in (dual_of_pants, link_equivalence_classes, nonpants_regions):
+            with pytest.raises(ValueError,
+                               match=r"^need a genus-zero complex, not complex:10v,15e$"):
+                call(P)
+        for meta in ({"model": "genus-zero"}, {"model": "genus-zero", "s": "5"}):
+            bad = FlagComplex(c5.vertices, c5._adj, meta)
+            with pytest.raises(ValueError, match=r"^need a genus-zero complex, not meta "):
+                dual_of_pants(PantsDecomposition(bad, maximal_cliques(bad)[0]))
 
 
 class TestLaminarTree:

@@ -55,14 +55,14 @@ PUBLIC = {
     "CaterpillarWitness", "ChainBoundary", "CutLabeling", "DualMultigraph",
     "EdgeBijection", "FVector", "FlagComplex", "FlipGraph", "GoodPairCensus",
     "HomologyReport", "JoinDecomposition", "LIFTED", "LiftResult", "LinkClass",
-    "LinkClasses", "ManifoldSignature", "Multigraph", "NONSEPARATING",
+    "LinkClasses", "ManifoldSignature", "MapOrbit", "Multigraph", "NONSEPARATING",
     "OBSTRUCTED", "OVER_MAXIMAL_MAPS", "PLAIN", "PantsDecomposition",
     "RigidityCertificate", "SNFResult", "SEPARATING", "SpherePartition",
     "SphereSystem", "TransitivityError", "VertexMap", "all_spheres",
     "automorphism_group", "betti_numbers", "boundary_matrices",
     "boundary_matrix", "build_caterpillar_window", "build_genus_zero_complex",
     "build_x_sigma", "catalog", "catalog_names", "caterpillar_witness",
-    "classify_link", "cliques_of_size", "complex_id", "detect_x_detectable", "dual_of_pants", "dual_to_multigraph",
+    "certificate_extensions", "classify_link", "cliques_of_size", "complex_id", "detect_x_detectable", "dual_of_pants", "dual_to_multigraph",
     "enumerate_automorphisms", "enumerate_locally_injective_maps",
     "enumerate_pants", "f_vector", "find_k3_k13_pair",
     "find_split_pairs", "find_split_spheres", "flag_from_adjacency",

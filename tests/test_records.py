@@ -1,6 +1,6 @@
 """The result records: named tuples with the field names and order, the
 defaults and the repr of the frozen dataclasses they replaced, and the
-rigidity certificate, a plain immutable class with a lazy field."""
+rigidity certificate and its map orbits."""
 
 import pickle
 
@@ -20,6 +20,7 @@ from spherecomplex import (
     LinkClass,
     LinkClasses,
     ManifoldSignature,
+    MapOrbit,
     Multigraph,
     RigidityCertificate,
     SNFResult,
@@ -51,8 +52,9 @@ FIELDS = {
                      "euler_from_f", "betti_alternating_sum"),
     FlipGraph: ("nodes", "node_members", "edges", "connected", "diameter"),
     RigidityCertificate: ("subcomplex_id", "ambient_id", "mode", "total_maps",
-                          "all_extend", "extensions", "counterexample",
+                          "all_extend", "orbits", "counterexample",
                           "automorphism_order"),
+    MapOrbit: ("least", "size", "extends"),
     LinkClass: ("members", "region_labels", "region_spheres", "factor"),
     LinkClasses: ("classes",),
     CaterpillarWitness: ("vertex_map", "moved_vertex", "moved_to", "from_type",
@@ -112,9 +114,11 @@ REPRS = [
      "vertex_map=None, obstruction=None)"),
     (lambda: verify_rigidity(["p:1,2|s=5"], build_genus_zero_complex(5)),
      "RigidityCertificate(subcomplex_id='p:1,2|s=5', ambient_id='genus-zero:s=5', "
-     "mode='plain', total_maps=10, all_extend=False, extensions=(None, None, None, None, "
-     "None, None, None, None, None, None), counterexample={'p:1,2|s=5': 'p:1,2,3|s=5'}, "
+     "mode='plain', total_maps=10, all_extend=False, orbits=(MapOrbit(least=(0,), size=10, "
+     "extends=False),), counterexample={'p:1,2|s=5': 'p:1,2,3|s=5'}, "
      "automorphism_order=120)"),
+    (lambda: verify_rigidity(["p:1,2|s=5", "p:1,3|s=5"], build_genus_zero_complex(5)).orbits[1],
+     "MapOrbit(least=(0, 1), size=60, extends=False)"),
 ]
 
 
@@ -191,13 +195,16 @@ class TestJoinDecomposition:
 
 class TestRigidityCertificate:
     def test_value_semantics(self):
-        args = ("a", "c", "plain", 1, True, (0,), None, 2)
+        args = ("a", "c", "plain", 1, True, (MapOrbit((0,), 1, True),), None, 2)
         cert = RigidityCertificate(*args)
         assert cert == RigidityCertificate(*args) != RigidityCertificate(*args[:-1], 3)
         assert hash(cert) == hash(RigidityCertificate(*args))
-        assert cert != args and tuple(getattr(cert, f) for f in cert._fields) == args
+        assert tuple(getattr(cert, f) for f in cert._fields) == args
+        assert pickle.loads(pickle.dumps(cert)) == cert
+        assert not hasattr(cert, "__dict__")
 
     def test_hash_needs_hashable_fields(self):
-        cert = RigidityCertificate("a", "c", "plain", 1, False, (None,), {"a": "b"}, 2)
+        orbits = (MapOrbit((0,), 1, False),)
+        cert = RigidityCertificate("a", "c", "plain", 1, False, orbits, {"a": "b"}, 2)
         with pytest.raises(TypeError):
             hash(cert)

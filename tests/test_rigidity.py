@@ -3,7 +3,6 @@ automorphism list, split spheres and pairs, detectability witnesses,
 link equivalence classes, caterpillar witnesses, and the good-pair
 census."""
 
-import copy
 import hashlib
 import json
 import os
@@ -25,7 +24,6 @@ from spherecomplex import (
     AutomorphismGroup,
     CutLabeling,
     PantsDecomposition,
-    RigidityCertificate,
     SpherePartition,
     SphereSystem,
     VertexMap,
@@ -36,6 +34,7 @@ from spherecomplex import (
     catalog,
     catalog_names,
     caterpillar_witness,
+    certificate_extensions,
     complex_id,
     detect_x_detectable,
     enumerate_automorphisms,
@@ -100,7 +99,8 @@ class TestVerifyRigidity:
         assert cert.total_maps == 120
         assert cert.all_extend
         assert cert.automorphism_order == 120
-        assert len(set(cert.extensions)) == 120, "extensions are distinct"
+        extensions = certificate_extensions(c5.vertices, c5, cert)
+        assert len(set(extensions)) == 120, "extensions are distinct"
 
     def test_over_maximal_maps_mode(self, c5):
         cert = verify_rigidity(c5.vertices, c5, OVER_MAXIMAL_MAPS)
@@ -142,9 +142,10 @@ class TestVerifyRigidity:
 
 
 def reference_certificate(X_vertices, ambient, mode):
-    """The certificate as the unpruned search gives it: every locally
-    injective map from the public enumerator, each looked up among the
-    restrictions of every element of the automorphism group."""
+    """The certificate as the unpruned search gives it, with the listed
+    extensions in place of the orbits: every locally injective map from
+    the public enumerator, each looked up among the restrictions of
+    every element of the automorphism group."""
     xs = sorted(set(X_vertices))
     X = ambient.induced(xs)
     kwargs = {}
@@ -161,9 +162,17 @@ def reference_certificate(X_vertices, ambient, mode):
         extensions.append(ks[0] if len(ks) == 1 else None)
         if len(ks) != 1 and counterexample is None:
             counterexample = dict(m.assignment)
-    return RigidityCertificate(
-        ";".join(xs), complex_id(ambient), mode, len(extensions),
-        None not in extensions, tuple(extensions), counterexample, group.order)
+    return (";".join(xs), complex_id(ambient), mode, len(extensions),
+            None not in extensions, tuple(extensions), counterexample, group.order)
+
+
+def listed(X_vertices, ambient, mode):
+    """``verify_rigidity``'s certificate with the listed extensions in
+    place of the orbits, whose sizes sum to the number of maps."""
+    cert = verify_rigidity(X_vertices, ambient, mode)
+    extensions = certificate_extensions(X_vertices, ambient, cert)
+    assert sum(orbit.size for orbit in cert.orbits) == cert.total_maps == len(extensions)
+    return cert[:5] + (extensions,) + cert[6:]
 
 
 def cherries(members, s):
@@ -172,8 +181,9 @@ def cherries(members, s):
     return sum(1 for b in sizes if min(b, s - b) == 2)
 
 
-def certificate_digest(cert):
-    payload = json.dumps([cert.total_maps, list(cert.extensions), cert.counterexample],
+def certificate_digest(X_vertices, ambient, cert):
+    extensions = certificate_extensions(X_vertices, ambient, cert)
+    payload = json.dumps([cert.total_maps, list(extensions), cert.counterexample],
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -204,13 +214,13 @@ class TestOrbitPruning:
     @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     def test_whole_complex(self, s, mode):
         c = build_genus_zero_complex(s)
-        assert verify_rigidity(c.vertices, c, mode) == reference_certificate(c.vertices, c, mode)
+        assert listed(c.vertices, c, mode) == reference_certificate(c.vertices, c, mode)
 
     @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     def test_every_x_sigma_at_five(self, c5, mode):
         for P in enumerate_pants(5):
             xs = build_x_sigma(P).vertices
-            assert verify_rigidity(xs, c5, mode) == reference_certificate(xs, c5, mode)
+            assert listed(xs, c5, mode) == reference_certificate(xs, c5, mode)
 
     @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     def test_sampled_x_sigma_at_six(self, c6, mode):
@@ -219,7 +229,7 @@ class TestOrbitPruning:
         sample.append(next(P for P in pants if cherries(P.members, 6) == 3))
         for P in sample:
             xs = build_x_sigma(P).vertices
-            assert verify_rigidity(xs, c6, mode) == reference_certificate(xs, c6, mode)
+            assert listed(xs, c6, mode) == reference_certificate(xs, c6, mode)
 
     @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     def test_small_subsets(self, c5, mode):
@@ -228,7 +238,7 @@ class TestOrbitPruning:
         a, b = vid(5, 1, 2), vid(5, 1, 3)
         assert not c5.adjacent(a, b)
         for xs in ([a, b], [a, b, vid(5, 4, 5)], [a], []):
-            assert verify_rigidity(xs, c5, mode) == reference_certificate(xs, c5, mode)
+            assert listed(xs, c5, mode) == reference_certificate(xs, c5, mode)
         # no constraint ties the two components: any pair of images
         disconnected = verify_rigidity([a, b], c5, mode)
         assert disconnected.total_maps == 10 * 10 and not disconnected.all_extend
@@ -238,7 +248,7 @@ class TestOrbitPruning:
         c = catalog(name)
         xs = c.vertices[:4]
         for mode in (PLAIN, OVER_MAXIMAL_MAPS):
-            assert verify_rigidity(xs, c, mode) == reference_certificate(xs, c, mode)
+            assert listed(xs, c, mode) == reference_certificate(xs, c, mode)
 
     @settings(max_examples=60)
     @given(ambient_and_subset(), st.sampled_from([PLAIN, OVER_MAXIMAL_MAPS]))
@@ -246,7 +256,7 @@ class TestOrbitPruning:
         """Random ambients have several orbits, trivial groups and
         disconnected subsets."""
         ambient, xs = case
-        assert verify_rigidity(xs, ambient, mode) == reference_certificate(xs, ambient, mode)
+        assert listed(xs, ambient, mode) == reference_certificate(xs, ambient, mode)
 
     @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     @pytest.mark.parametrize("n", [256, 300])
@@ -260,7 +270,7 @@ class TestOrbitPruning:
         c = cycle_or_path(n, closed)
         xs = c.vertices[:3]
         cert = verify_rigidity(xs, c, mode)
-        assert cert == reference_certificate(xs, c, mode)
+        assert listed(xs, c, mode) == reference_certificate(xs, c, mode)
         kept = automorphism_group(c)._kept
         assert {type(g) for g in kept} == {bytes if n <= 256 else tuple}
         expected = (2 * n, True, 2 * n) if closed else (2 * n - 4, False, 2)
@@ -275,7 +285,7 @@ class TestFrozenCertificates:
     @pytest.mark.parametrize("mode", [PLAIN, OVER_MAXIMAL_MAPS])
     def test_whole_s6(self, c6, mode):
         cert = verify_rigidity(c6.vertices, c6, mode)
-        assert certificate_digest(cert) == (
+        assert certificate_digest(c6.vertices, c6, cert) == (
             "72b443eb7d486ced5554f32f77139f95dd5d3ee0ecff1b7aa706a47a1a02656b")
 
     def test_x_sigma_s7(self):
@@ -284,9 +294,10 @@ class TestFrozenCertificates:
         P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
         assert sorted(P.members) == [vid(7, 1, 2, 3, 4, 5), vid(7, 1, 2, 3, 4),
                                      vid(7, 1, 2, 5, 6, 7), vid(7, 1, 2)]
-        cert = verify_rigidity(build_x_sigma(P).vertices, P.complex, PLAIN)
+        xs = build_x_sigma(P).vertices
+        cert = verify_rigidity(xs, P.complex, PLAIN)
         assert (cert.total_maps, cert.all_extend, cert.automorphism_order) == (50400, False, 5040)
-        assert certificate_digest(cert) == (
+        assert certificate_digest(xs, P.complex, cert) == (
             "96cf5b2698d9b3b72da8502efedc1c6931bed6f9c011d605fdd724b3e50af110")
 
 
@@ -297,8 +308,9 @@ def test_x_sigma_s7_certificate_memory():
     bytes rows beside the group's index tuples.  Summed per orbit, with
     the group kept only as bytes rows: 2.07 MB with a table of every
     element's restriction to X, 1.57 MB from least images (the element
-    list, 1.46 MB, is most of it), and 5.20 MB once ``extensions`` is
-    read (Python 3.11; the same under every hash seed).  The bounds
+    list, 1.46 MB, is most of it), and 5.20 MB once
+    ``certificate_extensions`` lists the maps (Python 3.11; the same
+    under every hash seed).  The bounds
     leave 25% for other Python versions; the summary's is below the
     per-element table's 2.07 MB."""
     P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
@@ -308,12 +320,12 @@ def test_x_sigma_s7_certificate_memory():
     try:
         cert = verify_rigidity(xs, P.complex)
         summary = tracemalloc.get_traced_memory()[1]
-        cert.extensions
-        listed = tracemalloc.get_traced_memory()[1]
+        certificate_extensions(xs, P.complex, cert)
+        extensions = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert summary <= 2_000_000
-    assert listed <= 6_500_000
+    assert extensions <= 6_500_000
 
 
 class TestAtEight:
@@ -355,30 +367,51 @@ class TestAtEight:
         assert images not in set(map(restrict, elements))
 
 
-class TestLazyExtensions:
-    """``extensions`` is listed on its first read; the other fields come
-    from one found map per orbit."""
+class TestCertificateRecord:
+    """The certificate is a named tuple of its summary and one least map
+    per orbit, so pickling, copying and printing it lists no map."""
 
-    def test_summary_leaves_extensions_unbuilt(self, c5):
-        a, b = vid(5, 1, 2), vid(5, 1, 3)
-        cert = verify_rigidity([a, b], c5)
-        assert (cert.total_maps, cert.all_extend) == (100, False)
-        assert cert.counterexample is not None
-        assert "extensions" not in vars(cert)
-        assert cert == reference_certificate([a, b], c5, PLAIN)
-        assert "extensions" in vars(cert) and "_expand" not in vars(cert)
+    def test_x_sigma_s7_is_small(self):
+        """50400 maps in 10 orbits: the pickle and the repr each take
+        under 4 kB, where listing every map took about 60 kB."""
+        P = next(P for P in enumerate_pants(7) if cherries(P.members, 7) == 3)
+        cert = verify_rigidity(build_x_sigma(P).vertices, P.complex)
+        assert len(pickle.dumps(cert)) < 4000 and len(repr(cert)) < 4000
+        assert len(cert.orbits) == 10
+        assert sum(orbit.size for orbit in cert.orbits) == cert.total_maps == 50400
+        assert pickle.loads(pickle.dumps(cert)) == cert
 
-    def test_copies_carry_the_listed_extensions(self, c5):
-        cert = verify_rigidity([vid(5, 1, 2)], c5)
-        clone = pickle.loads(pickle.dumps(cert))
-        assert "extensions" in vars(cert) and "_expand" not in vars(clone)
-        assert clone == cert and copy.copy(cert) == cert
+    def test_orbits_are_sorted_and_name_the_counterexample(self, c5):
+        """Two crossing spheres: 100 maps in orbits of 10, 60 and 30,
+        none extending; the counterexample is the first orbit's least
+        map."""
+        xs = [vid(5, 1, 2), vid(5, 1, 3)]
+        cert = verify_rigidity(xs, c5)
+        assert [(orbit.size, orbit.extends) for orbit in cert.orbits] == [
+            (10, False), (60, False), (30, False)]
+        assert list(cert.orbits) == sorted(cert.orbits)
+        least = cert.orbits[0].least
+        assert cert.counterexample == dict(zip(sorted(xs), (c5.vertices[j] for j in least)))
 
     def test_unknown_attribute_raises(self, c5):
         cert = verify_rigidity([vid(5, 1, 2)], c5)
         with pytest.raises(AttributeError, match="no_such_field"):
             cert.no_such_field
-        assert "extensions" not in vars(cert)
+
+    def test_extensions_need_the_certificates_x_and_ambient(self, c5, c6):
+        xs = [vid(5, 1, 2)]
+        cert = verify_rigidity(xs, c5)
+        with pytest.raises(ValueError, match="certificate is for X"):
+            certificate_extensions([vid(5, 1, 3)], c5, cert)
+        with pytest.raises(ValueError, match="certificate is for genus-zero:s=5"):
+            certificate_extensions(xs, c6, cert)
+        sub = c5.induced(c5.vertices)
+        with pytest.raises(ValueError, match="not complex:10v,15e"):
+            certificate_extensions(xs, sub, cert)
+        relabelled = cert._replace(ambient_id=complex_id(sub))
+        with pytest.raises(ValueError, match=r"\|Aut\| = 60, not"):
+            certificate_extensions(xs, sub, relabelled._replace(automorphism_order=60))
+        assert certificate_extensions(xs, sub, relabelled) == (None,) * 10
 
 
 class TestOrbitRepresentatives:
