@@ -31,11 +31,7 @@ class FlagComplex:
 
     def __init__(self, vertices: Sequence[str], adj_masks: Sequence[int],
                  meta: Optional[Mapping] = None):
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self._index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        self._adj: tuple[int, ...] = tuple(adj_masks)
-        self.meta = dict(meta) if meta else {}
-        self._aut = self._clusters = self._profile_classes = None
+        self._fill(vertices, adj_masks, meta)
         if len(self._index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         if list(self.vertices) != sorted(self.vertices):
@@ -48,6 +44,14 @@ class FlagComplex:
         if not all(((self._adj[j] >> i) & 1) == ((self._adj[i] >> j) & 1)
                    for i in range(len(self._adj)) for j in range(i)):
             raise ValueError("adjacency not symmetric")
+
+    def _fill(self, vertices: Sequence[str], adj_masks: Sequence[int],
+              meta: Optional[Mapping]) -> None:
+        self.vertices: tuple[str, ...] = tuple(vertices)
+        self._index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
+        self._adj: tuple[int, ...] = tuple(adj_masks)
+        self.meta = dict(meta) if meta else {}
+        self._aut = self._clusters = self._profile_classes = None
 
     # -- basic queries -------------------------------------------------
 
@@ -101,17 +105,23 @@ class FlagComplex:
 
     def induced(self, vs: Iterable[str]) -> "FlagComplex":
         """The induced subcomplex on the given vertex set (ids preserved)."""
-        keep = sorted(set(vs))
-        old = self._indices(keep)
+        return self._induced(sum(1 << i for i in self._indices(sorted(set(vs)))))
+
+    def _induced(self, mask: int) -> "FlagComplex":
+        """The induced subcomplex on the vertices in ``mask``.  It is
+        built without the constructor's checks: a sub-sequence of sorted
+        distinct ids, restricted symmetric irreflexive adjacency."""
+        old = list(_bits(mask))
         pos = {o: k for k, o in enumerate(old)}
         masks = []
         for o in old:
             m = 0
-            for j in _bits(self._adj[o]):
-                if j in pos:
-                    m |= 1 << pos[j]
+            for j in _bits(self._adj[o] & mask):
+                m |= 1 << pos[j]
             masks.append(m)
-        return FlagComplex(keep, masks)
+        sub = FlagComplex.__new__(FlagComplex)
+        sub._fill([self.vertices[o] for o in old], masks, None)
+        return sub
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagComplex):
@@ -178,7 +188,7 @@ def link_of(c: FlagComplex, simplex: Iterable[str]) -> FlagComplex:
     s = sorted(set(simplex))
     if not c.is_clique(s):
         raise ValueError("not a clique: %r" % (s,))
-    return c.induced(c.vertices[i] for i in _bits(_link_mask(c, c._indices(s))))
+    return c._induced(_link_mask(c, c._indices(s)))
 
 
 def _link_mask(c: FlagComplex, indices: Iterable[int]) -> int:

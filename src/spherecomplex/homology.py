@@ -18,6 +18,15 @@ column by floor division until the pivot stands alone, and pairwise
 remainder is smaller than the pivot, so the least entry shrinks each
 round, and no step adds rows back to restore divisibility, which can
 make coefficients explode (Kannan & Bachem, 1979).
+
+A flag complex is a join exactly when the complement of its graph is
+disconnected, and its factors are the complement's components; links of
+sphere systems are joins of the complexes of their complementary pieces.
+``betti_numbers`` reduces only the factors and combines them by the join
+formula (Milnor, "Construction of universal bundles II", 1956):
+H~_{n+1}(A*B) is the sum of H~_i(A) (x) H~_j(B) over i + j = n and of
+Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  The simplex counts convolve,
+and the boundary ranks follow from the counts and Betti numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import heapq
 from math import gcd
 from typing import NamedTuple
 
-from .flagcomplex import FlagComplex, _clique_levels
+from .flagcomplex import FlagComplex, _clique_levels, f_vector, mask_components
 
 
 class ChainBoundary(NamedTuple):
@@ -192,11 +201,18 @@ def _dense_snf(a: list[list[int]]) -> SNFResult:
             del a[r]
             for row in a:
                 del row[c]
+    return SNFResult(len(diag), _divisor_chain(diag))
+
+
+def _divisor_chain(diag: list[int]) -> tuple[int, ...]:
+    """The invariant factors of the direct sum of the cyclic groups
+    Z/d for d in ``diag`` (all positive), each dividing the next:
+    pairwise (gcd, lcm) swaps, in place, keeping any 1 they leave."""
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return SNFResult(len(diag), tuple(diag))
+    return tuple(diag)
 
 
 class HomologyReport(NamedTuple):
@@ -215,11 +231,21 @@ class HomologyReport(NamedTuple):
 def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     """Integer homology in dimensions 0..max_dim.
 
-    b_k = (#k-simplices) - rank d_k - rank d_{k+1}; torsion in H_k is
-    read off the invariant factors of d_{k+1}.
+    A join, a complex whose complement graph is disconnected, is read
+    off its factors (see ``_join_report``).  Otherwise b_k =
+    (#k-simplices) - rank d_k - rank d_{k+1}, and torsion in H_k is read
+    off the invariant factors of d_{k+1}.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
+    full = (1 << c.n_vertices) - 1
+    parts = mask_components([full ^ m for m in c._adj])  # self bits are ignored
+    if len(parts) > 1:
+        return _join_report([c._induced(part) for part in parts], max_dim)
+    return _snf_report(c, max_dim)
+
+
+def _snf_report(c: FlagComplex, max_dim: int) -> HomologyReport:
     ds = boundary_matrices(c, max_dim + 1)
     counts = [len(d.rows) for d in ds]
     # snf[k] is d_k's; popping frees each map once reduced (~200 MB at s = 9)
@@ -227,6 +253,61 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     ranks = [r.rank for r in snf]
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
     torsion = [tuple(f for f in r.factors if f not in (0, 1)) for r in snf[1:]]
+    return _report(max_dim, counts, ranks, betti, torsion)
+
+
+def _join_report(factors: list[FlagComplex], max_dim: int) -> HomologyReport:
+    """The homology of the join of ``factors``, nonempty complexes whose
+    complement graphs are connected (so none is a join), from theirs.
+
+    Joins are folded one factor at a time from the empty complex, the
+    unit of the join.  Simplex counts convolve, with f_{-1} = 1 for the
+    empty face: f_k(A*B) = sum of f_i(A) f_j(B) over i + j = k - 1.
+    Reduced homology follows the join formula (Milnor, "Construction of
+    universal bundles II", 1956):
+
+        H~_{n+1}(A*B) = (+)_{i+j=n} H~_i(A) (x) H~_j(B)
+                        (+) (+)_{i+j=n-1} Tor(H~_i(A), H~_j(B)),
+
+    with each group kept as a list of cyclic orders, 0 for Z: both
+    Z/p (x) Z/q and Tor(Z/p, Z/q) are Z/gcd(p, q), and Tor vanishes when
+    either side is Z.  A cone, a join with a single vertex, is acyclic,
+    so then no factor's homology is computed.  The boundary ranks
+    follow from r_0 = 0 and r_{k+1} = f_k - r_k - b_k.
+    """
+    size = max_dim + 2  # indices -1..max_dim, shifted by one
+    faces = [1] + [0] * (size - 1)
+    reduced: list[list[int]] = [[0]] + [[] for _ in range(size - 1)]
+    cone = any(f.n_vertices == 1 for f in factors)
+    for f in factors:
+        if cone:
+            counts, groups = f_vector(f, max_dim).counts, []
+        else:
+            r = _snf_report(f, max_dim)
+            counts = r.simplex_counts
+            groups = [[]] + [[0] * (b - (k == 0)) + list(t)
+                             for k, (b, t) in enumerate(zip(r.betti, r.torsion))]
+        g = [1, *counts]
+        faces = [sum(faces[i] * g[k - i] for i in range(k + 1)) for k in range(size)]
+        joined: list[list[int]] = [[] for _ in range(size)]
+        for p, x in enumerate(reduced):
+            for q, y in enumerate(groups):
+                if p + q < size:
+                    joined[p + q] += [gcd(a, b) for a in x for b in y]
+                if p + q + 1 < size:
+                    joined[p + q + 1] += [gcd(a, b) for a in x for b in y if a and b]
+        reduced = joined
+    betti = [reduced[k + 1].count(0) + (k == 0) for k in range(max_dim + 1)]
+    torsion = [tuple(t for t in _divisor_chain([a for a in group if a > 1]) if t > 1)
+               for group in reduced[1:]]
+    ranks = [0]
+    for f_k, b in zip(faces[1:], betti):
+        ranks.append(f_k - ranks[-1] - b)
+    return _report(max_dim, faces[1:], ranks, betti, torsion)
+
+
+def _report(max_dim: int, counts: list[int], ranks: list[int], betti: list[int],
+            torsion: list[tuple[int, ...]]) -> HomologyReport:
     euler_from_f = sum((-1) ** k * f for k, f in enumerate(counts))
     alt = sum((-1) ** k * b for k, b in enumerate(betti))
     return HomologyReport(max_dim, tuple(counts), tuple(ranks), tuple(betti),

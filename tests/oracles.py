@@ -3,9 +3,10 @@
 from itertools import permutations
 from typing import Optional
 
-from spherecomplex import (FlagComplex, FlipGraph, LinkClass, LinkClasses, ManifoldSignature,
-                           SpherePartition, VertexMap, build_genus_zero_complex, f_vector,
-                           flag_from_adjacency, slot_id, split_slot)
+from spherecomplex import (FlagComplex, FlipGraph, HomologyReport, LinkClass, LinkClasses,
+                           ManifoldSignature, SNFResult, SpherePartition, VertexMap,
+                           boundary_matrices, build_genus_zero_complex, f_vector,
+                           flag_from_adjacency, slot_id, smith_normal_form, split_slot)
 from spherecomplex.flagcomplex import _bits, mask_components, pair_components
 from spherecomplex.search import _placements, _to_map
 
@@ -115,6 +116,21 @@ def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:
     pairs = c1.edges() + c2.edges()
     pairs += [(u, v) for u in c1.vertices for v in c2.vertices]
     return flag_from_adjacency(list(c1.vertices) + list(c2.vertices), pairs)
+
+
+def plain_homology(c: FlagComplex, max_dim: int) -> HomologyReport:
+    """The homology report with every boundary map of ``c`` through
+    ``smith_normal_form``, joins included: b_k = f_k - rank d_k -
+    rank d_{k+1}, torsion in H_k from the invariant factors of d_{k+1}."""
+    ds = boundary_matrices(c, max_dim + 1)
+    counts = [len(d.rows) for d in ds]
+    snf = [SNFResult(0, ())] + [smith_normal_form(d) for d in ds]
+    ranks = [r.rank for r in snf]
+    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
+    torsion = [tuple(f for f in r.factors if f not in (0, 1)) for r in snf[1:]]
+    return HomologyReport(max_dim, tuple(counts), tuple(ranks), tuple(betti), tuple(torsion),
+                          sum((-1) ** k * f for k, f in enumerate(counts)),
+                          sum((-1) ** k * b for k, b in enumerate(betti)))
 
 
 class StringDual:

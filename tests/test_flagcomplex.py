@@ -133,6 +133,20 @@ class TestConstruction:
         assert sub.adjacent("k:12", "k:34") and sub.adjacent("k:12", "k:35")
         assert not sub.adjacent("k:34", "k:35")
 
+    @settings(max_examples=60)
+    @given(graphs(), st.data())
+    def test_induced_equals_the_validated_constructor(self, g, data):
+        """``induced`` builds its result without the constructor's
+        checks; it is the complex the checked path builds from the kept
+        ids and the edges among them, and passes every check."""
+        vs, pairs = g
+        keep = data.draw(st.sets(st.sampled_from(vs))) if vs else set()
+        sub = flag_from_adjacency(vs, pairs).induced(keep)
+        want = flag_from_adjacency(keep, [(u, v) for u, v in pairs if {u, v} <= keep])
+        assert (sub.vertices, sub._adj, sub._index, sub.meta) == \
+            (want.vertices, want._adj, want._index, want.meta)
+        assert FlagComplex(sub.vertices, sub._adj) == sub
+
     def test_edges_listing_matches_count(self, petersen):
         es = petersen.edges()
         assert len(es) == petersen.n_edges == 15

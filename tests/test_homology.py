@@ -1,9 +1,10 @@
-"""Integer simplicial homology via Smith normal form.
+"""Integer simplicial homology via Smith normal form and the join rule.
 
 Independent oracles: matrix rank by exact Gaussian elimination over the
 rationals, invariant factors by gcds of k-by-k minors, the Betti numbers
-of tree space and of its vertex links in closed form, and the Z/2
-torsion of the real projective plane.
+of tree space and of its vertex and edge links in closed form, the Z/2
+torsion of the real projective plane, and, for joins, the report with
+every boundary map through the Smith normal form.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rank_mod_p
+from oracles import join_of, plain_homology, rank_mod_p
 from spherecomplex import (
     SpherePartition,
     betti_numbers,
@@ -343,23 +344,124 @@ class TestBettiNumbers:
     def test_projective_plane_has_z2_torsion(self):
         """Barycentric subdivision of the 6-vertex RP^2: a flag complex
         on its 31 faces, with H_1 = Z/2 and no free homology above H_0."""
-        triangles = ["123", "134", "145", "156", "162",
-                     "235", "346", "452", "563", "624"]
-        faces = {"".join(sorted(f)) for t in triangles
-                 for n in (1, 2, 3) for f in combinations(t, n)}
-        assert len(faces) == 31
-        comparable = [(f, g) for f in faces for g in faces
-                      if len(f) < len(g) and set(f) <= set(g)]
-        rep = betti_numbers(flag_from_adjacency(faces, comparable), 2)
+        rp2 = projective_plane()
+        assert rp2.n_vertices == 31
+        rep = betti_numbers(rp2, 2)
         assert rep.betti == (1, 0, 0)
         assert rep.torsion == ((), (2,), ())
 
 
+def projective_plane(prefix: str = ""):
+    """The barycentric subdivision of the 6-vertex RP^2, as the flag
+    complex of its face poset, with ``prefix`` on every vertex id."""
+    triangles = ["123", "134", "145", "156", "162",
+                 "235", "346", "452", "563", "624"]
+    faces = {prefix + "".join(sorted(f)) for t in triangles
+             for n in (1, 2, 3) for f in combinations(t, n)}
+    comparable = [(f, g) for f in faces for g in faces
+                  if len(f) < len(g) and set(f) <= set(g)]
+    return flag_from_adjacency(faces, comparable)
+
+
+def moore_space(p: int, prefix: str, m: int = 4):
+    """A disk whose boundary winds p times round an m-cycle, m >= 4: an
+    annulus of p*m triangle pairs between the cycle and an inner p*m-gon
+    coned off from a centre.  Every clique of its graph is a face, so it
+    is a flag complex, with H_1 = Z/p."""
+    x = ["%sx%d" % (prefix, i) for i in range(m)]
+    y = ["%sy%d" % (prefix, i) for i in range(p * m)]
+    pairs = [(x[i], x[(i + 1) % m]) for i in range(m)]
+    for i in range(p * m):
+        pairs += [(y[i], x[i % m]), (y[i], x[(i + 1) % m]),
+                  (y[i], y[(i + 1) % (p * m)]), (y[i], prefix + "z")]
+    return flag_from_adjacency(x + y + [prefix + "z"], pairs)
+
+
+def disjoint_union(c1, c2):
+    return flag_from_adjacency(c1.vertices + c2.vertices, c1.edges() + c2.edges())
+
+
+def points(n: int, prefix: str):
+    return flag_from_adjacency(["%s%d" % (prefix, i) for i in range(n)], [])
+
+
+@st.composite
+def small_complexes(draw, prefix: str, max_n: int = 4):
+    """A random flag complex on at most ``max_n`` vertices."""
+    vs = ["%s%d" % (prefix, i) for i in range(draw(st.integers(0, max_n)))]
+    return flag_from_adjacency(vs, [(u, v) for u, v in combinations(vs, 2)
+                                    if draw(st.booleans())])
+
+
+class TestJoins:
+    """A complex whose complement graph is disconnected is a join, and
+    betti_numbers reads it off its factors; every field of the report
+    must equal the one with every boundary map through the Smith normal
+    form."""
+
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from("abc"), min_size=2, max_size=3, unique=True)
+           .flatmap(lambda ps: st.tuples(*(small_complexes(p) for p in ps))),
+           st.integers(0, 4))
+    def test_random_joins(self, factors, cap):
+        j = factors[0]
+        for f in factors[1:]:
+            j = join_of(j, f)
+        max_dim = min(len(f_vector(j).counts), cap)
+        assert betti_numbers(j, max_dim) == plain_homology(j, max_dim)
+
+    @settings(max_examples=30)
+    @given(small_complexes("b", max_n=6), st.integers(0, 3))
+    def test_cones_are_acyclic(self, base, max_dim):
+        cone = join_of(points(1, "a"), base)
+        rep = betti_numbers(cone, max_dim)
+        assert rep == plain_homology(cone, max_dim)
+        assert rep.betti == (1,) + (0,) * max_dim
+        assert rep.torsion == ((),) * (max_dim + 1)
+
+    @settings(max_examples=10)
+    @given(small_complexes("b"), st.integers(0, 4))
+    def test_joins_with_the_projective_plane(self, other, max_dim):
+        j = join_of(projective_plane("a"), other)
+        assert betti_numbers(j, max_dim) == plain_homology(j, max_dim)
+
+    @pytest.mark.parametrize("n, torsion", [(2, (2,)), (3, (2, 2))])
+    def test_points_join_projective_plane(self, n, torsion):
+        """H~_1(RP^2) = Z/2 tensored with H~_0 of n points, Z^(n-1), in
+        H_2 of the join."""
+        j = join_of(points(n, "a"), projective_plane("b"))
+        rep = betti_numbers(j, 3)
+        assert rep == plain_homology(j, 3)
+        assert rep.betti == (1, 0, 0, 0)
+        assert rep.torsion == ((), (), torsion, ())
+
+    def test_coprime_torsion(self):
+        """(RP^2 + a point) * (M(Z/3, 1) + a point): Z (x) Z/3 and
+        Z/2 (x) Z give Z/6 in H_2, and Z/2 (x) Z/3 = Tor(Z/2, Z/3) = 0."""
+        moore = moore_space(3, "b")
+        assert betti_numbers(moore, 2).torsion == ((), (3,), ())
+        j = join_of(disjoint_union(projective_plane("a"), points(1, "p")),
+                    disjoint_union(moore, points(1, "q")))
+        rep = betti_numbers(j, 4)
+        assert rep == plain_homology(j, 4)
+        assert rep.betti == (1, 1, 0, 0, 0)
+        assert rep.torsion == ((), (), (6,), (), ())
+
+    def test_projective_plane_join_itself(self):
+        """Z/2 (x) Z/2 in H_3 and Tor(Z/2, Z/2) in H_4."""
+        j = join_of(projective_plane("a"), projective_plane("b"))
+        rep = betti_numbers(j, 5)
+        assert rep == plain_homology(j, 5)
+        assert rep.betti == (1, 0, 0, 0, 0, 0)
+        assert rep.torsion == ((), (), (), (2,), (2,), ())
+
+
 class TestTreeSpaceClosedForm:
-    """The genus-zero complex is a wedge of (s-2)! spheres of dimension
-    s-4 (Vogtmann; Robinson & Whitehouse), and the link of a vertex whose
-    blocks have sizes a and b has reduced homology only in dimension
-    s-5, of rank (a-1)!(b-1)!."""
+    """The genus-zero complex C(M_{0,s}) is a wedge of (s-2)! spheres of
+    dimension s-4 (Vogtmann; Robinson & Whitehouse).  The link of a
+    simplex is the join of the complexes of its complementary pieces
+    M_{0,k_i}, so its reduced homology is Z^(prod (k_i-2)!) in degree
+    sum (k_i-3) - 1 and zero elsewhere."""
 
     def test_s7_full(self):
         rep = betti_numbers(build_genus_zero_complex(7), 3)
@@ -371,11 +473,32 @@ class TestTreeSpaceClosedForm:
         assert rep.betti == (1, 0, 0, 0, 720)
         assert all(t == () for t in rep.torsion)
 
-    def test_s7_vertex_links(self):
-        c7 = build_genus_zero_complex(7)
-        assert len(c7.vertices) == 56
-        for v in c7.vertices:
+    @staticmethod
+    def check_link(c, simplex, pieces):
+        degree = sum(k - 3 for k in pieces) - 1
+        rank = prod(factorial(k - 2) for k in pieces)
+        rep = betti_numbers(link_of(c, simplex), degree + 1)
+        assert rep.betti == tuple((k == 0) + (k == degree) * rank for k in range(degree + 2))
+        assert all(t == () for t in rep.torsion)
+
+    @pytest.mark.parametrize("s", [5, 6, 7, 8])
+    def test_vertex_links(self, s):
+        """A vertex with blocks of sizes a and b cuts M_{0,s} into
+        M_{0,a+1} and M_{0,b+1}: rank (a-1)!(b-1)! in degree s-5."""
+        c = build_genus_zero_complex(s)
+        assert len(c.vertices) == 2 ** (s - 1) - s - 1
+        for v in c.vertices:
             a = len(SpherePartition.from_vertex_id(v).block)
-            rep = betti_numbers(link_of(c7, [v]), 2)
-            assert rep.betti == (1, 0, factorial(a - 1) * factorial(7 - a - 1))
-            assert all(t == () for t in rep.torsion)
+            self.check_link(c, [v], [a + 1, s - a + 1])
+
+    @pytest.mark.parametrize("s", [6, 7])
+    def test_edge_links(self, s):
+        """Two disjoint spheres with sides X inside Y cut M_{0,s} into
+        pieces with |X| + 1, |Y| - |X| + 2 and s - |Y| + 1 boundary
+        spheres."""
+        c = build_genus_zero_complex(s)
+        labels = frozenset(range(1, s + 1))
+        for u, v in c.edges():
+            a, b = (SpherePartition.from_vertex_id(w).block for w in (u, v))
+            x, y = next((x, y) for x in (a, labels - a) for y in (b, labels - b) if x < y)
+            self.check_link(c, [u, v], [len(x) + 1, len(y) - len(x) + 2, s - len(y) + 1])
