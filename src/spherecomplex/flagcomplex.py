@@ -76,8 +76,7 @@ class FlagComplex:
         return bool((self._adj[self._index[u]] >> self._index[v]) & 1)
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        m = self._adj[self._index[v]]
-        return tuple(self.vertices[i] for i in _bits(m))
+        return self._ids(self._adj[self._index[v]])
 
     def degree(self, v: str) -> int:
         return self._adj[self._index[v]].bit_count()
@@ -98,6 +97,10 @@ class FlagComplex:
             return [self._index[v] for v in ids]
         except KeyError as exc:
             raise ValueError("unknown vertex id: %r" % (exc.args[0],)) from None
+
+    def _ids(self, mask: int) -> tuple[str, ...]:
+        """The ids of the vertices in ``mask``, sorted."""
+        return tuple(self.vertices[i] for i in _bits(mask))
 
     def is_clique(self, vs: Iterable[str]) -> bool:
         idx = self._indices(vs)
@@ -230,21 +233,31 @@ def _maximal_cliques(c: FlagComplex, ids: Iterable[str]) -> list[tuple[str, ...]
     return out
 
 
-def _clique_levels(c: FlagComplex, top: int) -> list[list[tuple[str, ...]]]:
+def _clique_levels(c: FlagComplex, top: int) -> list[list[int]]:
     """The cliques with at most ``top`` vertices, from one preorder walk
-    of increasing index sequences: ``levels[k]`` lists the k-cliques for
-    k = 0..top as sorted id tuples, in canonical order because ids are."""
-    levels: list[list[tuple[str, ...]]] = [[()]] + [[] for _ in range(top)]
-    vertices, adj = c.vertices, c._adj
+    of increasing index sequences: ``levels[k]`` lists the k-cliques as
+    vertex bitmasks, in canonical order because ids are sorted (ascending
+    bits are the sorted id tuple).  Levels stop at the clique number, so
+    there are at most ``top + 1`` of them."""
+    levels: list[list[int]] = [[0]]
+    adj = c._adj
 
-    def extend(prefix: tuple[str, ...], candidates: int) -> None:
-        for v in _bits(candidates):
-            clique = prefix + (vertices[v],)
-            levels[len(clique)].append(clique)
-            if len(clique) < top:
-                extend(clique, candidates & adj[v] & ~((2 << v) - 1))
+    def extend(prefix: int, size: int, candidates: int) -> None:
+        if size == len(levels):
+            levels.append([])
+        level = levels[size]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low  # what is left lies above ``low``
+            clique = prefix | low
+            level.append(clique)
+            if size < top:
+                common = candidates & adj[low.bit_length() - 1]
+                if common:
+                    extend(clique, size + 1, common)
 
-    extend((), (1 << c.n_vertices) - 1 if top else 0)
+    if top and c.n_vertices:
+        extend(0, 1, (1 << c.n_vertices) - 1)
     return levels
 
 
@@ -253,7 +266,8 @@ def cliques_of_size(c: FlagComplex, k: int) -> list[tuple[str, ...]]:
     canonical order.  k = 0 yields the empty simplex."""
     if k < 0:
         raise ValueError("negative clique size")
-    return _clique_levels(c, k)[k]
+    levels = _clique_levels(c, k)
+    return [c._ids(m) for m in levels[k]] if k < len(levels) else []
 
 
 class FVector:
@@ -282,11 +296,11 @@ def f_vector(c: FlagComplex, max_dim: Optional[int] = None) -> FVector:
     dimension of the complex when omitted)."""
     if max_dim is not None and max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    levels = _clique_levels(c, c.n_vertices if max_dim is None else max_dim + 1)[1:]
+    counts = [len(level) for level in _clique_levels(
+        c, c.n_vertices if max_dim is None else max_dim + 1)[1:]]
     if max_dim is None:
-        # cliques are closed under subsets, so the nonempty levels come first
-        levels = [level for level in levels if level] or [[]]
-    return FVector(map(len, levels))
+        return FVector(counts or [0])
+    return FVector(counts + [0] * (max_dim + 1 - len(counts)))
 
 
 def mask_components(adj: Sequence[int]) -> list[int]:

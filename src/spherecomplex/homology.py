@@ -1,9 +1,13 @@
 """Integer simplicial homology of finite flag complexes.
 
-Boundary matrices are assembled over canonically sorted simplex bases
-with the orientation fixed by sorted-vertex order: the face omitting the
-vertex in position j enters with sign (-1)^j.  They are stored sparsely,
-as the k + 1 signed row indices of each column.
+Simplices are clique bitmasks, listed in canonical order by one clique
+walk, and the orientation is fixed by sorted-vertex order: the faces of
+a simplex m are m ^ bit for its bits in ascending vertex order, with
+signs alternating from +1, so the face omitting the vertex in position j
+enters with sign (-1)^j.  Each boundary map is stored sparsely, as the
+k + 1 signed row indices of each column, and goes from the masks
+straight into the Smith normal form; id tuples are built only for the
+public ``ChainBoundary``.
 
 Ranks and torsion come from an exact Smith normal form over unbounded
 Python integers, computed in two stages (Dumas, Saunders & Villard,
@@ -56,7 +60,7 @@ def boundary_matrix(c: FlagComplex, k: int) -> ChainBoundary:
     """The single boundary map in dimension k >= 1."""
     if k < 1:
         raise ValueError("boundary matrices start at dimension 1")
-    return _boundary(_clique_levels(c, k + 1), k)
+    return _chain_boundary(c, _clique_levels(c, k + 1), k)
 
 
 def boundary_matrices(c: FlagComplex, max_dim: int) -> list[ChainBoundary]:
@@ -64,19 +68,39 @@ def boundary_matrices(c: FlagComplex, max_dim: int) -> list[ChainBoundary]:
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     levels = _clique_levels(c, max_dim + 1)
-    return [_boundary(levels, k) for k in range(1, max_dim + 1)]
+    return [_chain_boundary(c, levels, k) for k in range(1, max_dim + 1)]
 
 
-def _boundary(levels: list[list[tuple[str, ...]]], k: int) -> ChainBoundary:
-    """d_k from one clique pass: its columns are the k-simplices
-    ``levels[k + 1]`` and its rows the (k-1)-simplices ``levels[k]``."""
-    rows, cols = levels[k], levels[k + 1]
-    row_index = {s: i for i, s in enumerate(rows)}
-    columns = tuple(
-        tuple((row_index[simplex[:omit] + simplex[omit + 1:]], -1 if omit % 2 else 1)
-              for omit in range(k + 1))
-        for simplex in cols)
-    return ChainBoundary(k, tuple(rows), tuple(cols), columns)
+def _chain_boundary(c: FlagComplex, levels: list[list[int]], k: int) -> ChainBoundary:
+    """d_k from one clique pass, with its bases as sorted id tuples."""
+    rows, cols = _level(levels, k), _level(levels, k + 1)
+    return ChainBoundary(k, tuple(map(c._ids, rows)), tuple(map(c._ids, cols)),
+                         tuple(tuple(col.items()) for col in _columns(rows, cols)))
+
+
+def _level(levels: list[list[int]], k: int) -> list[int]:
+    """The k-cliques of a clique pass, empty past the clique number."""
+    return levels[k] if k < len(levels) else []
+
+
+def _columns(rows: list[int], cols: list[int]) -> list[dict[int, int]]:
+    """The boundary map from the simplices ``cols`` to ``rows``, both
+    clique bitmasks in canonical order: column j maps the row of each
+    face m ^ bit of m = cols[j] to its sign, the bits taken in ascending
+    vertex order with signs alternating from +1, so the face omitting
+    the vertex in position i has sign (-1)^i."""
+    index = {m: i for i, m in enumerate(rows)}
+    out = []
+    for m in cols:
+        col = {}
+        sign, rest = 1, m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            col[index[m ^ bit]] = sign
+            sign = -sign
+        out.append(col)
+    return out
 
 
 class SNFResult(NamedTuple):
@@ -90,25 +114,39 @@ def smith_normal_form(matrix) -> SNFResult:
     Returns the rank and the invariant factors (positive, each dividing
     the next).  Accepts a ChainBoundary or any nested row sequence of
     integers (lists, tuples, an integer ndarray), and raises ValueError
-    on rows of unequal length or a non-integer entry; all arithmetic is
-    unbounded-precision.  Unit pivots are cleared sparsely first; only
-    the block left without a unit entry is eliminated densely.
+    on rows that are not sequences of equal length or on an entry that
+    is not an integer (None, a fraction, an infinity or NaN); all
+    arithmetic is unbounded-precision.  Unit pivots are cleared sparsely
+    first; only the block left without a unit entry is eliminated
+    densely.
     """
     if isinstance(matrix, ChainBoundary):
-        n_rows = len(matrix.rows)
-        cols = [dict(col) for col in matrix.columns]
-    else:
+        return _snf([dict(col) for col in matrix.columns], len(matrix.rows))
+    try:
         rows = [list(row) for row in matrix]
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("matrix rows differ in length")
-        if any(int(x) != x for row in rows for x in row):
-            raise ValueError("matrix entries must be integers")
-        n_rows = len(rows)
-        cols = [{} for _ in range(len(rows[0]) if n_rows else 0)]
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = int(x)
+    except TypeError:  # a row that is not a sequence, as in a flat list
+        raise ValueError("matrix rows differ in length") from None
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows differ in length")
+    try:
+        exact = all(int(x) == x for row in rows for x in row)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, an infinity
+        exact = False
+    if not exact:
+        raise ValueError("matrix entries must be integers")
+    n_rows = len(rows)
+    cols: list[dict[int, int]] = [{} for _ in range(len(rows[0]) if n_rows else 0)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = int(x)
+    return _snf(cols, n_rows)
+
+
+def _snf(cols: list[dict[int, int]], n_rows: int) -> SNFResult:
+    """The Smith normal form of the sparse matrix with ``n_rows`` rows
+    and columns ``cols`` ({row index: nonzero entry}), which it clears:
+    unit pivots sparsely, then the residual block densely."""
     units = _clear_unit_pivots(cols, n_rows)
     live = [col for col in cols if col]
     live_rows = sorted({i for col in live for i in col})
@@ -234,25 +272,37 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     A join, a complex whose complement graph is disconnected, is read
     off its factors (see ``_join_report``).  Otherwise b_k =
     (#k-simplices) - rank d_k - rank d_{k+1}, and torsion in H_k is read
-    off the invariant factors of d_{k+1}.
+    off the invariant factors of d_{k+1}.  No simplex reaches dimension
+    n_vertices, so the report is computed up to there at most and padded
+    with zeros.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
+    top = min(max_dim, c.n_vertices)
     full = (1 << c.n_vertices) - 1
     parts = mask_components([full ^ m for m in c._adj])  # self bits are ignored
     if len(parts) > 1:
-        return _join_report([c._induced(part) for part in parts], max_dim)
-    return _snf_report(c, max_dim)
+        r = _join_report([c._induced(part) for part in parts], top)
+    else:
+        r = _snf_report(c, top)
+    zeros = (0,) * (max_dim - top)
+    return r._replace(max_dim=max_dim, simplex_counts=r.simplex_counts + zeros,
+                      boundary_ranks=r.boundary_ranks + zeros, betti=r.betti + zeros,
+                      torsion=r.torsion + ((),) * len(zeros))
 
 
 def _snf_report(c: FlagComplex, max_dim: int) -> HomologyReport:
-    ds = boundary_matrices(c, max_dim + 1)
-    counts = [len(d.rows) for d in ds]
-    # snf[k] is d_k's; popping frees each map once reduced (~200 MB at s = 9)
-    snf = [SNFResult(0, ())] + [smith_normal_form(ds.pop(0)) for _ in counts]
-    ranks = [r.rank for r in snf]
+    levels = _clique_levels(c, max_dim + 2)
+    counts = [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
+    ranks, torsion = [0], []
+    for k in range(1, max_dim + 2):
+        # d_k is built right before its reduction, so one map is alive
+        # at a time (full homology at s = 9 peaks near 1 GB)
+        rows = _level(levels, k)
+        r = _snf(_columns(rows, _level(levels, k + 1)), len(rows))
+        ranks.append(r.rank)
+        torsion.append(tuple(f for f in r.factors if f > 1))
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
-    torsion = [tuple(f for f in r.factors if f not in (0, 1)) for r in snf[1:]]
     return _report(max_dim, counts, ranks, betti, torsion)
 
 

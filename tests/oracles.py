@@ -3,10 +3,10 @@
 from itertools import permutations
 from typing import Optional
 
-from spherecomplex import (FlagComplex, FlipGraph, HomologyReport, LinkClass, LinkClasses,
-                           ManifoldSignature, SNFResult, SpherePartition, VertexMap,
-                           boundary_matrices, build_genus_zero_complex, f_vector,
-                           flag_from_adjacency, slot_id, smith_normal_form, split_slot)
+from spherecomplex import (ChainBoundary, FlagComplex, FlipGraph, HomologyReport, LinkClass,
+                           LinkClasses, ManifoldSignature, SNFResult, SpherePartition,
+                           VertexMap, build_genus_zero_complex, f_vector, flag_from_adjacency,
+                           slot_id, smith_normal_form, split_slot)
 from spherecomplex.flagcomplex import _bits, mask_components, pair_components
 from spherecomplex.search import _placements, _to_map
 
@@ -118,11 +118,45 @@ def join_of(c1: FlagComplex, c2: FlagComplex) -> FlagComplex:
     return flag_from_adjacency(list(c1.vertices) + list(c2.vertices), pairs)
 
 
+def reference_cliques(c: FlagComplex, top: int) -> list[list[tuple[str, ...]]]:
+    """The k-cliques for k = 0..top as sorted id tuples, level by level:
+    each clique is extended by every common neighbour above its last
+    vertex, so every level comes out in canonical order."""
+    nbrs = {v: set(c.neighbors(v)) for v in c.vertices}
+    levels: list[list[tuple[str, ...]]] = [[()]]
+    for _ in range(top):
+        levels.append([s + (v,) for s in levels[-1] for v in sorted(
+            set.intersection(*(nbrs[u] for u in s)) if s else c.vertices)
+            if not s or v > s[-1]])
+    return levels
+
+
+def reference_boundary(levels: list[list[tuple[str, ...]]], k: int) -> ChainBoundary:
+    """d_k over id-tuple bases: its columns are the k-simplices
+    ``levels[k + 1]`` and its rows the (k-1)-simplices ``levels[k]``,
+    and the face omitting the vertex in position j has sign (-1)^j."""
+    rows, cols = levels[k], levels[k + 1]
+    row_index = {s: i for i, s in enumerate(rows)}
+    columns = tuple(
+        tuple((row_index[simplex[:omit] + simplex[omit + 1:]], -1 if omit % 2 else 1)
+              for omit in range(k + 1))
+        for simplex in cols)
+    return ChainBoundary(k, tuple(rows), tuple(cols), columns)
+
+
+def reference_boundaries(c: FlagComplex, max_dim: int) -> list[ChainBoundary]:
+    """d_1..d_max_dim from ``reference_cliques`` and ``reference_boundary``,
+    sharing no clique walk or assembly with the library."""
+    levels = reference_cliques(c, max_dim + 1)
+    return [reference_boundary(levels, k) for k in range(1, max_dim + 1)]
+
+
 def plain_homology(c: FlagComplex, max_dim: int) -> HomologyReport:
-    """The homology report with every boundary map of ``c`` through
-    ``smith_normal_form``, joins included: b_k = f_k - rank d_k -
-    rank d_{k+1}, torsion in H_k from the invariant factors of d_{k+1}."""
-    ds = boundary_matrices(c, max_dim + 1)
+    """The homology report with every boundary map of ``c`` built by
+    ``reference_boundaries`` and reduced by ``smith_normal_form``, joins
+    included: b_k = f_k - rank d_k - rank d_{k+1}, torsion in H_k from
+    the invariant factors of d_{k+1}."""
+    ds = reference_boundaries(c, max_dim + 1)
     counts = [len(d.rows) for d in ds]
     snf = [SNFResult(0, ())] + [smith_normal_form(d) for d in ds]
     ranks = [r.rank for r in snf]

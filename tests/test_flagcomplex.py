@@ -35,7 +35,7 @@ from spherecomplex import (
     maximal_cliques,
     verify_rigidity,
 )
-from spherecomplex.flagcomplex import _maximal_cliques, mask_components
+from spherecomplex.flagcomplex import _clique_levels, _maximal_cliques, mask_components
 
 
 def random_graph(draw, max_n=8):
@@ -265,6 +265,20 @@ class TestCliqueEnumeration:
         c = flag_from_adjacency(vs, pairs)
         want = [sub for sub in combinations(c.vertices, k) if c.is_clique(sub)]
         assert cliques_of_size(c, k) == want
+
+    @settings(max_examples=40)
+    @given(graphs(), st.integers(min_value=0, max_value=9))
+    def test_clique_levels_stop_at_the_clique_number(self, g, top):
+        """Level k lists the k-cliques as vertex bitmasks in canonical
+        order, and no level is allocated past the clique number."""
+        vs, pairs = g
+        c = flag_from_adjacency(vs, pairs)
+        want = [[sub for sub in combinations(c.vertices, k) if c.is_clique(sub)]
+                for k in range(top + 1)]
+        want = [level for level in want if level]  # cliques are closed under subsets
+        got = [[tuple(c.vertices[i] for i in range(c.n_vertices) if m >> i & 1) for m in level]
+               for level in _clique_levels(c, top)]
+        assert got == want
 
     def test_petersen_maximal_cliques_are_the_edges(self, petersen):
         qs = maximal_cliques(petersen)

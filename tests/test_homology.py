@@ -3,8 +3,10 @@
 Independent oracles: matrix rank by exact Gaussian elimination over the
 rationals, invariant factors by gcds of k-by-k minors, the Betti numbers
 of tree space and of its vertex and edge links in closed form, the Z/2
-torsion of the real projective plane, and, for joins, the report with
-every boundary map through the Smith normal form.
+torsion of the real projective plane, and, for joins and non-joins, the
+report with every boundary map built over id tuples by a reference
+builder that shares no assembly with the library and reduced by the
+Smith normal form.
 """
 
 from fractions import Fraction
@@ -19,9 +21,10 @@ from math import factorial, gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import join_of, plain_homology, rank_mod_p
+from oracles import (join_of, plain_homology, rank_mod_p, reference_boundaries,
+                     reference_cliques)
 from spherecomplex import (
     SpherePartition,
     betti_numbers,
@@ -190,6 +193,15 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="integers"):
             smith_normal_form([[1.5, 2]])
 
+    @pytest.mark.parametrize("entry", [None, float("inf"), float("-inf"), float("nan"), "1", 1j])
+    def test_rejects_other_non_integer_entries(self, entry):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            smith_normal_form([[entry, 2]])
+
+    def test_rejects_a_flat_list(self):
+        with pytest.raises(ValueError, match="matrix rows differ in length"):
+            smith_normal_form([1, 2])
+
     def test_accepts_integer_arrays(self):
         m = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], dtype=np.int64)
         assert smith_normal_form(m) == smith_normal_form(m.tolist())
@@ -341,6 +353,30 @@ class TestBettiNumbers:
         c = flag_from_adjacency(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert betti_numbers(c, 1).betti == (2, 0)
 
+    def test_huge_max_dim_is_padded(self):
+        """Past n_vertices every group is zero, so a report at max_dim =
+        10**5 is the max_dim = 3 one padded with zeros; run in a child
+        process so that work growing with max_dim fails at the timeout."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        code = ("from spherecomplex import betti_numbers, catalog\n"
+                "for name in ('k33', 'petersen'):\n"
+                "    print(tuple(betti_numbers(catalog(name), 10 ** 5)))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        for name, line in zip(("k33", "petersen"), lines):
+            r = betti_numbers(catalog(name), 3)
+            zeros = (0,) * (10 ** 5 - 3)
+            want = r._replace(max_dim=10 ** 5, simplex_counts=r.simplex_counts + zeros,
+                              boundary_ranks=r.boundary_ranks + zeros, betti=r.betti + zeros,
+                              torsion=r.torsion + ((),) * len(zeros))
+            same = line == repr(tuple(want))  # no diff of 10**5-entry reports
+            assert same, name
+
     def test_projective_plane_has_z2_torsion(self):
         """Barycentric subdivision of the 6-vertex RP^2: a flag complex
         on its 31 faces, with H_1 = Z/2 and no free homology above H_0."""
@@ -454,6 +490,54 @@ class TestJoins:
         assert rep == plain_homology(j, 5)
         assert rep.betti == (1, 0, 0, 0, 0, 0)
         assert rep.torsion == ((), (), (), (2,), (2,), ())
+
+
+def is_join(c) -> bool:
+    """Whether the complement of the graph of ``c`` is disconnected, by a
+    search over vertex ids."""
+    if c.n_vertices < 2:
+        return False
+    seen, todo = set(), [c.vertices[0]]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo += [u for u in c.vertices if u != v and not c.adjacent(u, v)]
+    return len(seen) < c.n_vertices
+
+
+class TestReferenceAssembly:
+    """Cliques, boundary maps and whole reports against the id-tuple
+    reference builder in ``oracles``."""
+
+    @settings(max_examples=60)
+    @given(small_complexes("v", max_n=7), st.integers(1, 5))
+    def test_random_complexes(self, c, max_dim):
+        assert boundary_matrices(c, max_dim) == reference_boundaries(c, max_dim)
+        levels = reference_cliques(c, max_dim + 1)
+        assert [cliques_of_size(c, k) for k in range(max_dim + 2)] == levels
+        assert f_vector(c, max_dim).counts == tuple(map(len, levels[1:]))
+
+    @pytest.mark.parametrize("s", [4, 5, 6, 7])
+    def test_genus_zero(self, s):
+        c = build_genus_zero_complex(s)
+        top = len(f_vector(c).counts)
+        assert boundary_matrices(c, top) == reference_boundaries(c, top)
+
+    @settings(max_examples=60)
+    @given(small_complexes("v", max_n=8), st.integers(0, 5))
+    def test_non_joins(self, c, max_dim):
+        assume(not is_join(c))
+        assert betti_numbers(c, max_dim) == plain_homology(c, max_dim)
+
+    def test_non_join_with_torsion(self):
+        """RP^2 with a whisker, so not a join: H_1 = Z/2."""
+        rp2 = projective_plane()
+        c = flag_from_adjacency(rp2.vertices + ("x",), rp2.edges() + [("1", "x")])
+        assert not is_join(c)
+        rep = betti_numbers(c, 3)
+        assert rep == plain_homology(c, 3)
+        assert rep.torsion == ((), (2,), (), ())
 
 
 class TestTreeSpaceClosedForm:
