@@ -23,6 +23,15 @@ remainder is smaller than the pivot, so the least entry shrinks each
 round, and no step adds rows back to restore divisibility, which can
 make coefficients explode (Kannan & Bachem, 1979).
 
+Two kinds of map skip the elimination.  A map with no columns has rank 0
+and no invariant factors.  When the clique walk lists no triangle (the
+complex is a graph, or max_dim = 0 leaves d_1 the only map), d_1 has
+rank V - c for V vertices and c components, and no invariant factor
+above 1: the incidence matrix of a graph is totally unimodular, and a
+spanning forest pairs every vertex but one per component with an edge
+(the collapse of discrete Morse theory, Forman 1998).  d_1 of a complex
+with triangles is still reduced.
+
 A flag complex is a join exactly when the complement of its graph is
 disconnected, and its factors are the complement's components; links of
 sphere systems are joins of the complexes of their complementary pieces.
@@ -272,9 +281,12 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     A join, a complex whose complement graph is disconnected, is read
     off its factors (see ``_join_report``).  Otherwise b_k =
     (#k-simplices) - rank d_k - rank d_{k+1}, and torsion in H_k is read
-    off the invariant factors of d_{k+1}.  No simplex reaches dimension
-    n_vertices, so the report is computed up to there at most and padded
-    with zeros.
+    off the invariant factors of d_{k+1}.  A map with no columns has
+    rank 0, and d_1 of a complex with no triangle has rank V - c with
+    every factor 1 (V vertices, c components), so neither is reduced;
+    a graph, or a join of graphs, needs no elimination at all.  No
+    simplex reaches dimension n_vertices, so the report is computed up
+    to there at most and padded with zeros.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -296,10 +308,15 @@ def _snf_report(c: FlagComplex, max_dim: int) -> HomologyReport:
     counts = [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
     ranks, torsion = [0], []
     for k in range(1, max_dim + 2):
-        # d_k is built right before its reduction, so one map is alive
-        # at a time (full homology at s = 9 peaks near 1 GB)
-        rows = _level(levels, k)
-        r = _snf(_columns(rows, _level(levels, k + 1)), len(rows))
+        rows, cols = _level(levels, k), _level(levels, k + 1)
+        if not cols:
+            r = SNFResult(0, ())
+        elif k == 1 and len(levels) < 4:  # no triangle listed: d_1 of a graph
+            r = SNFResult(c.n_vertices - len(mask_components(c._adj)), ())
+        else:
+            # d_k is built right before its reduction, so one map is alive
+            # at a time (full homology at s = 9 peaks near 1 GB)
+            r = _snf(_columns(rows, cols), len(rows))
         ranks.append(r.rank)
         torsion.append(tuple(f for f in r.factors if f > 1))
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]

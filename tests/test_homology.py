@@ -35,6 +35,7 @@ from spherecomplex import (
     f_vector,
     flag_from_adjacency,
     cliques_of_size,
+    homology,
     link_of,
     smith_normal_form,
 )
@@ -490,6 +491,110 @@ class TestJoins:
         assert rep == plain_homology(j, 5)
         assert rep.betti == (1, 0, 0, 0, 0, 0)
         assert rep.torsion == ((), (), (), (2,), (2,), ())
+
+
+def triangle_free(prefix: str, n: int, pairs):
+    """The graph on n vertices keeping each pair of ``pairs`` (index
+    pairs, in order) whose ends have no common neighbour yet."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        if not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    vs = ["%s%d" % (prefix, i) for i in range(n)]
+    return flag_from_adjacency(vs, [(vs[u], vs[v]) for u in range(n) for v in nbrs[u] if u < v])
+
+
+def seeded_triangle_free(seed: int):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    p = rng.random()
+    return triangle_free("g", n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+@st.composite
+def triangle_free_graphs(draw):
+    """Two triangle-free graphs side by side, plus isolated vertices."""
+    parts = []
+    for prefix in "ab":
+        n = draw(st.integers(0, 8))
+        pairs = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+        parts.append(triangle_free(prefix, n, pairs))
+    return disjoint_union(disjoint_union(*parts), points(draw(st.integers(1, 3)), "p"))
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """The (rows, columns) shape of each map sent through the Smith
+    normal form, in call order."""
+    calls = []
+    snf = homology._snf
+
+    def recording(cols, n_rows):
+        calls.append((n_rows, len(cols)))
+        return snf(cols, n_rows)
+
+    monkeypatch.setattr(homology, "_snf", recording)
+    return calls
+
+
+class TestGraphRule:
+    """A boundary map with no columns has rank 0, and d_1 of a complex
+    whose clique walk lists no triangle has rank V - c with no factor
+    above 1 (a graph's incidence matrix is totally unimodular): neither
+    goes through the Smith normal form.  d_1 of a complex with
+    triangles still does."""
+
+    @pytest.mark.parametrize("max_dim", [0, 1, 2, 3])
+    def test_triangle_free_complexes_skip_elimination(self, snf_calls, max_dim):
+        graphs = [catalog(n) for n in ("petersen", "k33", "k13")]
+        graphs += [flag_from_adjacency([], [])]
+        graphs += [seeded_triangle_free(seed) for seed in range(40)]
+        for g in graphs:
+            betti_numbers(g, max_dim)
+        assert snf_calls == []
+
+    def test_petersen_times_points_links_skip_elimination(self, snf_calls):
+        c = build_genus_zero_complex(7)
+        links = [link_of(c, [v]) for v in c.vertices
+                 if len(SpherePartition.from_vertex_id(v).block) in (3, 4)]
+        assert len(links) == 35
+        for lk in links:
+            assert betti_numbers(lk, 2).betti == (1, 0, 12)
+        assert snf_calls == []
+
+    def test_complexes_with_triangles_reduce_d1(self, c6, snf_calls):
+        """d_1 and d_2 of the s = 6 complex, none on its empty d_3, and
+        the same for a {2,5} link at s = 7, a copy of that complex."""
+        shapes = [(25, 105), (105, 105)]
+        assert betti_numbers(c6, 2).betti == (1, 0, 24)
+        assert snf_calls == shapes
+        c = build_genus_zero_complex(7)
+        v = next(v for v in c.vertices if len(SpherePartition.from_vertex_id(v).block) == 2)
+        assert betti_numbers(link_of(c, [v]), 2).betti == (1, 0, 24)
+        assert snf_calls == shapes * 2
+
+    def test_petersen_join_projective_plane(self, snf_calls):
+        """Only RP^2's d_1 and d_2 are reduced, and H~_1(Petersen) (x)
+        H~_1(RP^2) = (Z/2)^6 lands in H_3."""
+        j = join_of(catalog("petersen"), projective_plane("a"))
+        rep = betti_numbers(j, 5)
+        assert snf_calls == [(31, 90), (90, 60)]
+        assert rep == plain_homology(j, 5)
+        assert rep.betti == (1, 0, 0, 0, 0, 0)
+        assert rep.torsion == ((), (), (), (2,) * 6, (), ())
+
+    @settings(max_examples=60)
+    @given(triangle_free_graphs(), st.integers(0, 3))
+    def test_triangle_free_graphs_match_the_oracle(self, g, max_dim):
+        assert betti_numbers(g, max_dim) == plain_homology(g, max_dim)
+
+    def test_points_join_moore_space_matches_the_oracle(self):
+        """H~_0(3 points) = Z^2 tensored with H~_1 = Z/3: (Z/3)^2 in H_2."""
+        j = join_of(points(3, "a"), moore_space(3, "b"))
+        rep = betti_numbers(j, 4)
+        assert rep == plain_homology(j, 4)
+        assert rep.torsion == ((), (), (3, 3), (), ())
 
 
 def is_join(c) -> bool:
