@@ -164,6 +164,11 @@ def _complex_from_spec(option: str, spec: str) -> tuple[FlagComplex, dict]:
                      "genus-zero:S, caterpillar:M, or file" % (spec,))
 
 
+def _id_map(src: FlagComplex, dst: FlagComplex, placement: Sequence[int]) -> dict:
+    """An index tuple of the search engine as a dict of vertex ids."""
+    return dict(zip(src.vertices, map(dst.vertices.__getitem__, placement)))
+
+
 def _split_members(raw: str) -> list[str]:
     parts = [x.strip() for x in raw.split(";") if x.strip()]
     if not parts:
@@ -412,7 +417,7 @@ def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool, dict]:
         "id": complex_id(c),
         "order": group.order,
         "n_generators": len(group.generators),
-        "generators": [dict(g.assignment) for g in group.generators],
+        "generators": [_id_map(c, c, g) for g in group.generators],
     }
     return values, results, True, {}
 
@@ -490,17 +495,18 @@ def _cmd_nonembed(args) -> tuple[dict, dict, bool, dict]:
     dst, dst_rec = _complex_from_spec("--target", args.target)
     shortcut = not args.no_shortcut
     found = search_embedding(src, dst, use_acyclicity_shortcut=shortcut)
+    exists = found is not None
     results = {
         "source": complex_id(src),
         "target": complex_id(dst),
-        "embedding_exists": found is not None,
-        "embedding": dict(found.assignment) if found else None,
+        "embedding_exists": exists,
+        "embedding": _id_map(src, dst, found) if exists else None,
         "acyclicity_shortcut": shortcut,
-        "verdict": "embedding found" if found else "no embedding",
+        "verdict": "embedding found" if exists else "no embedding",
     }
     values = {"source": src_rec, "target": dst_rec,
               "acyclicity_shortcut": shortcut}
-    return values, results, found is None, {}
+    return values, results, not exists, {}
 
 
 def _cmd_census_good_pairs(args) -> tuple[dict, dict, bool, dict]:

@@ -33,22 +33,27 @@ each point of the orbit of b_i, each found by one first-hit search of
 the same engine (McKay & Piperno 2014).  Candidate images are cut down
 by adjacency to the fixed base points, which automorphisms reflect.
 
-All searches are deterministic: candidates are tried in canonical
-(lexicographic id) order and results are emitted in canonical order.
+Every map the module returns is an index tuple: entry i is the target
+index of source vertex i, and ``c.vertices[j]`` is the id of index j.
+Vertex ids are sorted, so tuple order is the canonical (lexicographic
+id) order, and every search is deterministic: candidates are tried and
+results are emitted in that order.  ``VertexMap`` holds and checks a
+map keyed by ids, such as a caterpillar witness.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from math import prod
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .flagcomplex import FlagComplex, _bits, _link_mask, has_cycle
 
 
 class VertexMap:
-    """A total map between the vertex sets of two flag complexes."""
+    """A total map between the vertex sets of two flag complexes, keyed
+    by vertex id; the constructor checks that it is total and that
+    every id belongs to its complex."""
 
     __slots__ = ("source", "target", "assignment")
 
@@ -68,9 +73,6 @@ class VertexMap:
                 if w not in target:
                     raise ValueError("unknown target vertex %r" % (w,))
 
-    def __getitem__(self, v: str) -> str:
-        return self.assignment[v]
-
     def is_simplicial(self) -> bool:
         """Images of adjacent vertices are adjacent or equal."""
         for u, v in self.source.edges():
@@ -78,9 +80,6 @@ class VertexMap:
             if fu != fv and not self.target.adjacent(fu, fv):
                 return False
         return True
-
-    def is_injective(self) -> bool:
-        return len(set(self.assignment.values())) == len(self.assignment)
 
     def is_locally_injective(self) -> bool:
         """Injective on every closed star of the source."""
@@ -90,10 +89,6 @@ class VertexMap:
             if len(set(images)) != len(images):
                 return False
         return True
-
-    def key(self) -> tuple[str, ...]:
-        """Canonical sort key: images in source vertex order."""
-        return tuple(self.assignment[v] for v in self.source.vertices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VertexMap):
@@ -173,7 +168,6 @@ def _placements(src: FlagComplex, dst: FlagComplex,
                 scope: Optional[Sequence[int]] = None,
                 masks: Optional[Sequence[int]] = None,
                 minima: Optional[Callable[[tuple[int, ...], int], Optional[int]]] = None,
-                order: Optional[Sequence[int]] = None,
                 ) -> Iterator[tuple[int, ...]]:
     """Every placement of src on dst that sends edges to edges, depth
     first along ``_search_order`` with candidates in ascending order.
@@ -184,8 +178,7 @@ def _placements(src: FlagComplex, dst: FlagComplex,
     With ``masks`` given, source vertex v may only map into the target
     vertices of ``masks[v]``; the masks then replace ``_degree_feasible``,
     so a caller restricting the search starts from it once and ANDs its
-    restrictions in.  A caller that has ``_search_order(src)`` at hand
-    may pass it as ``order``.
+    restrictions in.
 
     With ``minima`` given, only one placement per orbit of a group G of
     automorphisms of dst is emitted.  ``minima(images, cand)`` is called
@@ -206,8 +199,7 @@ def _placements(src: FlagComplex, dst: FlagComplex,
     if n == 0:
         yield ()
         return
-    if order is None:
-        order = _search_order(src)
+    order = _search_order(src)
     feas = _degree_feasible(src, dst) if masks is None else masks
     adj_t = dst._adj
     # per position: the already-placed neighbors and scope members
@@ -263,14 +255,10 @@ def _placements(src: FlagComplex, dst: FlagComplex,
             cands[pos] = candidates(pos)
 
 
-def _to_map(src: FlagComplex, dst: FlagComplex, placement: Sequence[int]) -> VertexMap:
-    images = map(dst.vertices.__getitem__, placement)
-    return VertexMap(src, dst, dict(zip(src.vertices, images)))
-
-
 def search_embedding(src: FlagComplex, dst: FlagComplex,
-                     use_acyclicity_shortcut: bool = True) -> Optional[VertexMap]:
-    """Find an injective simplicial map src -> dst, or certify absence.
+                     use_acyclicity_shortcut: bool = True) -> Optional[tuple[int, ...]]:
+    """Find an injective simplicial map src -> dst, as an index tuple,
+    or certify absence with None.  The empty complex embeds as ().
 
     Absence is certified by exhausting the search tree, except for two
     sound shortcuts: a vertex-count precheck, and (on by default) the
@@ -284,10 +272,12 @@ def search_embedding(src: FlagComplex, dst: FlagComplex,
     placement = next(_placements(src, dst), None)
     if placement is None:
         return None
-    m = _to_map(src, dst, placement)
-    if not (m.is_injective() and m.is_simplicial()):
+    adj = dst._adj
+    if len(set(placement)) < len(placement) or not all(
+            adj[placement[u]] >> placement[v] & 1
+            for u, row in enumerate(src._adj) for v in _bits(row)):
         raise AssertionError("the search found a map that is not an embedding")
-    return m
+    return placement
 
 
 def _encoding(n: int) -> type:
@@ -307,13 +297,7 @@ def _after(p: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
     subcomplex), and g∘p then has p's length and encoding."""
     if isinstance(p, bytes):
         return p.translate
-    if len(p) > 1:
-        return itemgetter(*p)
-    # itemgetter returns a bare item for one index and needs at least one
-    if p:
-        i = p[0]
-        return lambda g: (g[i],)
-    return lambda g: ()
+    return lambda g: tuple(map(g.__getitem__, p))
 
 
 def _fix(c: FlagComplex, masks: Sequence[int], v: int, t: int) -> list[int]:
@@ -342,8 +326,7 @@ def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]
     """
     masks = _degree_feasible(c, c)
     levels = []
-    order = _search_order(c)
-    for b in order:
+    for b in _search_order(c):
         if masks[b] != 1 << b:
             levels.append((b, masks))
         masks = _fix(c, masks, b, b)
@@ -357,7 +340,7 @@ def _stabiliser_chain(c: FlagComplex) -> tuple[list[list[tuple[int, ...]]], int]
             if t in orbit:
                 continue
             searches += 1
-            g = next(_placements(c, c, None, _fix(c, masks, b, t), None, order), None)
+            g = next(_placements(c, c, None, _fix(c, masks, b, t)), None)
             if g is None:
                 continue
             gens.append(g)
@@ -421,10 +404,10 @@ def _greedy_generators(elements: list[Sequence[int]]) -> list[Sequence[int]]:
     return gens
 
 
-def enumerate_automorphisms(c: FlagComplex) -> list[VertexMap]:
-    """All automorphisms, in canonical order."""
+def enumerate_automorphisms(c: FlagComplex) -> list[tuple[int, ...]]:
+    """All automorphisms as index tuples, in canonical order."""
     n = c.n_vertices
-    return [_to_map(c, c, g[:n]) for g in automorphism_group(c)._elements()]
+    return [tuple(g[:n]) for g in automorphism_group(c)._elements()]
 
 
 class AutomorphismGroup:
@@ -439,7 +422,7 @@ class AutomorphismGroup:
     one list serves ``verify_rigidity``, the generators and
     ``enumerate_automorphisms``.  Generators are chosen greedily in
     canonical element order, so they are deterministic, and are built
-    on first access.
+    on first access, as index tuples.
     """
 
     ELEMENT_CAP = 10_000
@@ -451,7 +434,7 @@ class AutomorphismGroup:
         self.order = prod(map(len, chain))
         self._chain = chain
         self._kept: Optional[list[Sequence[int]]] = None
-        self._generators: Optional[list[VertexMap]] = None
+        self._generators: Optional[list[tuple[int, ...]]] = None
 
     def _elements(self) -> list[Sequence[int]]:
         """Every element in canonical order (see ``_chain_elements``),
@@ -465,12 +448,10 @@ class AutomorphismGroup:
         return elements
 
     @property
-    def generators(self) -> list[VertexMap]:
+    def generators(self) -> list[tuple[int, ...]]:
         if self._generators is None:
-            c = self.complex
-            n = c.n_vertices
-            self._generators = [_to_map(c, c, g[:n])
-                                for g in _greedy_generators(self._elements())]
+            n = self.complex.n_vertices
+            self._generators = [tuple(g[:n]) for g in _greedy_generators(self._elements())]
         return self._generators
 
 
@@ -520,21 +501,14 @@ def _locally_injective_placements(
 
 def enumerate_locally_injective_maps(
         X: FlagComplex, target: FlagComplex,
-        require_maximal: bool = False,
         ambient_maximal_cliques: Optional[Iterable[Sequence[str]]] = None,
-) -> list[VertexMap]:
+) -> list[tuple[int, ...]]:
     """All simplicial maps X -> target that are injective on closed
-    stars, in canonical order.
+    stars, as index tuples in canonical order.
 
-    When ``require_maximal`` is set, the caller supplies the maximal
-    sphere systems of the ambient complex that lie inside X (cliques of
-    X, as vertex sequences); only maps carrying each of them onto a
-    maximal clique of the target are kept.
+    When ``ambient_maximal_cliques`` is given (the maximal sphere systems
+    of the ambient complex that lie inside X, as cliques of X), only
+    maps carrying each of them onto a maximal clique of the target are
+    kept.
     """
-    if require_maximal and ambient_maximal_cliques is None:
-        raise ValueError("require_maximal needs ambient_maximal_cliques")
-    placements = _locally_injective_placements(
-        X, target, ambient_maximal_cliques if require_maximal else None)
-    maps = [_to_map(X, target, p) for p in placements]
-    maps.sort(key=VertexMap.key)
-    return maps
+    return sorted(_locally_injective_placements(X, target, ambient_maximal_cliques))

@@ -5,10 +5,10 @@ from typing import Optional
 
 from spherecomplex import (ChainBoundary, FlagComplex, FlipGraph, HomologyReport, LinkClass,
                            LinkClasses, ManifoldSignature, SNFResult, SpherePartition,
-                           VertexMap, build_genus_zero_complex, f_vector, flag_from_adjacency,
+                           build_genus_zero_complex, f_vector, flag_from_adjacency,
                            slot_id, smith_normal_form, split_slot)
 from spherecomplex.flagcomplex import _bits, mask_components, pair_components
-from spherecomplex.search import _placements, _to_map
+from spherecomplex.search import _placements
 
 
 def _iso_precheck(c1: FlagComplex, c2: FlagComplex) -> bool:
@@ -22,9 +22,10 @@ def _iso_precheck(c1: FlagComplex, c2: FlagComplex) -> bool:
     return f_vector(c1, dim) == f_vector(c2, dim)
 
 
-def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[VertexMap]:
-    """Find a bijection preserving and reflecting adjacency, or certify
-    absence (after a cheap f-vector and degree-sequence precheck).
+def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[tuple[int, ...]]:
+    """Find a bijection preserving and reflecting adjacency, as an index
+    tuple, or certify absence (after a cheap f-vector and degree-sequence
+    precheck).
 
     No check that non-adjacency is reflected is needed: between
     complexes with equal vertex and edge counts, an adjacency-preserving
@@ -32,31 +33,22 @@ def search_isomorphism(c1: FlagComplex, c2: FlagComplex) -> Optional[VertexMap]:
     edges, so onto them, and no non-edge can map to an edge."""
     if not _iso_precheck(c1, c2):
         return None
-    placement = next(_placements(c1, c2), None)
-    return None if placement is None else _to_map(c1, c2, placement)
+    return next(_placements(c1, c2), None)
 
 
-def label_action_automorphisms(s: int) -> list[VertexMap]:
+def label_action_automorphisms(s: int) -> list[tuple[int, ...]]:
     """The automorphisms of the genus-zero complex induced by permuting
-    the boundary labels 1..s, each once, in canonical order.  Built from
-    the partition model alone, with no search: s! relabelings, so keep s
-    small."""
+    the boundary labels 1..s, each once, as index tuples in canonical
+    order.  Built from the partition model alone, with no search: s!
+    relabelings, so keep s small."""
     c = build_genus_zero_complex(s)
-    out = []
-    seen = set()
+    out = set()
     for perm in permutations(range(1, s + 1)):
         relabel = dict(zip(range(1, s + 1), perm))
-        assignment = {}
-        for vid in c.vertices:
-            sp = SpherePartition.from_vertex_id(vid)
-            assignment[vid] = SpherePartition(s, [relabel[x] for x in sp.block]).vertex_id()
-        key = tuple(sorted(assignment.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(VertexMap(c, c, assignment))
-    out.sort(key=VertexMap.key)
-    return out
+        out.add(tuple(
+            c.index_of(SpherePartition(s, [relabel[x] for x in sp.block]).vertex_id())
+            for sp in map(SpherePartition.from_vertex_id, c.vertices)))
+    return sorted(out)
 
 
 def flip_graph_shape(fg: FlipGraph) -> tuple[bool, Optional[int]]:

@@ -84,8 +84,8 @@ def test_criterion_02_five_holed_is_petersen():
         c = build_genus_zero_complex(5)
         assert c.n_vertices == 10 and c.n_edges == 15
         assert search_isomorphism(c, catalog("petersen")) is not None
-        auts = {a.key() for a in enumerate_automorphisms(c)}
-        action = {a.key() for a in label_action_automorphisms(5)}
+        auts = enumerate_automorphisms(c)
+        action = label_action_automorphisms(5)
         assert len(auts) == 120
         assert action == auts, \
             "the label action must realize the whole automorphism group"

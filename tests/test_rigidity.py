@@ -78,9 +78,7 @@ class TestLabelAction:
         permutation (s = 4 and 5; s = 6 is covered by the acceptance
         suite)."""
         for s, c in ((4, c4), (5, c5)):
-            acts = {a.key() for a in label_action_automorphisms(s)}
-            auts = {a.key() for a in enumerate_automorphisms(c)}
-            assert acts == auts, f"s={s}"
+            assert label_action_automorphisms(s) == enumerate_automorphisms(c), f"s={s}"
 
     def test_faithful_from_five_labels(self):
         assert len(label_action_automorphisms(5)) == factorial(5)
@@ -148,20 +146,20 @@ def reference_certificate(X_vertices, ambient, mode):
     every element of the automorphism group."""
     xs = sorted(set(X_vertices))
     X = ambient.induced(xs)
-    kwargs = {}
+    inside = None
     if mode == OVER_MAXIMAL_MAPS:
         inside = [q for q in maximal_cliques(ambient) if set(q) <= set(xs)]
-        kwargs = {"require_maximal": True, "ambient_maximal_cliques": inside}
     group = automorphism_group(ambient)
+    idx = ambient._indices(xs)
     restrictions = {}
     for k, g in enumerate(enumerate_automorphisms(ambient)):
-        restrictions.setdefault(tuple(g[v] for v in xs), []).append(k)
+        restrictions.setdefault(tuple(map(g.__getitem__, idx)), []).append(k)
     extensions, counterexample = [], None
-    for m in enumerate_locally_injective_maps(X, ambient, **kwargs):
-        ks = restrictions.get(tuple(m[v] for v in xs), [])
+    for m in enumerate_locally_injective_maps(X, ambient, inside):
+        ks = restrictions.get(m, [])
         extensions.append(ks[0] if len(ks) == 1 else None)
         if len(ks) != 1 and counterexample is None:
-            counterexample = dict(m.assignment)
+            counterexample = dict(zip(xs, map(ambient.vertices.__getitem__, m)))
     return (";".join(xs), complex_id(ambient), mode, len(extensions),
             None not in extensions, tuple(extensions), counterexample, group.order)
 
@@ -363,7 +361,7 @@ class TestAtEight:
         assert sum(restrict(g) == tuple(idx) for g in elements) == 1
         m = VertexMap(c8.induced(xs), c8, cert.counterexample)
         assert m.is_simplicial() and m.is_locally_injective()
-        images = tuple(c8._indices(m[v] for v in xs))
+        images = tuple(c8._indices(cert.counterexample[v] for v in xs))
         assert images not in set(map(restrict, elements))
 
 
@@ -530,7 +528,7 @@ class TestGroupCache:
         rows = group._kept
         assert rows is not None
         n, tail = c.n_vertices, bytes(range(c.n_vertices, 256))
-        perms = [tuple(map(c.index_of, a.key())) for a in enumerate_automorphisms(c)]
+        perms = enumerate_automorphisms(c)
         assert group._kept is rows
         assert [row[:n] for row in rows] == list(map(bytes, perms))
         assert all(row[n:] == tail for row in rows)
@@ -768,9 +766,9 @@ class TestCaterpillarWitness:
             assert w.vertex_map.is_simplicial()
             assert w.vertex_map.is_locally_injective()
             assert {w.from_type, w.to_type} == {"separating", "nonseparating"}
-            assert w.vertex_map[w.moved_vertex] == w.moved_to
+            assert w.vertex_map.assignment[w.moved_vertex] == w.moved_to
             for v in X:
-                if w.vertex_map[v] != v:
+                if w.vertex_map.assignment[v] != v:
                     assert v in (w.moved_vertex, w.moved_to), \
                         "only the cited vertex moves (or swaps with its image)"
 

@@ -28,6 +28,7 @@ from spherecomplex import (
     maximal_cliques,
     search_embedding,
 )
+from spherecomplex import search
 from spherecomplex.search import (_degree_feasible, _dist2_masks, _placements,
                                   _stabiliser_chain)
 
@@ -81,6 +82,15 @@ def graph_pairs(draw):
     return g, h
 
 
+def is_injective(m) -> bool:
+    return len(set(m)) == len(m)
+
+
+def id_map(src: FlagComplex, dst: FlagComplex, m) -> dict:
+    """An index tuple of the engine as a dict of vertex ids."""
+    return dict(zip(src.vertices, map(dst.vertices.__getitem__, m)))
+
+
 def cycle(n, prefix):
     vs = ["%s%d" % (prefix, i) for i in range(n)]
     return vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)]
@@ -89,8 +99,7 @@ def cycle(n, prefix):
 class TestVertexMap:
     def test_simplicial_and_injective_flags(self, petersen):
         ident = VertexMap(petersen, petersen, {v: v for v in petersen.vertices})
-        assert ident.is_simplicial() and ident.is_injective()
-        assert ident.is_locally_injective()
+        assert ident.is_simplicial() and ident.is_locally_injective()
 
     def test_collapsing_an_edge_is_simplicial_but_not_locally_injective(self):
         k3 = catalog("k3")
@@ -109,7 +118,7 @@ class TestVertexMap:
         m = VertexMap(path, k3, wrap)
         assert m.is_simplicial()
         assert m.is_locally_injective()
-        assert not m.is_injective()
+        assert not is_injective(wrap.values())
 
     def test_missing_vertex_rejected(self, petersen):
         with pytest.raises(ValueError):
@@ -121,14 +130,19 @@ class TestVertexMap:
         ({"t1": "t1", "t2": "t2", "t3": "t3", "nope": "t1"}, "unknown source vertex"),
     ], ids=["non-total", "unknown-target", "unknown-source"])
     def test_public_constructor_checks_every_assignment(self, assignment, message):
-        """Engine maps skip the checks; the public constructor keeps them."""
+        """The public constructor rejects every map that is not total or
+        names an id outside its complex."""
         k3 = catalog("k3")
         with pytest.raises(ValueError, match=message):
             VertexMap(k3, k3, assignment)
 
     def test_engine_maps_equal_checked_maps(self, petersen):
-        for m in enumerate_automorphisms(petersen):
-            assert m == VertexMap(petersen, petersen, m.assignment)
+        """Read as ids, each engine automorphism passes the checking
+        constructor, and distinct tuples give distinct maps."""
+        maps = {VertexMap(petersen, petersen, id_map(petersen, petersen, m))
+                for m in enumerate_automorphisms(petersen)}
+        assert len(maps) == 120
+        assert all(m.is_simplicial() and m.is_locally_injective() for m in maps)
 
 
 class TestEmbedding:
@@ -138,7 +152,8 @@ class TestEmbedding:
         found = search_embedding(src, dst)
         assert (found is not None) == oracle_embeds(src, dst)
         if found is not None:
-            assert found.is_injective() and found.is_simplicial()
+            assert is_injective(found)
+            assert VertexMap(src, dst, id_map(src, dst, found)).is_simplicial()
 
     def test_k33_does_not_embed_in_petersen(self, petersen):
         k33 = catalog("k33")
@@ -163,10 +178,16 @@ class TestEmbedding:
 
     def test_self_check_raises_without_assert(self, petersen, monkeypatch):
         """The closing check raises AssertionError itself, so ``python -O``
-        keeps it."""
-        monkeypatch.setattr(VertexMap, "is_simplicial", lambda m: False)
-        with pytest.raises(AssertionError, match="not an embedding"):
-            search_embedding(catalog("k13"), petersen)
+        keeps it.  The engine is made to offer an injective placement
+        that sends the edge c-l1 to the non-edge k:12-k:13, then one
+        that sends every leaf to k:34; the empty complex embeds as ()."""
+        k13 = catalog("k13")
+        for bad in ((0, 1, 2, 3), (0, 7, 7, 7)):
+            monkeypatch.setattr(search, "_placements", lambda src, dst: iter([bad]))
+            with pytest.raises(AssertionError, match="not an embedding"):
+                search_embedding(k13, petersen)
+        monkeypatch.undo()
+        assert search_embedding(flag_from_adjacency([], []), catalog("k3")) == ()
 
 
 class TestIsomorphism:
@@ -183,8 +204,9 @@ class TestIsomorphism:
         m = search_isomorphism(g, h)
         assert (m is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
         if m is not None:
-            assert m.is_injective()
-            assert sorted(tuple(sorted((m[u], m[v]))) for u, v in g.edges()) == h.edges()
+            assert is_injective(m)
+            image = id_map(g, h, m)
+            assert sorted(tuple(sorted((image[u], image[v]))) for u, v in g.edges()) == h.edges()
 
     def test_c8_is_not_two_c4(self):
         """Same vertex and edge counts, degrees and f-vector, so the
@@ -202,7 +224,7 @@ class TestIsomorphism:
             ["x" + v for v in petersen.vertices],
             [("x" + u, "x" + v) for u, v in petersen.edges()])
         m = search_isomorphism(petersen, renamed)
-        assert m is not None and m.is_injective()
+        assert m is not None and is_injective(m)
 
 
 class TestAutomorphisms:
@@ -223,13 +245,12 @@ class TestAutomorphisms:
         auts = enumerate_automorphisms(g)
         gm = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
         assert len(auts) == sum(1 for _ in gm.isomorphisms_iter())
-        assert len({a.key() for a in auts}) == len(auts)
+        assert len(set(auts)) == len(auts)
 
     def test_group_closure(self, petersen):
         g = automorphism_group(petersen)
         assert g.order == 120
-        keys = {a.key() for a in enumerate_automorphisms(petersen)}
-        assert len(keys) == 120
+        assert len(set(enumerate_automorphisms(petersen))) == 120
 
     def test_generators_generate(self, petersen):
         g = automorphism_group(petersen)
@@ -256,12 +277,9 @@ class TestAutomorphisms:
         expected = sorted(dihedral)
         assert len(set(expected)) == len(expected) == (2 * n if closed else 2)
 
-        def indices(maps):
-            return [tuple(map(c.index_of, m.key())) for m in maps]
-
         group = automorphism_group(c)
-        assert indices(enumerate_automorphisms(c)) == expected
-        gens = indices(group.generators)
+        assert enumerate_automorphisms(c) == expected
+        gens = group.generators
         assert gens == first_gens
         closure, queue = {tuple(range(n))}, [tuple(range(n))]
         while queue:
@@ -278,10 +296,10 @@ class TestAutomorphisms:
     def assert_matches_vf2(c: FlagComplex):
         """The chain's order and element set against VF2's isomorphisms."""
         gm = nx.algorithms.isomorphism.GraphMatcher(to_nx(c), to_nx(c))
-        vf2 = {tuple(iso[v] for v in c.vertices) for iso in gm.isomorphisms_iter()}
+        vf2 = {tuple(c.index_of(iso[v]) for v in c.vertices) for iso in gm.isomorphisms_iter()}
         group = automorphism_group(c)
         assert group.order == len(vf2)
-        assert [a.key() for a in enumerate_automorphisms(c)] == sorted(vf2)
+        assert enumerate_automorphisms(c) == sorted(vf2)
 
     @settings(max_examples=60)
     @given(graphs7())
@@ -304,9 +322,9 @@ class TestAutomorphisms:
         self.assert_matches_vf2(flag_from_adjacency(["v%d" % i for i in range(n)], []))
 
 
-def index_digest(c: FlagComplex, maps) -> str:
-    """sha256 of the maps as index tuples, in the given order."""
-    return hashlib.sha256(repr([tuple(map(c.index_of, m.key())) for m in maps]).encode()).hexdigest()
+def index_digest(maps) -> str:
+    """sha256 of the index tuples, in the given order."""
+    return hashlib.sha256(repr(maps).encode()).hexdigest()
 
 
 def complex_named(name: str) -> FlagComplex:
@@ -335,12 +353,12 @@ class TestFrozenGroups:
     @pytest.mark.parametrize("name", sorted(ELEMENTS))
     def test_elements(self, name):
         c = complex_named(name)
-        assert index_digest(c, enumerate_automorphisms(c)) == self.ELEMENTS[name]
+        assert index_digest(enumerate_automorphisms(c)) == self.ELEMENTS[name]
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_generators(self, name):
         c = complex_named(name)
-        assert index_digest(c, automorphism_group(c).generators) == self.GENERATORS[name]
+        assert index_digest(automorphism_group(c).generators) == self.GENERATORS[name]
 
     def test_order_at_eight_builds_no_element_list(self):
         """Above ``ELEMENT_CAP`` the order comes from the chain alone:
@@ -398,15 +416,15 @@ class TestLocallyInjectiveMaps:
                     tuple(sorted(phi[v] for v in q)) in target_maximal
                     for q in maximal_cliques(X)):
                 continue
-            out.append(m.key())
+            out.append(tuple(map(target.index_of, images)))
         return sorted(out)
 
     @settings(max_examples=50)
     @given(sources(), st.composite(lambda draw: small_graph(draw, 1, 5, "t"))(),
            st.booleans())
     def test_matches_brute_force(self, X, target, require_maximal):
-        got = sorted(m.key() for m in enumerate_locally_injective_maps(
-            X, target, require_maximal, maximal_cliques(X)))
+        cliques = maximal_cliques(X) if require_maximal else None
+        got = enumerate_locally_injective_maps(X, target, cliques)
         assert got == self.oracle(X, target, require_maximal)
 
     def test_path_wraps_around_a_triangle(self):
@@ -417,22 +435,33 @@ class TestLocallyInjectiveMaps:
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
         maps = enumerate_locally_injective_maps(path, catalog("k3"))
         assert len(maps) == 6
-        assert not any(m.is_injective() for m in maps)
+        assert not any(map(is_injective, maps))
 
     def test_all_results_validate(self, petersen):
         star = petersen.induced(["k:12", "k:34", "k:35", "k:45"])
         maps = enumerate_locally_injective_maps(star, petersen)
         assert maps, "a star must map somewhere"
         for m in maps:
-            assert m.is_simplicial() and m.is_locally_injective()
+            vm = VertexMap(star, petersen, id_map(star, petersen, m))
+            assert vm.is_simplicial() and vm.is_locally_injective()
 
-    def test_require_maximal_needs_cliques(self, petersen):
-        with pytest.raises(ValueError):
-            enumerate_locally_injective_maps(petersen, petersen, require_maximal=True)
+    def test_cliques_turn_the_filter_on(self, petersen):
+        """Without cliques every locally injective map of an edge is
+        kept.  With the edge given as a maximal clique, a map is kept
+        when its image edge is maximal: all 30 into Petersen, which has
+        no triangles, and none of the 6 into K3."""
+        edge = petersen.induced(["k:12", "k:34"])
+        assert enumerate_locally_injective_maps(edge, petersen, None) == \
+            enumerate_locally_injective_maps(edge, petersen)
+        assert len(enumerate_locally_injective_maps(
+            edge, petersen, [("k:12", "k:34")])) == 30
+        k3 = catalog("k3")
+        assert len(enumerate_locally_injective_maps(edge, k3)) == 6
+        assert enumerate_locally_injective_maps(edge, k3, [("k:12", "k:34")]) == []
 
     def test_require_maximal_rejects_a_non_clique(self, petersen):
         with pytest.raises(ValueError, match="not a clique"):
-            enumerate_locally_injective_maps(petersen, petersen, require_maximal=True,
+            enumerate_locally_injective_maps(petersen, petersen,
                                              ambient_maximal_cliques=[("k:12", "k:13")])
 
 

@@ -348,13 +348,26 @@ FROZEN_REPORTS = {
 }
 
 
+# A file that holds the complex with no vertices; an argument equal to
+# this name is replaced by that file's path under tmp_path.
+EMPTY_COMPLEX = "empty-complex.json"
+
 # Further frozen reports, as (command, args, exit code, digest): the
 # over-maximal filter on a proper subcomplex, recorded before that
-# filter read the maximal cliques inside X from one restricted walk.
+# filter read the maximal cliques inside X from one restricted walk; a
+# found embedding, and the empty one of the empty complex; and a group
+# of a 522-vertex complex, above the 256 vertices a byte row can hold.
+# The last three were recorded while the engine returned id-keyed maps.
 FROZEN_EXTRA_REPORTS = [
     ("rigidity verify", ["--genus-zero", "6", "--subcomplex", X6_THREE_CHERRY,
                          "--mode", "over-maximal-maps"], 1,
      "1bc5a33805448b7bdefc7978e499934cf6e00e27cbe098fe4293abe0bb534a0a"),
+    ("nonembed", ["--source", "k13", "--target", "petersen"], 1,
+     "48bdfc55e6162976ba56cd9bb5d9383a57c30a130bb5af6f96bb7fab657692ac"),
+    ("nonembed", ["--source", EMPTY_COMPLEX, "--target", "k3"], 1,
+     "4f50e69077cdb6b6a50ea8904779750104b5c83f9e68f4072237a5fad860cbe7"),
+    ("rigidity aut", ["--caterpillar", "130"], 0,
+     "76a47165de064222f12296906f5d3a4a42d3af3031f782984ddc115e4ffa182b"),
 ]
 
 
@@ -383,6 +396,10 @@ class TestFrozenReports:
     @pytest.mark.parametrize("command, args, expected_code, digest", FROZEN_EXTRA_REPORTS,
                              ids=[" ".join([c, *a[-2:]]) for c, a, _, _ in FROZEN_EXTRA_REPORTS])
     def test_extra_report_digest(self, command, args, expected_code, digest, tmp_path):
+        if EMPTY_COMPLEX in args:
+            doc_path = tmp_path / EMPTY_COMPLEX
+            doc_path.write_text(ser.dumps({"vertices": [], "edges": []}))
+            args = [str(doc_path) if a == EMPTY_COMPLEX else a for a in args]
         self.assert_frozen(command, args, expected_code, digest, tmp_path)
 
     @staticmethod
