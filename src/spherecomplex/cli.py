@@ -3,8 +3,11 @@
 Every subcommand writes a JSON report to standard output (or ``--out``)
 with a ``results`` section that is byte-identical across runs on equal
 inputs; ``timing`` is excluded from that guarantee.  Exit status is 0
-when the command's check passes, 1 on a check failure, and 2 on usage
-errors, malformed input files or unwritable output paths.  Relative
+when the command's check passes, 1 on a check failure, 2 on usage
+errors, malformed input files or unwritable output paths, and 3 when
+one of the library's own consistency checks fails (an
+``AssertionError``, such as ``rigidity.TransitivityError``); 2 and 3
+print one ``error:`` line and no report and write no file.  Relative
 ``--out``/``--json``/``--dot`` paths resolve against
 ``SPHERECOMPLEX_OUT_DIR`` when it is set.  Each ``_cmd_*`` returns
 ``(values, results, passed, files)``, where ``files`` maps an output
@@ -38,6 +41,7 @@ OUT_DIR_ENV = "SPHERECOMPLEX_OUT_DIR"
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _resolve_out(path: str) -> str:
@@ -681,6 +685,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print("error: internal check failed: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 

@@ -12,16 +12,14 @@ regions, and the caterpillar non-rigidity witness.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
-from operator import itemgetter
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .flagcomplex import (FlagComplex, _bits, _maximal_cliques, complex_id,
                           is_connected, link_of, mask_components)
 from .genus_zero import CaterpillarWindow, ManifoldSignature, _clusters, _laminar_tree
 from .pants import PantsDecomposition, SphereSystem, flip_partners
-from .search import (AutomorphismGroup, VertexMap, _after, _encoding,
-                     _locally_injective_placements, automorphism_group)
+from .search import VertexMap, _locally_injective_placements, automorphism_group
 
 PLAIN = "plain"
 OVER_MAXIMAL_MAPS = "over-maximal-maps"
@@ -78,88 +76,28 @@ def verify_rigidity(X_vertices: Iterable[str], ambient: FlagComplex,
     every map is g∘p for a found p and some g in G, the orbits of two
     found maps are disjoint, and the verdict is the same on an orbit.
     The orbit of p has |G| / |H| maps, H the pointwise stabiliser of the
-    images of p.  Each stabiliser is filtered from its parent's element
-    list and kept, for this call only, by the images it fixes.
+    images of p.
 
-    One least-image walk per found map (Linton 2004) gives its orbit's
-    :class:`MapOrbit`: the least map q = g∘p of p's orbit is built entry
-    by entry in X order, each entry sent to the least point of its orbit
-    under the pointwise stabiliser of the least entries before it, by an
-    element of that stabiliser, until the stabiliser is trivial.  Only
-    the first step reads all of G, one entry of each element.  The
-    stabiliser the walk stops at has the order of H: if it fixes every
-    entry of q it is g∘H∘g⁻¹, and otherwise it is trivial, and so is H.
-    p extends to some automorphism iff q is the inclusion's least image,
-    and then to exactly those of a coset of the pointwise stabiliser of
-    X, a conjugate of H; so p extends uniquely iff both that holds and
-    |H| = 1.  The counterexample is the least of the failing orbits'
-    least maps.
-
-    Maps and group elements are encoded as ``search._encoding`` says
-    (``bytes`` up to 256 ambient vertices, index tuples above), the
-    elements are the group's one kept list, and g∘p is
-    ``search._after(p)(g)``.  Every map has len(X) entries, each below
-    the vertex count, so the two encodings sort, compare and hash alike;
-    the certificate holds each least map as an index tuple.
+    The group's walks (``AutomorphismGroup._walks``) give the search its
+    orbit minima, and each found map p its orbit's least map q = g∘p and
+    |H|.  p extends to some automorphism iff q is the inclusion's least
+    image, and then to exactly those of a coset of the pointwise
+    stabiliser of X, a conjugate of H; so p extends uniquely iff both
+    that holds and |H| = 1.  The counterexample is the least of the
+    failing orbits' least maps.
     """
     if mode not in (PLAIN, OVER_MAXIMAL_MAPS):
         raise ValueError("unknown mode: %r" % (mode,))
     xs = sorted(set(X_vertices))
     X = ambient.induced(xs)
     group = automorphism_group(ambient)
-    if group.order > AutomorphismGroup.ELEMENT_CAP:
-        raise ValueError("ambient automorphism group of order %d is too large "
-                         "to list (cap %d)" % (group.order, AutomorphismGroup.ELEMENT_CAP))
+    walks = group._walks()
     inside = _maximal_cliques(ambient, xs) if mode == OVER_MAXIMAL_MAPS else None
-
-    encode = _encoding(ambient.n_vertices)
-    elements = group._elements()
-
-    # the pointwise stabilisers of the images fixed so far; the search
-    # asks for each one after its parent
-    stabilisers = {(): elements}
-
-    def stabiliser(fixed: tuple[int, ...]) -> list[Sequence[int]]:
-        h = stabilisers.get(fixed)
-        if h is None:
-            x = fixed[-1]
-            parent = stabilisers[fixed[:-1]]
-            fixes_x = map(x.__eq__, map(itemgetter(x), parent))
-            h = stabilisers[fixed] = list(compress(parent, fixes_x))
-        return h
-
-    def orbit_minima(fixed: tuple[int, ...], candidates: int) -> Optional[int]:
-        h = stabiliser(fixed)
-        if len(h) == 1:
-            return None
-        # the orbit of y is {g[y] : g in h}
-        least = 0
-        seen: set[int] = set()
-        for y in _bits(candidates):
-            if y not in seen:
-                orbit = set(map(itemgetter(y), h))
-                seen |= orbit
-                if min(orbit) == y:
-                    least |= 1 << y
-        return least
-
-    def least_image(p: Sequence[int]) -> tuple[Sequence[int], int]:
-        # min {g∘p : g in G}, walked as the docstring says, and the
-        # order of the stabiliser the walk stops at
-        h, fixed = elements, ()
-        while len(h) > 1 and len(fixed) < len(p):
-            y = p[len(fixed)]
-            g = min(h, key=itemgetter(y))
-            p = _after(p)(g)
-            fixed += (g[y],)
-            h = stabiliser(fixed)
-        return p, len(h)
-
-    least_inclusion = least_image(encode(ambient._indices(xs)))[0]
+    least_inclusion = walks.least_image(ambient._indices(xs))[0]
     orbits = []
-    for p in _locally_injective_placements(X, ambient, inside, orbit_minima):
-        least, fixing = least_image(encode(p))
-        orbits.append(MapOrbit(tuple(least), group.order // fixing,
+    for p in _locally_injective_placements(X, ambient, inside, walks.orbit_minima):
+        least, fixing = walks.least_image(p)
+        orbits.append(MapOrbit(least, group.order // fixing,
                                fixing == 1 and least == least_inclusion))
     # vertex ids are sorted, so index order is the canonical map order
     orbits.sort()
@@ -192,15 +130,13 @@ def certificate_extensions(X_vertices: Iterable[str], ambient: FlagComplex,
         raise ValueError("the certificate is for %s with |Aut| = %d, not %s with |Aut| = %d"
                          % (cert.ambient_id, cert.automorphism_order,
                             complex_id(ambient), group.order))
-    encode = _encoding(ambient.n_vertices)
-    elements = group._elements()
     # the element restricting to each map, None when several do
     extending: dict[Sequence[int], Optional[int]] = {}
-    for k, key in enumerate(map(_after(encode(ambient._indices(xs))), elements)):
+    for k, key in enumerate(group._images(ambient._indices(xs))):
         extending[key] = None if key in extending else k
     maps: list[Sequence[int]] = []
     for orbit in cert.orbits:
-        images = map(_after(encode(orbit.least)), elements)
+        images = group._images(orbit.least)
         # every element fixing the images of q sends it to the same map
         maps += images if orbit.size == group.order else set(images)
     maps.sort()

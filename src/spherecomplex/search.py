@@ -44,7 +44,9 @@ map keyed by ids, such as a caterpillar witness.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .flagcomplex import FlagComplex, _bits, _link_mask, has_cycle
@@ -404,6 +406,57 @@ def _greedy_generators(elements: list[Sequence[int]]) -> list[Sequence[int]]:
     return gens
 
 
+class _Walks(dict):
+    """The walks of one certificate over a group's element list (Seress
+    2003), from ``AutomorphismGroup._walks``: a dict of the pointwise
+    stabilisers, keyed by the images they fix, each filtered from its
+    parent's list on first need and kept until the certificate drops
+    this object.  Maps are index tuples outside and encoded as the
+    elements are inside; a map has len(X) entries, each below the vertex
+    count, so both encodings sort alike."""
+
+    def __missing__(self, fixed: tuple[int, ...]) -> list[Sequence[int]]:
+        x = fixed[-1]
+        parent = self[fixed[:-1]]
+        fixes_x = map(x.__eq__, map(itemgetter(x), parent))
+        h = self[fixed] = list(compress(parent, fixes_x))
+        return h
+
+    def orbit_minima(self, fixed: tuple[int, ...], candidates: int) -> Optional[int]:
+        """The ``minima`` of ``_placements``: the candidates least in
+        their orbit under the stabiliser of ``fixed``, None if trivial."""
+        h = self[fixed]
+        if len(h) == 1:
+            return None
+        # the orbit of y is {g[y] : g in h}
+        least = 0
+        seen: set[int] = set()
+        for y in _bits(candidates):
+            if y not in seen:
+                orbit = set(map(itemgetter(y), h))
+                seen |= orbit
+                if min(orbit) == y:
+                    least |= 1 << y
+        return least
+
+    def least_image(self, p: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """q = min {g∘p : g in G}, built entry by entry (Linton 2004):
+        each goes to the least point of its orbit under the pointwise
+        stabiliser of the entries before it, until that is trivial; only
+        the first step reads all of G, one entry of each element.  Also
+        |H|, H fixing p's images: the stabiliser the walk stops at is
+        g∘H∘g⁻¹ if it fixes all of q, and otherwise trivial, as is H."""
+        h, fixed = self[()], ()
+        p = type(h[0])(p)
+        while len(h) > 1 and len(fixed) < len(p):
+            y = p[len(fixed)]
+            g = min(h, key=itemgetter(y))
+            p = _after(p)(g)
+            fixed += (g[y],)
+            h = self[fixed]
+        return tuple(p), len(h)
+
+
 def enumerate_automorphisms(c: FlagComplex) -> list[tuple[int, ...]]:
     """All automorphisms as index tuples, in canonical order."""
     n = c.n_vertices
@@ -419,10 +472,10 @@ class AutomorphismGroup:
     as ``_encoding`` says (``bytes.translate`` rows up to 256 vertices,
     index tuples above), and the list is kept when the order is at most
     ``ELEMENT_CAP``; the cap is read when the list is asked for.  That
-    one list serves ``verify_rigidity``, the generators and
-    ``enumerate_automorphisms``.  Generators are chosen greedily in
-    canonical element order, so they are deterministic, and are built
-    on first access, as index tuples.
+    one list serves the certificates' walks and images, the generators
+    and ``enumerate_automorphisms``; no other module reads an element.
+    Generators are chosen greedily in canonical element order, so they
+    are deterministic, and are built on first access, as index tuples.
     """
 
     ELEMENT_CAP = 10_000
@@ -438,14 +491,25 @@ class AutomorphismGroup:
 
     def _elements(self) -> list[Sequence[int]]:
         """Every element in canonical order (see ``_chain_elements``),
-        kept after the first call when the order is at most
-        ``ELEMENT_CAP``."""
+        kept after the first call when the order is at most the cap."""
         if self._kept is not None:
             return self._kept
         elements = _chain_elements(self.complex.n_vertices, self._chain)
         if self.order <= self.ELEMENT_CAP:
             self._kept = elements
         return elements
+
+    def _walks(self) -> _Walks:
+        """The walks of one certificate; raises ValueError, before any
+        element is listed, when the order is above ``ELEMENT_CAP``."""
+        if self.order > self.ELEMENT_CAP:
+            raise ValueError("ambient automorphism group of order %d is too large "
+                             "to list (cap %d)" % (self.order, self.ELEMENT_CAP))
+        return _Walks({(): self._elements()})
+
+    def _images(self, p: Sequence[int]) -> Iterator[Sequence[int]]:
+        """g∘p for every element g, in element order, encoded as they are."""
+        return map(_after(_encoding(self.complex.n_vertices)(p)), self._elements())
 
     @property
     def generators(self) -> list[tuple[int, ...]]:

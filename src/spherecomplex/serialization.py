@@ -103,6 +103,7 @@ def dual_to_dot(d: DualMultigraph, name: str = "dual") -> str:
     """DOT drawing: pants as circles, bonds as edges (loops and parallel
     bonds stay distinct edges), legs as half-edges ending in anonymous
     point-shaped terminals labeled by the boundary label."""
+    from .dual import split_slot
     lines = ["graph %s {" % dot_quote(name)]
     for p in d.pants:
         lines.append("  %s;" % dot_quote(p))
@@ -113,7 +114,7 @@ def dual_to_dot(d: DualMultigraph, name: str = "dual") -> str:
     for k, (sl, lb) in enumerate(d.legs):
         term = "__leg%d" % k
         lines.append("  %s [shape=point, label=\"\"];" % dot_quote(term))
-        pid = sl.rpartition(".")[0]
+        pid = split_slot(sl)[0]
         lines.append("  %s -- %s [label=%s];" % (dot_quote(pid), dot_quote(term), dot_quote(lb)))
     lines.append("}")
     return "\n".join(lines) + "\n"

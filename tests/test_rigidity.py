@@ -110,6 +110,17 @@ class TestVerifyRigidity:
         with pytest.raises(ValueError, match="too large to list"):
             verify_rigidity(c5.vertices, c5, PLAIN)
 
+    def test_default_cap_refuses_s8_before_listing(self, monkeypatch):
+        """|Aut| = 8! is above the default cap, and the check comes
+        before the element list is built, so the refusal is fast."""
+        def listed(*args):
+            pytest.fail("the element list was built")
+
+        monkeypatch.setattr(search, "_chain_elements", listed)
+        c8 = build_genus_zero_complex(8)
+        with pytest.raises(ValueError, match="too large to list"):
+            verify_rigidity(c8.vertices, c8, PLAIN)
+
     def test_element_cap_check_runs_under_optimize(self):
         """The cap check is not an assert, so ``python -O`` keeps it."""
         import spherecomplex

@@ -26,6 +26,7 @@ from spherecomplex import (
     dual_of_pants,
     scramble,
 )
+from spherecomplex import search
 from spherecomplex import serialization as ser
 from spherecomplex.cli import build_parser, main
 
@@ -33,6 +34,10 @@ M6 = "p:1,2|s=6;p:1,2,3|s=6;p:1,2,3,4|s=6"
 # X_sigma of the three-cherry pants decomposition {1,2}, {3,4}, {5,6} at s = 6
 X6_THREE_CHERRY = ("p:1,2,3,4|s=6;p:1,2,3|s=6;p:1,2,4|s=6;p:1,2,5,6|s=6;p:1,2,5|s=6;"
                    "p:1,2,6|s=6;p:1,2|s=6;p:1,3,4|s=6;p:1,5,6|s=6")
+
+
+INTERNAL_ERROR = ("error: internal check failed: "
+                  "the search found a map that is not an embedding\n")
 
 
 def run_cli(argv, tmp_path, name="report.json"):
@@ -507,6 +512,39 @@ class TestCliErrors:
         code, report = run_cli(["rigidity", "verify", "--genus-zero", "5"], tmp_path)
         assert code == 2 and report is None
         assert_one_error_line(capsys)
+
+    def test_failed_self_check_exits_three(self, tmp_path, capsys, monkeypatch):
+        """A failing self-check is an internal error, not a failed
+        check.  The engine offers nonembed a placement of K_{1,3} that
+        sends the edge c-l1 to a non-edge of the Petersen graph: one
+        error line, no report on stdout and no --out file."""
+        monkeypatch.setattr(search, "_placements", lambda src, dst: iter([(0, 1, 2, 3)]))
+        argv = ["nonembed", "--source", "k13", "--target", "petersen"]
+        out = tmp_path / "report.json"
+        for extra in ([], ["--out", str(out)]):
+            assert main([*argv, *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == INTERNAL_ERROR
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_self_check_exits_three_under_optimize(self, tmp_path):
+        """The self-check raises AssertionError itself, so ``python -O``
+        keeps it, and ``main`` still exits 3."""
+        import spherecomplex
+        src = os.path.dirname(os.path.dirname(spherecomplex.__file__))
+        out = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "from spherecomplex import search\n"
+            "from spherecomplex.cli import main\n"
+            "search._placements = lambda src, dst: iter([(0, 1, 2, 3)])\n"
+            "sys.exit(main(['nonembed', '--source', 'k13', '--target', 'petersen',\n"
+            "               '--out', sys.argv[1]]))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", INTERNAL_ERROR)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, key, value", [
         (["complex", "build", "--input"], "meta", [1, 2]),
