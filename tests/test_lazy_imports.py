@@ -1,12 +1,14 @@
 """Import cost: ``import spherecomplex`` loads no submodule, the CLI
 loads only ``cli`` and ``serialization`` until a command runs, and each
-command loads exactly the library modules it runs.  No module and no
-command loads ``dataclasses``, ``inspect`` or ``importlib.resources``,
-which cost a fresh process tens of milliseconds.  The public names
-resolve lazily to the objects their modules define."""
+command loads exactly its handler module and the library modules it
+runs.  No module and no command loads ``dataclasses``, ``inspect``,
+``importlib.resources`` or OpenSSL's ``_hashlib``, which cost a fresh
+process tens of milliseconds.  The public names resolve lazily to the
+objects their modules define."""
 
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -17,34 +19,45 @@ from spherecomplex import flagcomplex, rigidity
 
 M5 = "p:1,2|s=5;p:1,2,3|s=5"
 CLI = {"cli", "serialization"}
-LIBRARY = ["cli", "dual", "flagcomplex", "genus_zero", "homology", "multigraph", "pants",
-           "rigidity", "search", "serialization", "whitney"]
+LIBRARY = ["cli", "commands.catalog", "commands.complex", "commands.pants",
+           "commands.rigidity", "commands.whitney", "dual", "flagcomplex", "genus_zero",
+           "homology", "multigraph", "pants", "rigidity", "search", "serialization", "whitney"]
 # standard-library modules no import or command may load
-HEAVY = ("dataclasses", "inspect", "importlib.resources")
+HEAVY = ("dataclasses", "inspect", "importlib.resources", "_hashlib")
 RUN_MAIN = ("import sys\nfrom spherecomplex.cli import main\n"
             "if main(sys.argv[1:]) != 0:\n    sys.exit('command failed')")
+RUN_HELP = ("import sys\nfrom spherecomplex.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+            "    if exc.code != 0:\n        raise\nelse:\n    sys.exit('no help printed')")
 
 # the benchmark's CLI commands, on small inputs: which modules a command
 # loads depends on its code path, not on the input size
 COMMANDS = [
-    (["complex", "homology", "--genus-zero", "5"], {"flagcomplex", "genus_zero", "homology"}),
-    (["complex", "stats", "--genus-zero", "5"], {"flagcomplex", "genus_zero"}),
-    (["rigidity", "aut", "--genus-zero", "5"], {"flagcomplex", "genus_zero", "search"}),
+    (["complex", "homology", "--genus-zero", "5"],
+     {"commands.complex", "flagcomplex", "genus_zero", "homology"}),
+    (["complex", "stats", "--genus-zero", "5"], {"commands.complex", "flagcomplex", "genus_zero"}),
+    (["rigidity", "aut", "--genus-zero", "5"],
+     {"commands.rigidity", "flagcomplex", "genus_zero", "search"}),
     (["rigidity", "verify", "--genus-zero", "5"],
-     {"flagcomplex", "genus_zero", "pants", "rigidity", "search"}),
+     {"commands.rigidity", "flagcomplex", "genus_zero", "pants", "rigidity", "search"}),
     (["pants", "flip-graph", "--s", "5", "--check-connected"],
-     {"flagcomplex", "genus_zero", "pants"}),
+     {"commands.pants", "flagcomplex", "genus_zero", "pants"}),
     (["pants", "dual", "--s", "5", "--members", M5],
-     {"dual", "flagcomplex", "genus_zero", "pants"}),
+     {"commands.pants", "dual", "flagcomplex", "genus_zero", "pants"}),
     (["dual", "classify", "--s", "5", "--members", M5, "--edges", "0"],
-     {"dual", "flagcomplex", "genus_zero", "pants"}),
+     {"commands.pants", "dual", "flagcomplex", "genus_zero", "pants"}),
     (["whitney", "check", "--random-roundtrip", "2", "--seed", "3"],
-     {"flagcomplex", "multigraph", "whitney"}),
+     {"commands.whitney", "flagcomplex", "multigraph", "whitney"}),
     (["nonembed", "--source", "k33", "--target", "petersen"],
-     {"flagcomplex", "genus_zero", "search"}),
-    (["census", "good-pairs", "--n", "1", "--s", "4"], {"flagcomplex", "genus_zero"}),
-    (["catalog"], {"flagcomplex", "genus_zero"}),
+     {"commands.catalog", "flagcomplex", "genus_zero", "search"}),
+    (["census", "good-pairs", "--n", "1", "--s", "4"],
+     {"commands.catalog", "flagcomplex", "genus_zero"}),
+    (["catalog"], {"commands.catalog", "flagcomplex", "genus_zero"}),
 ]
+# ``catalog``'s input digest, on every supported interpreter
+CATALOG = "sha256:d4c7cbbb1a1c3208e7801270b05ec3ee7ad067ee13c5c9cb897e532490aa5230"
+# help texts come from the parser alone
+HELP = [["--help"], ["rigidity", "--help"], ["rigidity", "verify", "--help"]]
 
 # the names ``spherecomplex`` exported when every module was imported
 # eagerly, less ``label_action_automorphisms``, ``rank_mod_p`` and
@@ -112,7 +125,16 @@ class TestImportGraph:
     @pytest.mark.parametrize("argv, modules", COMMANDS,
                              ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
     def test_command_loads_only_its_modules(self, argv, modules):
-        assert loaded_after(RUN_MAIN, *argv) == CLI | modules
+        # the package ``commands`` holds one handler module per group
+        assert loaded_after(RUN_MAIN, *argv) == CLI | {"commands"} | modules
+
+    def test_whole_parser_loads_no_handler(self):
+        code = "from spherecomplex.cli import build_parser\nbuild_parser()"
+        assert loaded_after(code) == CLI
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_loads_no_handler(self, argv):
+        assert loaded_after(RUN_HELP, *argv) == CLI
 
 
 class TestHeavyStdlib:
@@ -124,15 +146,23 @@ class TestHeavyStdlib:
     def test_command_loads_none(self, argv):
         assert fresh_run(RUN_MAIN, *argv, flags=("-S",))[1] == set()
 
+    def test_digest_falls_back_to_hashlib(self):
+        """Without ``_sha2`` and ``_sha256`` the digest comes from
+        ``hashlib``, and it is the same."""
+        code = ("import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from spherecomplex.cli import _digest\n"
+                "if _digest('catalog', {}) != %r:\n    sys.exit('digest changed')" % CATALOG)
+        assert "cli" in fresh_run(code)[0]
+
     @pytest.mark.parametrize("module", LIBRARY)
     def test_module_loads_none(self, module):
         modules, heavy = fresh_run("import spherecomplex.%s" % module, flags=("-S",))
         assert module in modules and heavy == set()
 
     def test_library_list_is_complete(self):
-        package = os.path.dirname(spherecomplex.__file__)
-        assert sorted(name[:-3] for name in os.listdir(package)
-                      if name.endswith(".py") and name != "__init__.py") == LIBRARY
+        package = pathlib.Path(spherecomplex.__file__).parent
+        assert sorted(".".join(path.relative_to(package).with_suffix("").parts)
+                      for path in package.rglob("*.py") if path.name != "__init__.py") == LIBRARY
 
 
 class TestLazyNamespace:

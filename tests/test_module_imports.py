@@ -8,7 +8,8 @@ import pytest
 
 import spherecomplex
 
-MODULES = sorted(pathlib.Path(spherecomplex.__file__).parent.glob("*.py"))
+PACKAGE = pathlib.Path(spherecomplex.__file__).parent
+MODULES = sorted(PACKAGE.rglob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -22,6 +23,11 @@ def _imports(scope: ast.AST):
             yield node
         elif not isinstance(node, FUNCTIONS):
             stack.extend(ast.iter_child_nodes(node))
+
+
+def module_id(path: pathlib.Path) -> str:
+    """``cli`` for ``cli.py``, ``commands/pants`` for ``commands/pants.py``."""
+    return path.relative_to(PACKAGE).with_suffix("").as_posix()
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -44,10 +50,12 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_module_is_checked():
-    assert {p.stem for p in MODULES} >= {"__init__", "cli", "dual", "flagcomplex", "rigidity"}
+    assert {module_id(p) for p in MODULES} >= {"__init__", "cli", "commands/__init__",
+                                               "commands/rigidity", "dual", "flagcomplex",
+                                               "rigidity"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 

@@ -705,6 +705,29 @@ class TestCliErrors:
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["kept"]
         assert capsys.readouterr().err.count("error: cannot write --dot ") == 2
 
+    @pytest.mark.parametrize("outputs, env, options", [
+        (["--json", "same.json", "--dot", "same.json", "--out", "same.json"], False,
+         ("--json", "--dot")),
+        (["--json", "{tmp}/r.json", "--out", "r.json"], True, ("--json", "--out")),
+        (["--json", "a.json", "--dot", "sub/../link.json"], False, ("--json", "--dot")),
+    ], ids=["one-name", "out-dir", "symlink"])
+    def test_outputs_naming_one_file_exit_two(self, outputs, env, options, tmp_path, capsys,
+                                              monkeypatch):
+        """Paths are compared after ``SPHERECOMPLEX_OUT_DIR`` and symlinks
+        are resolved; a clash writes no file."""
+        monkeypatch.chdir(tmp_path)
+        if env:
+            monkeypatch.setenv("SPHERECOMPLEX_OUT_DIR", str(tmp_path))
+        else:
+            monkeypatch.delenv("SPHERECOMPLEX_OUT_DIR", raising=False)
+        (tmp_path / "link.json").symlink_to(tmp_path / "a.json")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in outputs]
+        assert main(["complex", "build", "--genus-zero", "5", *argv]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: %s and %s name the same file " % options)
+
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
             ["pants", "dual", "--s", "6", "--members", "p:1,2|s=6"], tmp_path)
