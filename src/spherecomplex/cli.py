@@ -17,7 +17,10 @@ one file are a usage error.  The handler of ``group action`` is
 option to the text it asked for; ``main`` builds every report from it
 and writes every file, and when a write fails it removes the files it
 has already written and the directories it made for them, so a failed
-command leaves no partial outputs.  A command loads ``cli``,
+command leaves no partial outputs.  Handlers only translate arguments:
+every document they export comes from one writer in ``serialization``,
+and every input rule is checked by the library function that needs it,
+whose ``ValueError`` becomes the error line.  A command loads ``cli``,
 ``serialization``, its handler module and the library modules it runs,
 and no others; ``build_parser`` and every ``--help`` load no handler
 module, and ``main`` gives only the command its argv names its
@@ -162,6 +165,16 @@ def _complex_from_args(args: argparse.Namespace) -> tuple[FlagComplex, dict]:
     doc = _read_json("--input", args.input)
     c = ser.complex_from_dict(doc)
     return c, {"input_document": doc}
+
+
+def _complex_files(args: argparse.Namespace, c: FlagComplex, name: str) -> dict:
+    """The --json and --dot exports of ``c`` that ``args`` asks for."""
+    files = {}
+    if args.json is not None:
+        files["--json"] = ser.dumps(ser.complex_to_dict(c))
+    if args.dot is not None:
+        files["--dot"] = ser.complex_to_dot(c, name=name)
+    return files
 
 
 def _id_map(src: FlagComplex, dst: FlagComplex, placement: Sequence[int]) -> dict:

@@ -1,7 +1,7 @@
 """Handlers of ``complex build``, ``complex stats`` and ``complex homology``."""
 
 from .. import serialization as ser
-from ..cli import _complex_from_args
+from ..cli import _complex_files, _complex_from_args
 
 
 def _cmd_complex_build(args) -> tuple[dict, dict, bool, dict]:
@@ -15,12 +15,7 @@ def _cmd_complex_build(args) -> tuple[dict, dict, bool, dict]:
         "f_vector": list(fv.counts),
         "euler": fv.euler,
     }
-    files = {}
-    if args.json is not None:
-        files["--json"] = ser.dumps(ser.complex_to_dict(c))
-    if args.dot is not None:
-        files["--dot"] = ser.complex_to_dot(c, name=complex_id(c))
-    return values, results, True, files
+    return values, results, True, _complex_files(args, c, results["id"])
 
 
 def _cmd_complex_stats(args) -> tuple[dict, dict, bool, dict]:

@@ -28,13 +28,7 @@ def _cmd_pants_flip_graph(args) -> tuple[dict, dict, bool, dict]:
     }
     files = {}
     if args.dot is not None:
-        lines = ["graph flip_graph {"]
-        for node in fg.nodes:
-            lines.append("  %s;" % ser.dot_quote(node))
-        for a, b in fg.edges:
-            lines.append("  %s -- %s;" % (ser.dot_quote(a), ser.dot_quote(b)))
-        lines.append("}")
-        files["--dot"] = "\n".join(lines) + "\n"
+        files["--dot"] = ser.graph_to_dot("flip_graph", fg.nodes, fg.edges)
     values = {"s": args.s, "check_connected": bool(args.check_connected)}
     return values, results, fg.connected if args.check_connected else True, files
 
@@ -53,7 +47,7 @@ def _cmd_pants_dual(args) -> tuple[dict, dict, bool, dict]:
     }
     files = {}
     if args.json is not None:
-        files["--json"] = ser.dumps(ser.dual_to_dict(d))
+        files["--json"] = ser.dumps(results["dual"])
     if args.dot is not None:
         files["--dot"] = ser.dual_to_dot(d)
     return {"s": args.s, "members": members}, results, True, files
@@ -73,12 +67,11 @@ def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
         P = _pants_from_args(args.s, args.members)
         d = dual_of_pants(P)
         values = {"s": args.s, "members": list(P.sorted_members())}
-    try:
-        eta = sorted({int(x) for x in args.edges.split(",") if x.strip() != ""})
-    except ValueError as exc:
-        raise ValueError("--edges must be comma-separated bond indices") from exc
-    if not all(0 <= i < len(d.bonds) for i in eta):
-        raise ValueError("bond index out of range (have %d bonds)" % len(d.bonds))
+    parts = [x.strip() for x in args.edges.split(",") if x.strip()]
+    # only what str(i) writes: no sign, underscore, leading zero or other digits
+    if not all(x.isdecimal() and str(int(x)) == x for x in parts):
+        raise ValueError("--edges must be comma-separated bond indices")
+    eta = sorted(set(map(int, parts)))
     values["edges"] = eta
     dec = classify_link(d, eta)
     results = {

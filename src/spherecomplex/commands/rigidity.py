@@ -1,7 +1,7 @@
 """Handlers of the ``rigidity`` commands."""
 
 from .. import serialization as ser
-from ..cli import _complex_from_args, _id_map, _pants_from_args, _split_members
+from ..cli import _complex_files, _complex_from_args, _id_map, _pants_from_args, _split_members
 
 
 def _cmd_rigidity_aut(args) -> tuple[dict, dict, bool, dict]:
@@ -22,9 +22,6 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
     from ..rigidity import certificate_extensions, verify_rigidity
     c, values = _complex_from_args(args)
     xs = _split_members(args.subcomplex) if args.subcomplex is not None else list(c.vertices)
-    unknown = [v for v in xs if v not in c]
-    if unknown:
-        raise ValueError("subcomplex vertices not in the ambient: %r" % unknown)
     values.update({"subcomplex": sorted(set(xs)), "mode": args.mode})
     cert = verify_rigidity(xs, c, mode=args.mode)
     results = ser.certificate_to_dict(cert, certificate_extensions(xs, c, cert))
@@ -35,8 +32,6 @@ def _cmd_rigidity_verify(args) -> tuple[dict, dict, bool, dict]:
 def _cmd_rigidity_split(args) -> tuple[dict, dict, bool, dict]:
     from ..rigidity import find_split_spheres
     P = _pants_from_args(args.genus_zero, args.members)
-    if args.sphere not in P.members:
-        raise ValueError("--sphere must be a member of the decomposition")
     members = list(P.sorted_members())
     split = find_split_spheres(P, args.sphere)
     results = {
@@ -63,11 +58,7 @@ def _cmd_rigidity_xsigma(args) -> tuple[dict, dict, bool, dict]:
         "n_vertices": x.n_vertices,
         "n_edges": x.n_edges,
     }
-    files = {}
-    if args.json is not None:
-        files["--json"] = ser.dumps(ser.complex_to_dict(x))
-    if args.dot is not None:
-        files["--dot"] = ser.complex_to_dot(x, name="x_sigma")
+    files = _complex_files(args, x, "x_sigma")
     return {"genus_zero": args.genus_zero, "members": members}, results, True, files
 
 

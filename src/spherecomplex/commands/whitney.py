@@ -55,11 +55,9 @@ def _cmd_whitney_check(args) -> tuple[dict, dict, bool, dict]:
 
 
 def _cmd_whitney_lift(args) -> tuple[dict, dict, bool, dict]:
-    from ..whitney import LIFTED, is_edge_isomorphism, lift_edge_isomorphism
+    from ..whitney import LIFTED, lift_edge_isomorphism
     doc = _read_json("--map", args.map)
     psi = ser.edge_bijection_from_dict(doc)
-    if not is_edge_isomorphism(psi):
-        raise ValueError("--map is not an edge isomorphism; run `whitney check`")
     res = lift_edge_isomorphism(psi)
     results = {
         "verdict": res.verdict,
@@ -68,8 +66,5 @@ def _cmd_whitney_lift(args) -> tuple[dict, dict, bool, dict]:
     }
     files = {}
     if args.json is not None and res.vertex_map:
-        files["--json"] = ser.dumps({
-            "vertices": list(psi.source.vertices),
-            "map": dict(res.vertex_map),
-        })
+        files["--json"] = ser.dumps(ser.vertex_map_to_dict(psi.source.vertices, res.vertex_map))
     return {"input_document": doc}, results, res.verdict == LIFTED, files

@@ -12,7 +12,7 @@ Inside, slots are integers: slot ``3*k + j`` is slot ``j`` of
 the pants of slot ``x`` is ``pants[x // 3]`` and the I-H move permutes
 six slots.  Slot ids, which read ``pantsId.slotIndex``, appear only at
 the boundary: the constructor parses them once, and the ``bonds`` and
-``legs`` views spell them out on first read.  Pants ids therefore must
+``legs`` views spell them out on each read.  Pants ids therefore must
 not contain a dot.
 """
 
@@ -47,19 +47,16 @@ class DualMultigraph:
     bond_labels: optional names parallel to bonds (the defining sphere
     ids when the graph was extracted from a pants decomposition).
 
-    Both views are built from the integer slots on first read.
+    Both views are spelled from the integer slots on each read.
     """
 
-    __slots__ = ("pants", "bond_labels", "_bonds", "_legs", "_bond_ids", "_leg_ids")
+    __slots__ = ("pants", "bond_labels", "_bonds", "_legs")
 
     def __init__(self, pants: Sequence[str], bonds: Iterable[tuple[str, str]],
                  legs: Iterable[tuple[str, str]],
                  bond_labels: Optional[Sequence[str]] = None):
         self.pants: tuple[str, ...] = tuple(pants)
-        # split_slot accepts only the ids slot_id writes, so once parsed
-        # the given ids are the views
-        self._bond_ids = tuple((a, b) for a, b in bonds)
-        self._leg_ids = tuple((sl, str(lb)) for sl, lb in legs)
+        bonds = tuple(bonds)
         self.bond_labels: Optional[tuple[str, ...]] = (
             tuple(bond_labels) if bond_labels is not None else None)
         if len(set(self.pants)) != len(self.pants):
@@ -67,7 +64,7 @@ class DualMultigraph:
         for pid in self.pants:
             if "." in pid:
                 raise ValueError("pants id may not contain '.': %r" % (pid,))
-        if self.bond_labels is not None and len(self.bond_labels) != len(self._bond_ids):
+        if self.bond_labels is not None and len(self.bond_labels) != len(bonds):
             raise ValueError("bond_labels length mismatch")
         first_slot = {pid: 3 * k for k, pid in enumerate(self.pants)}
         used: set[str] = set()
@@ -83,8 +80,8 @@ class DualMultigraph:
             used.add(sl)
             return first_slot[pid] + idx
 
-        self._bonds = tuple((claim(a), claim(b)) for a, b in self._bond_ids)
-        self._legs = tuple((claim(sl), lb) for sl, lb in self._leg_ids)
+        self._bonds = tuple((claim(a), claim(b)) for a, b in bonds)
+        self._legs = tuple((claim(sl), str(lb)) for sl, lb in legs)
         if len(used) != 3 * len(self.pants):
             expected = {slot_id(p, k) for p in self.pants for k in range(3)}
             raise ValueError("slots must be used exactly once each"
@@ -105,7 +102,6 @@ class DualMultigraph:
                 raise ValueError("slots must be used exactly once each")
         d = cls.__new__(cls)
         d.pants, d._bonds, d._legs, d.bond_labels = pants, bonds, legs, bond_labels
-        d._bond_ids = d._leg_ids = None
         return d
 
     def _slot_id(self, x: int) -> str:
@@ -113,15 +109,11 @@ class DualMultigraph:
 
     @property
     def bonds(self) -> tuple[tuple[str, str], ...]:
-        if self._bond_ids is None:
-            self._bond_ids = tuple((self._slot_id(a), self._slot_id(b)) for a, b in self._bonds)
-        return self._bond_ids
+        return tuple((self._slot_id(a), self._slot_id(b)) for a, b in self._bonds)
 
     @property
     def legs(self) -> tuple[tuple[str, str], ...]:
-        if self._leg_ids is None:
-            self._leg_ids = tuple((self._slot_id(x), lb) for x, lb in self._legs)
-        return self._leg_ids
+        return tuple((self._slot_id(x), lb) for x, lb in self._legs)
 
     # -- queries --------------------------------------------------------
 

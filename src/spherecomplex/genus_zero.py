@@ -86,11 +86,15 @@ class SpherePartition:
 
     @classmethod
     def from_vertex_id(cls, vid: str) -> "SpherePartition":
-        if not vid.startswith("p:") or "|s=" not in vid:
-            raise ValueError("not a partition vertex id: %r" % (vid,))
-        body, s_part = vid[2:].split("|s=", 1)
-        labels = [int(x) for x in body.split(",") if x]
-        return cls(int(s_part), labels)
+        """The sphere whose ``vertex_id`` is ``vid``; no other spelling
+        of it is accepted."""
+        body, sep, size = vid.partition("|s=")
+        labels = body[2:].split(",")
+        if body[:2] == "p:" and sep and size.isdecimal() and all(map(str.isdecimal, labels)):
+            p = cls(int(size), map(int, labels))
+            if p.vertex_id() == vid:
+                return p
+        raise ValueError("not a partition vertex id: %r" % (vid,))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpherePartition):
@@ -136,15 +140,19 @@ def _clusters(c: FlagComplex) -> tuple[int, ...]:
     label mask (bit x for label x) of vertex i's ``other_block``.  Built
     with the complex, or parsed once from the vertex ids, and kept.
     Raises ValueError unless ``c.meta`` names the genus-zero model and
-    an integer s, which every caller reads."""
+    an integer s, which every caller reads, and each vertex id is one
+    that ``SpherePartition.vertex_id`` writes for that s."""
     model, s = c.meta.get("model"), c.meta.get("s")
     if model != "genus-zero" or type(s) is not int:
         # complex_id reads s of a genus-zero complex
         name = complex_id(c) if model != "genus-zero" else "meta %r" % (c.meta,)
         raise ValueError("need a genus-zero complex, not %s" % (name,))
     if c._clusters is None:
-        c._clusters = tuple(sum(1 << x for x in SpherePartition.from_vertex_id(v).other_block)
-                            for v in c.vertices)
+        spheres = list(map(SpherePartition.from_vertex_id, c.vertices))
+        for v, p in zip(c.vertices, spheres):
+            if p.s != s:
+                raise ValueError("vertex %r is not a sphere of s = %d" % (v, s))
+        c._clusters = tuple(sum(1 << x for x in p.other_block) for p in spheres)
     return c._clusters
 
 

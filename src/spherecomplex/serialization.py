@@ -9,7 +9,7 @@ runs on equal inputs.  Schemas for each format ship in the
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
     from .dual import DualMultigraph
@@ -17,7 +17,6 @@ if TYPE_CHECKING:
     from .genus_zero import GoodPairCensus
     from .multigraph import Multigraph
     from .rigidity import CaterpillarWitness, RigidityCertificate
-    from .search import VertexMap
     from .whitney import EdgeBijection
 
 
@@ -29,6 +28,42 @@ def dumps(obj) -> str:
 def dot_quote(s: str) -> str:
     """A DOT-safe double-quoted identifier."""
     return '"%s"' % str(s).replace("\\", "\\\\").replace('"', '\\"')
+
+
+# -- reading: every reader rejects what its schema rejects, and coerces
+# nothing; the library checks the rules a schema cannot state
+
+def _fields(doc, kind: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise unless ``doc`` is an object with every ``required`` key and
+    no key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed %s document: %s where an object belongs"
+                         % (kind, type(doc).__name__))
+    for key in required:
+        if key not in doc:
+            raise ValueError("malformed %s document: missing %r" % (kind, key))
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError("malformed %s document: unknown key %r" % (kind, key))
+
+
+def _array(items, kind: str, what: str) -> list:
+    if not isinstance(items, list):
+        raise ValueError("malformed %s document: %s must be an array" % (kind, what))
+    return items
+
+
+def _strings(items, kind: str, what: str, size: Optional[int] = None,
+             unique: bool = False) -> list[str]:
+    """``items``, unless it is not an array of strings, has other than
+    ``size`` items (when given) or repeats one (when ``unique``)."""
+    if not all(isinstance(x, str) for x in _array(items, kind, what)) or \
+            size not in (None, len(items)):
+        raise ValueError("malformed %s document: %s must be an array of %sstrings"
+                         % (kind, what, "" if size is None else "%d " % size))
+    if unique and len(set(items)) != len(items):
+        raise ValueError("malformed %s document: %s repeat an item" % (kind, what))
+    return items
 
 
 # -- flag complexes -------------------------------------------------------
@@ -45,13 +80,12 @@ def complex_to_dict(c: FlagComplex) -> dict:
 
 def complex_from_dict(d: Mapping) -> FlagComplex:
     from .flagcomplex import flag_from_adjacency
-    try:
-        vertices = [str(v) for v in d["vertices"]]
-        edges = [(str(a), str(b)) for a, b in d["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("malformed complex document: %s" % (exc,)) from exc
+    _fields(d, "complex", ("vertices", "edges"), ("meta",))
+    vertices = _strings(d["vertices"], "complex", "vertices", unique=True)
+    edges = [_strings(e, "complex", "an edge", 2)
+             for e in _array(d["edges"], "complex", "edges")]
     meta = d.get("meta")
-    if meta is not None and not isinstance(meta, dict):
+    if "meta" in d and not isinstance(meta, dict):
         raise ValueError("malformed complex document: meta must be an object")
     for model, size in (("genus-zero", "s"), ("caterpillar", "m")):
         if meta and meta.get("model") == model and type(meta.get(size)) is not int:
@@ -60,14 +94,18 @@ def complex_from_dict(d: Mapping) -> FlagComplex:
     return flag_from_adjacency(vertices, edges, meta=meta)
 
 
-def complex_to_dot(c: FlagComplex, name: str = "complex") -> str:
-    lines = ["graph %s {" % dot_quote(name)]
-    for v in c.vertices:
-        lines.append("  %s;" % dot_quote(v))
-    for a, b in c.edges():
-        lines.append("  %s -- %s;" % (dot_quote(a), dot_quote(b)))
+def graph_to_dot(name: str, vertices: Iterable[str],
+                 edges: Iterable[tuple[str, str]]) -> str:
+    """DOT drawing of a simple graph; ``name`` is written as given."""
+    lines = ["graph %s {" % name]
+    lines.extend("  %s;" % dot_quote(v) for v in vertices)
+    lines.extend("  %s -- %s;" % (dot_quote(a), dot_quote(b)) for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def complex_to_dot(c: FlagComplex, name: str = "complex") -> str:
+    return graph_to_dot(dot_quote(name), c.vertices, c.edges())
 
 
 # -- dual multigraphs -----------------------------------------------------
@@ -84,19 +122,27 @@ def dual_to_dict(d: DualMultigraph) -> dict:
 
 
 def dual_from_dict(doc: Mapping) -> DualMultigraph:
+    """The dual a document describes; ``DualMultigraph`` checks its
+    pants ids and slots."""
     from .dual import DualMultigraph
-    try:
-        pants = [str(p) for p in doc["pants"]]
-        bonds = [(str(a), str(b)) for a, b in doc["bonds"]]
-        legs = [(str(l["slot"]), str(l["label"])) for l in doc["legs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("malformed dual multigraph document: %s" % (exc,)) from exc
-    labels = doc.get("bond_labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ValueError("malformed dual multigraph document: "
-                         "bond_labels must be an array")
-    return DualMultigraph(pants, bonds, legs,
-                          bond_labels=None if labels is None else [str(x) for x in labels])
+    kind = "dual multigraph"
+    _fields(doc, kind, ("pants", "bonds", "legs"), ("bond_labels",))
+    pants = _strings(doc["pants"], kind, "pants")
+    # the schema's slot pattern reads "." as any character but a newline
+    if any("\n" in p for p in pants):
+        raise ValueError("malformed %s document: a pants id holds a newline" % kind)
+    bonds = [_strings(b, kind, "a bond", 2) for b in _array(doc["bonds"], kind, "bonds")]
+    legs = []
+    for leg in _array(doc["legs"], kind, "legs"):
+        _fields(leg, kind, ("slot", "label"))
+        if not isinstance(leg["slot"], str) or not isinstance(leg["label"], str):
+            raise ValueError("malformed %s document: a leg's slot and label must be strings"
+                             % kind)
+        legs.append((leg["slot"], leg["label"]))
+    labels = None
+    if "bond_labels" in doc:
+        labels = _strings(doc["bond_labels"], kind, "bond_labels")
+    return DualMultigraph(pants, bonds, legs, bond_labels=labels)
 
 
 def dual_to_dot(d: DualMultigraph, name: str = "dual") -> str:
@@ -131,13 +177,13 @@ def multigraph_to_dict(g: Multigraph) -> dict:
 
 def multigraph_from_dict(doc: Mapping) -> Multigraph:
     from .multigraph import Multigraph
-    try:
-        vertices = [str(v) for v in doc["vertices"]]
-        edges = {str(eid): (str(pair[0]), str(pair[1]))
-                 for eid, pair in doc["edges"].items()}
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise ValueError("malformed multigraph document: %s" % (exc,)) from exc
-    return Multigraph(vertices, edges)
+    _fields(doc, "multigraph", ("vertices", "edges"))
+    vertices = _strings(doc["vertices"], "multigraph", "vertices", unique=True)
+    edges = doc["edges"]
+    if not isinstance(edges, dict) or not all(isinstance(eid, str) for eid in edges):
+        raise ValueError("malformed multigraph document: edges must be an object")
+    return Multigraph(vertices, {eid: tuple(_strings(pair, "multigraph", "edge %r" % eid, 2))
+                                 for eid, pair in edges.items()})
 
 
 def edge_map_to_dict(source: Multigraph, target: Multigraph,
@@ -149,28 +195,25 @@ def edge_map_to_dict(source: Multigraph, target: Multigraph,
     }
 
 
-def edge_map_from_dict(doc: Mapping) -> tuple[Multigraph, Multigraph, dict[str, str]]:
-    try:
-        source = multigraph_from_dict(doc["source"])
-        target = multigraph_from_dict(doc["target"])
-        mapping = {str(k): str(v) for k, v in doc["map"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError("malformed edge map document: %s" % (exc,)) from exc
-    return source, target, mapping
-
-
 def edge_bijection_from_dict(doc: Mapping) -> EdgeBijection:
     from .whitney import EdgeBijection
-    source, target, mapping = edge_map_from_dict(doc)
+    _fields(doc, "edge map", ("source", "target", "map"))
+    source, target = multigraph_from_dict(doc["source"]), multigraph_from_dict(doc["target"])
+    mapping = doc["map"]
+    if not isinstance(mapping, dict) or not all(
+            isinstance(x, str) for x in (*mapping, *mapping.values())):
+        raise ValueError("malformed edge map document: map must map strings to strings")
     return EdgeBijection(source, target, mapping)
 
 
 # -- vertex maps, certificates, reports -----------------------------------
 
-def vertex_map_to_dict(vm: VertexMap, meta: Optional[dict] = None) -> dict:
+def vertex_map_to_dict(vertices: Sequence[str], assignment: Mapping[str, str],
+                       meta: Optional[dict] = None) -> dict:
+    """The map ``assignment`` on the source ``vertices``, in their order."""
     out = {
-        "vertices": list(vm.source.vertices),
-        "map": {v: vm.assignment[v] for v in vm.source.vertices},
+        "vertices": list(vertices),
+        "map": {v: assignment[v] for v in vertices},
     }
     if meta:
         out["meta"] = dict(meta)
@@ -178,7 +221,7 @@ def vertex_map_to_dict(vm: VertexMap, meta: Optional[dict] = None) -> dict:
 
 
 def witness_to_dict(w: CaterpillarWitness) -> dict:
-    return vertex_map_to_dict(w.vertex_map, meta={
+    return vertex_map_to_dict(w.vertex_map.source.vertices, w.vertex_map.assignment, meta={
         "moved_vertex": w.moved_vertex,
         "moved_to": w.moved_to,
         "from_type": w.from_type,

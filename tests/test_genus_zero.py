@@ -73,6 +73,18 @@ class TestSpherePartition:
         assert p.vertex_id() == "p:1,3,5|s=6"
         assert SpherePartition.from_vertex_id(p.vertex_id()) == p
 
+    @pytest.mark.parametrize("vid", [
+        "p:2,1|s=6", "p:1,02|s=6", "p: 1,2|s=6", "p:1,2,|s=6", "p:1,2|s=06",
+        "p:3,4|s=6", "p:1,1,2|s=6", "p:1,2|s=+6", "p:1,2|s=\u0666", "p:|s=6", "p:1,2",
+        "q:1,2|s=6", "p:1,2|s=6|s=6",
+    ])
+    def test_only_the_written_id_is_accepted(self, vid):
+        """Another spelling of a sphere, or of no sphere, is refused:
+        labels out of order, padded or repeated, a trailing comma, the
+        block without label 1, a signed or non-ASCII size."""
+        with pytest.raises(ValueError, match=r"^not a partition vertex id: "):
+            SpherePartition.from_vertex_id(vid)
+
     def test_block_size_bounds(self):
         with pytest.raises(ValueError):
             SpherePartition(6, [1])
@@ -230,6 +242,18 @@ class TestClusterTable:
             bad = FlagComplex(c5.vertices, c5._adj, meta)
             with pytest.raises(ValueError, match=r"^need a genus-zero complex, not meta "):
                 dual_of_pants(PantsDecomposition(bad, maximal_cliques(bad)[0]))
+
+
+    @pytest.mark.parametrize("vertices, message", [
+        # one sphere under two spellings used to give the table (120, 120)
+        (["p:1,2|s=6", "p:2,1|s=6"], "not a partition vertex id: 'p:2,1|s=6'"),
+        (["p:1,2|s=5", "p:1,3|s=5"], "vertex 'p:1,2|s=5' is not a sphere of s = 6"),
+    ], ids=["two-spellings", "other-s"])
+    def test_table_of_a_document_needs_written_ids_of_its_s(self, vertices, message):
+        c = FlagComplex(vertices, [0] * len(vertices), {"model": "genus-zero", "s": 6})
+        with pytest.raises(ValueError) as info:
+            _clusters(c)
+        assert str(info.value) == message and c._clusters is None
 
 
 class TestLaminarTree:

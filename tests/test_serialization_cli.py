@@ -129,6 +129,88 @@ class TestDocuments:
             jsonschema.Draft202012Validator.check_schema(schema)
 
 
+# one valid document of each kind a reader reads, and malformed variants:
+# each breaks a rule of its schema (type, arity, uniqueItems, required or
+# additionalProperties), and none may be coerced into a valid one
+VALID_DOCS = {
+    "complex": {"vertices": ["a", "b"], "edges": [["a", "b"]], "meta": {}},
+    "multigraph": {"vertices": ["a", "b"], "edges": {"e1": ["a", "b"]}},
+    "dual_multigraph": {"pants": ["u"], "bonds": [["u.0", "u.1"]],
+                        "legs": [{"slot": "u.2", "label": "1"}], "bond_labels": ["x"]},
+    "edge_map": {"source": {"vertices": ["a", "b"], "edges": {"e1": ["a", "b"]}},
+                 "target": {"vertices": ["x", "y"], "edges": {"f1": ["x", "y"]}},
+                 "map": {"e1": "f1"}},
+}
+MALFORMED_DOCS = [
+    ("complex", {"vertices": ...}),
+    ("complex", {"edges": ["ab"]}),
+    ("complex", {"edges": [["a", "b", "a"]]}),
+    ("complex", {"edges": {"e1": ["a", "b"]}}),
+    ("complex", {"vertices": "ab", "edges": []}),
+    ("complex", {"vertices": ["a", 1], "edges": []}),
+    ("complex", {"vertices": ["a", "b", "a"]}),
+    ("complex", {"meta": None}),
+    ("complex", {"meta": [1]}),
+    ("complex", {"name": "k2"}),
+    ("multigraph", {"edges": {"e1": ["a", "b", "a"]}}),
+    ("multigraph", {"edges": {"e1": "ab"}}),
+    ("multigraph", {"edges": [["a", "b"]]}),
+    ("multigraph", {"vertices": ["a", "b", "b"]}),
+    ("multigraph", {"vertices": ["a", 2]}),
+    ("multigraph", {"meta": {}}),
+    ("multigraph", {"edges": ...}),
+    ("dual_multigraph", {"pants": "u"}),
+    ("dual_multigraph", {"pants": ["u", "u"]}),
+    ("dual_multigraph", {"bonds": [["u.0", "u.1", "u.2"]]}),
+    ("dual_multigraph", {"bonds": ["u.0u.1"]}),
+    ("dual_multigraph", {"legs": [{"slot": "u.2", "label": 1}]}),
+    ("dual_multigraph", {"legs": [{"slot": "u.2", "label": "1", "side": 0}]}),
+    ("dual_multigraph", {"legs": [["u.2", "1"]]}),
+    ("dual_multigraph", {"bond_labels": [5]}),
+    ("dual_multigraph", {"bond_labels": None}),
+    ("dual_multigraph", {"signature": [1, 1]}),
+    ("dual_multigraph", {"legs": ...}),
+    # a "." of the slot pattern matches no newline
+    ("dual_multigraph", {"pants": ["u\nv"], "bonds": [["u\nv.0", "u\nv.1"]],
+                         "legs": [{"slot": "u\nv.2", "label": "1"}]}),
+    ("edge_map", {"map": {"e1": 1}}),
+    ("edge_map", {"map": [["e1", "f1"]]}),
+    ("edge_map", {"source": {"vertices": ["a", "b"], "edges": {"e1": "ab"}}}),
+    ("edge_map", {"target": {"vertices": ["x", "x", "y"], "edges": {"f1": ["x", "y"]}}}),
+    ("edge_map", {"inverse": {"f1": "e1"}}),
+    ("edge_map", {"map": ...}),
+]
+READERS = {"complex": ser.complex_from_dict, "multigraph": ser.multigraph_from_dict,
+           "dual_multigraph": ser.dual_from_dict, "edge_map": ser.edge_bijection_from_dict}
+
+
+class TestStrictReaders:
+    @pytest.mark.parametrize("schema", sorted(VALID_DOCS))
+    def test_valid_documents_are_read(self, schema):
+        validate(VALID_DOCS[schema], schema)
+        READERS[schema](VALID_DOCS[schema])
+
+    @pytest.mark.parametrize("schema, change", MALFORMED_DOCS,
+                             ids=["%s-%d" % (s, k) for k, (s, _) in enumerate(MALFORMED_DOCS)])
+    def test_reader_rejects_what_the_schema_rejects(self, schema, change):
+        """Each change to a valid document breaks its schema, and the
+        reader raises ValueError instead of coercing it; a key that
+        ``change`` sets to ... is removed."""
+        doc = {k: v for k, v in {**VALID_DOCS[schema], **change}.items() if v is not ...}
+        with pytest.raises(jsonschema.ValidationError):
+            validate(doc, schema)
+        with pytest.raises(ValueError, match=r"^malformed |^duplicate pants ids$"):
+            READERS[schema](doc)
+
+    def test_cli_rejects_a_document_its_schema_rejects(self, tmp_path, capsys):
+        doc = tmp_path / "k2.json"
+        doc.write_text(json.dumps({"vertices": "ab", "edges": []}))
+        code, report = run_cli(["complex", "build", "--input", str(doc)], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == (
+            "error: malformed complex document: vertices must be an array\n")
+
+
 class TestDotExport:
     def test_complex_dot(self, c4):
         dot = ser.complex_to_dot(c4)
@@ -294,6 +376,8 @@ class TestCliReports:
         once = report([*classify, "0"], "c.json")
         twice = report([*classify, "0,0"], "d.json")
         assert twice == once and twice["results"]["eta"] == [0]
+        # spaces around an index and empty items are dropped
+        assert report([*classify, " 0 ,, "], "e.json") == once
 
     @pytest.mark.parametrize("argv, key, repeated, plain", [
         (["rigidity", "verify", "--genus-zero", "5"], "subcomplex",
@@ -414,6 +498,63 @@ class TestFrozenReports:
         assert rep["command"] == command
         del rep["timing"]
         assert hashlib.sha256(ser.dumps(rep).encode("utf-8")).hexdigest() == digest
+
+
+# a path a-b-c with a loop at c onto z-y-x with a loop at x: it lifts to
+# a -> z, b -> y, c -> x; with the images of e1 and e3 swapped the loop
+# goes to a plain edge, so it is no edge isomorphism
+LIFT_MAP = {
+    "source": {"vertices": ["a", "b", "c"],
+               "edges": {"e1": ["a", "b"], "e2": ["b", "c"], "e3": ["c", "c"]}},
+    "target": {"vertices": ["x", "y", "z"],
+               "edges": {"f1": ["y", "z"], "f2": ["x", "y"], "f3": ["x", "x"]}},
+    "map": {"e1": "f1", "e2": "f2", "e3": "f3"},
+}
+NOT_EDGE_ISOMORPHIC = {**LIFT_MAP, "map": {"e1": "f3", "e2": "f2", "e3": "f1"}}
+
+# sha256 of each file an export option writes, with the schema a JSON
+# export must pass, recorded before the handlers wrote these documents
+# through ``serialization`` alone; MAP is a file holding LIFT_MAP
+FROZEN_EXPORTS = [
+    (["pants", "flip-graph", "--s", "5"], {
+        "--dot": ("670c6169ed9deabff07002fcc8fb2fc22ee85559eff32f3c87026b20f5a7822b", None)}),
+    (["pants", "dual", "--s", "6", "--members", M6], {
+        "--json": ("f06c813343223ead1adf9dd793045d0a333691eeb51f4f9226c954ad29980e78",
+                   "dual_multigraph"),
+        "--dot": ("e7d740ec741017b0011d15faf99bd6237bad5759fa0e0e70f62fafc94a1923c5", None)}),
+    (["rigidity", "xsigma", "--genus-zero", "6", "--members", M6], {
+        "--json": ("5c48d01ae2bedd6ae32fd8d607f303936b354dd2c3daf65519edbc893f8da708",
+                   "complex"),
+        "--dot": ("a409a8f474471a4e781554875fd7893e14b91055a9337fc8d0bafaf75a8d7bbc", None)}),
+    (["complex", "build", "--genus-zero", "5"], {
+        "--json": ("ee63b0f7df152ea0711b902f80bd4efcbf35c7bf69e5a7682bd34511596e530c",
+                   "complex"),
+        "--dot": ("4079cfaa32a2d438545a3a68781fc01b0a3570e3136207917f1da75a7e2b35c7", None)}),
+    (["rigidity", "witness", "--m", "4", "--x", "z:0;w:0"], {
+        "--json": ("15b5d5caf71bfbd1fd2d0c9e81c5762b039aaca4df7ad21a31dbaaf203e2ea18",
+                   "vertex_map")}),
+    (["whitney", "lift", "--map", "MAP"], {
+        "--json": ("09848fb7c68a223c60d1046a7c297fa1e7683705cf8a00378be39de1130f12b9",
+                   "vertex_map")}),
+]
+
+
+class TestFrozenExports:
+    @pytest.mark.parametrize("argv, files", FROZEN_EXPORTS,
+                             ids=[" ".join(argv[:2]) for argv, _ in FROZEN_EXPORTS])
+    def test_export_digest(self, argv, files, tmp_path):
+        (tmp_path / "map.json").write_text(json.dumps(LIFT_MAP))
+        argv = [str(tmp_path / "map.json") if a == "MAP" else a for a in argv]
+        paths = {option: tmp_path / ("export." + option[2:]) for option in files}
+        for option, path in paths.items():
+            argv += [option, str(path)]
+        code, report = run_cli(argv, tmp_path)
+        assert code == 0 and report["pass"] is True
+        for option, (digest, schema) in files.items():
+            data = paths[option].read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, option
+            if schema is not None:
+                validate(json.loads(data), schema)
 
 
 # ``--help`` of the top level, every group and every leaf, and usage
@@ -727,6 +868,35 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: %s and %s name the same file " % options)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rigidity", "verify", "--genus-zero", "5", "--subcomplex", "p:1,2|s=5;nope",
+          "--json", "cert.json"], "unknown vertex id: 'nope'"),
+        (["rigidity", "split", "--genus-zero", "6", "--members", M6, "--sphere", "p:1,3|s=6"],
+         "'p:1,3|s=6' is not a member of the decomposition"),
+        (["dual", "classify", "--s", "6", "--members", M6, "--edges", "9"],
+         "bond index out of range: 9"),
+        (["whitney", "lift", "--map", "map.json", "--json", "lift.json"],
+         "not an edge isomorphism"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
+    def test_library_checks_the_input(self, argv, message, tmp_path, capsys, monkeypatch):
+        """The check the library makes is the only one: exit 2 with its
+        message on one line, and no report or export written."""
+        monkeypatch.delenv("SPHERECOMPLEX_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "map.json").write_text(json.dumps(NOT_EDGE_ISOMORPHIC))
+        assert main([*argv, "--out", "report.json"]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        assert [p.name for p in tmp_path.iterdir()] == ["map.json"]
+
+    @pytest.mark.parametrize("edges", ["0_1", "1_0", "+1", "-1", "01", "\u0661", "0,x", "0 1"])
+    def test_edges_other_than_written_indices_exit_two(self, edges, tmp_path, capsys):
+        """``int`` would read 0_1 as bond 1 and 1_0 as bond 10."""
+        code, report = run_cli(["dual", "classify", "--s", "6", "--members", M6,
+                                "--edges", edges], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == (
+            "error: --edges must be comma-separated bond indices\n")
 
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
