@@ -68,10 +68,13 @@ def _cmd_dual_classify(args) -> tuple[dict, dict, bool, dict]:
         d = dual_of_pants(P)
         values = {"s": args.s, "members": list(P.sorted_members())}
     parts = [x.strip() for x in args.edges.split(",") if x.strip()]
-    # only what str(i) writes: no sign, underscore, leading zero or other digits
-    if not all(x.isdecimal() and str(int(x)) == x for x in parts):
+    # only what str(i) writes: ASCII digits with no sign, underscore or leading zero
+    if not all(x.isascii() and x.isdecimal() and x[0] != "0" or x == "0" for x in parts):
         raise ValueError("--edges must be comma-separated bond indices")
-    eta = sorted(set(map(int, parts)))
+    try:
+        eta = sorted(set(map(int, parts)))
+    except ValueError:  # more digits than int() reads, so no bond's index
+        raise ValueError("--edges: bond index out of range") from None
     values["edges"] = eta
     dec = classify_link(d, eta)
     results = {

@@ -68,7 +68,7 @@ class SpherePartition:
 
     def __init__(self, s: int, labels: Iterable[int]):
         block = frozenset(int(x) for x in labels)
-        if not block <= set(range(1, s + 1)):
+        if not all(1 <= x <= s for x in block):
             raise ValueError("labels outside 1..%d: %r" % (s, sorted(block)))
         if 1 not in block:
             block = frozenset(range(1, s + 1)) - block
@@ -90,8 +90,15 @@ class SpherePartition:
         of it is accepted."""
         body, sep, size = vid.partition("|s=")
         labels = body[2:].split(",")
-        if body[:2] == "p:" and sep and size.isdecimal() and all(map(str.isdecimal, labels)):
-            p = cls(int(size), map(int, labels))
+        # vertex_id writes the block holding label 1, so no other block
+        # is complemented, which would take time and memory linear in s
+        if body[:2] == "p:" and sep and labels[0] == "1" and size.isdecimal() \
+                and all(map(str.isdecimal, labels)):
+            try:
+                s, block = int(size), [int(x) for x in labels]
+            except ValueError:  # more digits than int() reads
+                raise ValueError("not a partition vertex id: %r" % (vid,)) from None
+            p = cls(s, block)
             if p.vertex_id() == vid:
                 return p
         raise ValueError("not a partition vertex id: %r" % (vid,))

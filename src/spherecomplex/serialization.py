@@ -3,12 +3,16 @@
 Every ``*_to_dict`` function returns plain JSON-ready data with
 deterministic ordering, so ``dumps`` output is byte-identical across
 runs on equal inputs.  Schemas for each format ship in the
-``schemas/`` package directory.
+``schemas/`` package directory, and each ``*_from_dict`` reader checks
+its document against its schema, which is the one statement of the
+format, before it builds anything.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -30,40 +34,55 @@ def dot_quote(s: str) -> str:
     return '"%s"' % str(s).replace("\\", "\\\\").replace('"', '\\"')
 
 
-# -- reading: every reader rejects what its schema rejects, and coerces
-# nothing; the library checks the rules a schema cannot state
+# -- reading: every reader checks its document against its schema, builds
+# from it and coerces nothing; the library checks what no schema states
 
-def _fields(doc, kind: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    """Raise unless ``doc`` is an object with every ``required`` key and
-    no key outside ``required`` and ``optional``."""
-    if not isinstance(doc, dict):
-        raise ValueError("malformed %s document: %s where an object belongs"
-                         % (kind, type(doc).__name__))
-    for key in required:
-        if key not in doc:
-            raise ValueError("malformed %s document: missing %r" % (kind, key))
-    for key in doc:
-        if key not in required and key not in optional:
-            raise ValueError("malformed %s document: unknown key %r" % (kind, key))
+_TYPES = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string")}
 
 
-def _array(items, kind: str, what: str) -> list:
-    if not isinstance(items, list):
-        raise ValueError("malformed %s document: %s must be an array" % (kind, what))
-    return items
+def _check(doc, schema: dict, kind: str, root: Optional[dict] = None, where: str = "") -> None:
+    """Raise ValueError naming the path to the part of ``doc`` that breaks
+    ``schema``, a node of the input schema ``root``.  The keywords are the
+    ones the input schemas use: ``type``, ``required``, ``properties``,
+    ``additionalProperties`` (false or a schema), ``items``, ``minItems``,
+    ``maxItems``, ``uniqueItems`` (of strings), ``pattern`` (found by
+    ``re.search``, as ``jsonschema`` does) and a local ``$ref`` into
+    ``$defs``; ``$schema``, ``$id`` and ``title`` are annotations."""
+    root = root or schema
 
+    def fail(rule: str):
+        raise ValueError("malformed %s document: %s %s" % (kind, where or "the document", rule))
 
-def _strings(items, kind: str, what: str, size: Optional[int] = None,
-             unique: bool = False) -> list[str]:
-    """``items``, unless it is not an array of strings, has other than
-    ``size`` items (when given) or repeats one (when ``unique``)."""
-    if not all(isinstance(x, str) for x in _array(items, kind, what)) or \
-            size not in (None, len(items)):
-        raise ValueError("malformed %s document: %s must be an array of %sstrings"
-                         % (kind, what, "" if size is None else "%d " % size))
-    if unique and len(set(items)) != len(items):
-        raise ValueError("malformed %s document: %s repeat an item" % (kind, what))
-    return items
+    if "$ref" in schema:
+        _check(doc, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], kind, root, where)
+    if "type" in schema:
+        cls, name = _TYPES[schema["type"]]
+        # JSON object keys are strings; a Python caller may pass others
+        if not isinstance(doc, cls) or cls is dict and not all(isinstance(k, str) for k in doc):
+            fail("must be " + name)
+    if isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                fail("has no key %r" % key)
+        properties, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        for key, value in doc.items():
+            sub = properties.get(key, extra)
+            if sub is False:
+                fail("has the unknown key %r" % key)
+            if sub:  # an empty schema, such as meta's values get, allows anything
+                _check(value, sub, kind, root, "%s.%s" % (where, key) if where else key)
+    elif isinstance(doc, list):
+        if "items" in schema:
+            for k, item in enumerate(doc):
+                _check(item, schema["items"], kind, root, "%s[%d]" % (where, k))
+        if len(doc) < schema.get("minItems", 0):
+            fail("must have at least %d items" % schema["minItems"])
+        if len(doc) > schema.get("maxItems", len(doc)):
+            fail("must have at most %d items" % schema["maxItems"])
+        if schema.get("uniqueItems") and len(set(doc)) != len(doc):
+            fail("must not repeat an item")
+    elif isinstance(doc, str) and "pattern" in schema and not re.search(schema["pattern"], doc):
+        fail("does not match %r" % schema["pattern"])
 
 
 # -- flag complexes -------------------------------------------------------
@@ -80,18 +99,13 @@ def complex_to_dict(c: FlagComplex) -> dict:
 
 def complex_from_dict(d: Mapping) -> FlagComplex:
     from .flagcomplex import flag_from_adjacency
-    _fields(d, "complex", ("vertices", "edges"), ("meta",))
-    vertices = _strings(d["vertices"], "complex", "vertices", unique=True)
-    edges = [_strings(e, "complex", "an edge", 2)
-             for e in _array(d["edges"], "complex", "edges")]
+    _check(d, load_schema("complex"), "complex")
     meta = d.get("meta")
-    if "meta" in d and not isinstance(meta, dict):
-        raise ValueError("malformed complex document: meta must be an object")
     for model, size in (("genus-zero", "s"), ("caterpillar", "m")):
         if meta and meta.get("model") == model and type(meta.get(size)) is not int:
             raise ValueError("malformed complex document: a %s model needs "
                              "an integer %r in meta" % (model, size))
-    return flag_from_adjacency(vertices, edges, meta=meta)
+    return flag_from_adjacency(d["vertices"], d["edges"], meta=meta)
 
 
 def graph_to_dot(name: str, vertices: Iterable[str],
@@ -125,24 +139,10 @@ def dual_from_dict(doc: Mapping) -> DualMultigraph:
     """The dual a document describes; ``DualMultigraph`` checks its
     pants ids and slots."""
     from .dual import DualMultigraph
-    kind = "dual multigraph"
-    _fields(doc, kind, ("pants", "bonds", "legs"), ("bond_labels",))
-    pants = _strings(doc["pants"], kind, "pants")
-    # the schema's slot pattern reads "." as any character but a newline
-    if any("\n" in p for p in pants):
-        raise ValueError("malformed %s document: a pants id holds a newline" % kind)
-    bonds = [_strings(b, kind, "a bond", 2) for b in _array(doc["bonds"], kind, "bonds")]
-    legs = []
-    for leg in _array(doc["legs"], kind, "legs"):
-        _fields(leg, kind, ("slot", "label"))
-        if not isinstance(leg["slot"], str) or not isinstance(leg["label"], str):
-            raise ValueError("malformed %s document: a leg's slot and label must be strings"
-                             % kind)
-        legs.append((leg["slot"], leg["label"]))
-    labels = None
-    if "bond_labels" in doc:
-        labels = _strings(doc["bond_labels"], kind, "bond_labels")
-    return DualMultigraph(pants, bonds, legs, bond_labels=labels)
+    _check(doc, load_schema("dual_multigraph"), "dual multigraph")
+    return DualMultigraph(doc["pants"], doc["bonds"],
+                          [(leg["slot"], leg["label"]) for leg in doc["legs"]],
+                          bond_labels=doc.get("bond_labels"))
 
 
 def dual_to_dot(d: DualMultigraph, name: str = "dual") -> str:
@@ -177,13 +177,8 @@ def multigraph_to_dict(g: Multigraph) -> dict:
 
 def multigraph_from_dict(doc: Mapping) -> Multigraph:
     from .multigraph import Multigraph
-    _fields(doc, "multigraph", ("vertices", "edges"))
-    vertices = _strings(doc["vertices"], "multigraph", "vertices", unique=True)
-    edges = doc["edges"]
-    if not isinstance(edges, dict) or not all(isinstance(eid, str) for eid in edges):
-        raise ValueError("malformed multigraph document: edges must be an object")
-    return Multigraph(vertices, {eid: tuple(_strings(pair, "multigraph", "edge %r" % eid, 2))
-                                 for eid, pair in edges.items()})
+    _check(doc, load_schema("multigraph"), "multigraph")
+    return Multigraph(doc["vertices"], doc["edges"])
 
 
 def edge_map_to_dict(source: Multigraph, target: Multigraph,
@@ -196,14 +191,11 @@ def edge_map_to_dict(source: Multigraph, target: Multigraph,
 
 
 def edge_bijection_from_dict(doc: Mapping) -> EdgeBijection:
+    from .multigraph import Multigraph
     from .whitney import EdgeBijection
-    _fields(doc, "edge map", ("source", "target", "map"))
-    source, target = multigraph_from_dict(doc["source"]), multigraph_from_dict(doc["target"])
-    mapping = doc["map"]
-    if not isinstance(mapping, dict) or not all(
-            isinstance(x, str) for x in (*mapping, *mapping.values())):
-        raise ValueError("malformed edge map document: map must map strings to strings")
-    return EdgeBijection(source, target, mapping)
+    _check(doc, load_schema("edge_map"), "edge map")
+    return EdgeBijection(*(Multigraph(g["vertices"], g["edges"])
+                           for g in (doc["source"], doc["target"])), doc["map"])
 
 
 # -- vertex maps, certificates, reports -----------------------------------
@@ -269,14 +261,14 @@ SCHEMA_NAMES = (
 
 
 def load_schema(name: str) -> dict:
-    """A published JSON schema by short name (see SCHEMA_NAMES)."""
-    # no command reads a schema, so the CLI does not pay for this import
-    from importlib import resources
+    """A published JSON schema by short name (see SCHEMA_NAMES), read
+    from the ``schemas/`` files shipped next to this module as plain
+    files, so a command that reads a document loads no resource loader."""
     if name not in SCHEMA_NAMES:
         raise ValueError("unknown schema %r (have %s)"
                          % (name, ", ".join(SCHEMA_NAMES)))
-    text = resources.files("spherecomplex.schemas").joinpath(
-        name + ".schema.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "schemas", name + ".schema.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 

@@ -51,6 +51,16 @@ def label_action_automorphisms(s: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def tree_f_vector(s: int) -> tuple[int, ...]:
+    """The f-vector of the genus-zero complex at ``s`` from counting trees
+    by internal edges alone: f_k = T(s, k + 2), where T(3, 1) = 1 and
+    T(n + 1, m) = (n + m - 2) T(n, m - 1) + m T(n, m) for 1 <= m <= n - 1."""
+    row = {1: 1}  # T(n, m) by m, from n = 3
+    for n in range(3, s):
+        row = {m: (n + m - 2) * row.get(m - 1, 0) + m * row.get(m, 0) for m in range(1, n)}
+    return tuple(row[m] for m in range(2, s - 1))
+
+
 def flip_graph_shape(fg: FlipGraph) -> tuple[bool, Optional[int]]:
     """Connectivity and diameter of a flip graph from its edges alone:
     components of the bitmask adjacency, then one breadth-first search

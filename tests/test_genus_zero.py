@@ -5,8 +5,10 @@ named catalog."""
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,7 @@ from spherecomplex.flagcomplex import _bits
 from spherecomplex.genus_zero import _clusters, _label_generators, _laminar_tree
 
 from oracles import (label_action_automorphisms, search_isomorphism, string_label_generators,
+                     tree_f_vector,
                      string_laminar_tree)
 
 
@@ -85,6 +88,30 @@ class TestSpherePartition:
         with pytest.raises(ValueError, match=r"^not a partition vertex id: "):
             SpherePartition.from_vertex_id(vid)
 
+    @pytest.mark.parametrize("vid, sphere", [
+        ("p:1,2|s=1000000", True),
+        ("p:2,3|s=1000000", False),
+        ("p:1,2|s=" + "9" * 5000, False),
+        ("p:1," + "2" * 5000 + "|s=9", False),
+    ], ids=["large-s", "large-s-other-block", "long-size", "long-label"])
+    def test_parsing_costs_nothing_linear_in_s(self, vid, sphere):
+        """An id is read without building a set of size s, and an integer
+        with more digits than ``int`` reads is refused like any other
+        text that is not an id."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            if sphere:
+                assert SpherePartition.from_vertex_id(vid).block == {1, 2}
+            else:
+                with pytest.raises(ValueError, match=r"^not a partition vertex id: "):
+                    SpherePartition.from_vertex_id(vid)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.1 and peak < 2 ** 20
+
     def test_block_size_bounds(self):
         with pytest.raises(ValueError):
             SpherePartition(6, [1])
@@ -119,6 +146,21 @@ class TestSphereCounts:
         2^(s-1) - s - 1 of them."""
         for s in range(4, 10):
             assert len(all_spheres(s)) == 2 ** (s - 1) - s - 1, f"s={s}"
+
+    @pytest.mark.parametrize("s", [4, 5, 6, 7, 8])
+    def test_f_vector_counts_trees(self, s):
+        assert f_vector(build_genus_zero_complex(s)).counts == tree_f_vector(s)
+
+    @pytest.mark.parametrize("s", range(4, 13))
+    def test_tree_count_closed_forms(self, s):
+        """(2s-5)!! trivalent trees, and the Euler characteristic of tree
+        space, 1 + (-1)^(s-4) (s-2)!."""
+        f = tree_f_vector(s)
+        assert f[-1] == prod(range(1, 2 * s - 4, 2))
+        assert sum((-1) ** k * x for k, x in enumerate(f)) == 1 + (-1) ** (s - 4) * factorial(s - 2)
+
+    def test_tree_count_at_nine(self):
+        assert sum(tree_f_vector(9)) == 660031
 
     def test_small_complexes(self, c4, c5, c6):
         assert (c4.n_vertices, c4.n_edges) == (3, 0)

@@ -146,6 +146,14 @@ class TestHeavyStdlib:
     def test_command_loads_none(self, argv):
         assert fresh_run(RUN_MAIN, *argv, flags=("-S",))[1] == set()
 
+    def test_reading_a_document_loads_none(self, tmp_path):
+        """A reader checks its document against a schema it opens as a
+        file, not through ``importlib.resources``."""
+        doc = tmp_path / "k2.json"
+        doc.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]]}')
+        argv = ("complex", "build", "--input", str(doc))
+        assert fresh_run(RUN_MAIN, *argv, flags=("-S",))[1] == set()
+
     def test_digest_falls_back_to_hashlib(self):
         """Without ``_sha2`` and ``_sha256`` the digest comes from
         ``hashlib``, and it is the same."""

@@ -5,6 +5,7 @@ its type, and the CLI is driven in-process through ``cli.main``.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherecomplex import (
     AutomorphismGroup,
@@ -209,6 +211,132 @@ class TestStrictReaders:
         assert code == 2 and report is None
         assert capsys.readouterr().err == (
             "error: malformed complex document: vertices must be an array\n")
+
+
+# the keywords ``serialization._check`` implements, and the annotations
+# it skips; a keyword outside both would be silently ignored
+CHECKED = {"type", "required", "properties", "additionalProperties", "items", "minItems",
+           "maxItems", "uniqueItems", "pattern", "$ref", "$defs"}
+ANNOTATIONS = {"$schema", "$id", "title"}
+KINDS = {"complex": "complex", "multigraph": "multigraph",
+         "dual_multigraph": "dual multigraph", "edge_map": "edge map"}
+# values an edit puts in: every JSON type, and strings the patterns test
+JSON_VALUES = [None, True, 0, 1.5, "a", "u.1", "u.7", [], ["a", "b"], {}, {"a": "b"}]
+KEYS = ["vertices", "edges", "meta", "pants", "bonds", "legs", "bond_labels", "slot",
+        "label", "source", "target", "map", "e2", "x"]
+
+
+def schema_nodes(schema):
+    """Every subschema of ``schema``, itself included."""
+    yield schema
+    for key, value in schema.items():
+        if key in ("properties", "$defs"):
+            for sub in value.values():
+                yield from schema_nodes(sub)
+        elif key in ("items", "additionalProperties") and isinstance(value, dict):
+            yield from schema_nodes(value)
+
+
+def document_paths(doc, path=()):
+    """The path to every value in ``doc``, the document itself included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from document_paths(value, (*path, key))
+
+
+def edit_document(doc, data):
+    """``doc`` with one random edit: a key dropped or added, a value
+    replaced, an array item duplicated, dropped or added, or a "." or a
+    newline put into a string."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(document_paths(doc))))
+    parent = None
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    edits = ["replace"] if path else []
+    if isinstance(node, dict):
+        edits += ["add-key"] + (["drop-key"] if node else [])
+    elif isinstance(node, list):
+        edits += ["add-item"] + (["duplicate-item", "drop-item"] if node else [])
+    elif isinstance(node, str):
+        edits += ["into-string"]
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "replace":
+        parent[path[-1]] = data.draw(st.sampled_from(JSON_VALUES))
+    elif edit == "add-key":
+        node[data.draw(st.sampled_from(KEYS))] = data.draw(st.sampled_from(JSON_VALUES))
+    elif edit == "drop-key":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif edit == "add-item":
+        node.insert(data.draw(st.integers(0, len(node))), data.draw(st.sampled_from(JSON_VALUES)))
+    elif edit == "duplicate-item":
+        node.append(copy.deepcopy(data.draw(st.sampled_from(node))))
+    elif edit == "drop-item":
+        del node[data.draw(st.integers(0, len(node) - 1))]
+    else:
+        at = data.draw(st.integers(0, len(node)))
+        parent[path[-1]] = node[:at] + data.draw(st.sampled_from([".", "\n"])) + node[at:]
+    return doc
+
+
+class TestSchemaChecker:
+    @pytest.mark.parametrize("schema", sorted(KINDS))
+    def test_every_keyword_is_checked_or_an_annotation(self, schema):
+        for node in schema_nodes(ser.load_schema(schema)):
+            assert set(node) <= CHECKED | ANNOTATIONS, node
+            assert node.get("type", "object") in ser._TYPES
+            assert node.get("additionalProperties", False) is False or isinstance(
+                node["additionalProperties"], dict)
+
+    @pytest.mark.parametrize("schema", sorted(KINDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_verdict_is_the_one_of_jsonschema(self, schema, data):
+        """One to three random edits of a valid document: the checker
+        refuses exactly what ``jsonschema`` refuses."""
+        doc = VALID_DOCS[schema]
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = edit_document(doc, data)
+        loaded = ser.load_schema(schema)
+        valid = jsonschema.Draft202012Validator(loaded).is_valid(doc)
+        try:
+            ser._check(doc, loaded, KINDS[schema])
+        except ValueError as exc:
+            assert not valid, exc
+        else:
+            assert valid
+
+    def test_what_the_schema_leaves_free_is_not_walked(self):
+        """``meta`` may hold anything, nested deeper than the recursion
+        limit."""
+        meta = {}
+        for _ in range(2 * sys.getrecursionlimit()):
+            meta = {"m": meta}
+        doc = {"vertices": ["a"], "edges": [], "meta": meta}
+        assert ser.complex_from_dict(doc).meta.keys() == {"m"}
+
+    @pytest.mark.parametrize("reader, doc, message", [
+        (ser.multigraph_from_dict, {"vertices": ["a"], "edges": {1: ["a", "a"]}},
+         "malformed multigraph document: edges must be an object"),
+        (ser.dual_from_dict, {"pants": ["u"], "bonds": [["u.0", "u.7"]],
+                              "legs": [{"slot": "u.2", "label": "1"}]},
+         "malformed dual multigraph document: bonds[0][1] does not match '^.+\\\\.[0-2]$'"),
+        (ser.dual_from_dict, {"pants": ["u"], "bonds": [], "legs": [{"slot": "u.2"}]},
+         "malformed dual multigraph document: legs[0] has no key 'label'"),
+        (ser.edge_bijection_from_dict, {**VALID_DOCS["edge_map"], "source": {
+            "vertices": ["a", "b"], "edges": {"e1": ["a", "b", "b"]}}},
+         "malformed edge map document: source.edges.e1 must have at most 2 items"),
+        (ser.edge_bijection_from_dict, {**VALID_DOCS["edge_map"], "map": {"e1": ["f1"]}},
+         "malformed edge map document: map.e1 must be a string"),
+        (ser.complex_from_dict, {"vertices": ["a", "b"], "edges": [["a"]]},
+         "malformed complex document: edges[0] must have at least 2 items"),
+    ], ids=["non-string-key", "slot-pattern", "leg-key", "edge-ends", "map-value", "edge-arity"])
+    def test_message_names_where_the_document_breaks(self, reader, doc, message):
+        with pytest.raises(ValueError) as info:
+            reader(doc)
+        assert str(info.value) == message
 
 
 class TestDotExport:
@@ -897,6 +1025,18 @@ class TestCliErrors:
         assert code == 2 and report is None
         assert capsys.readouterr().err == (
             "error: --edges must be comma-separated bond indices\n")
+
+    def test_edges_beyond_the_digits_int_reads_exit_two(self, tmp_path, capsys):
+        """An index too long for ``int`` is refused in the terms of
+        --edges, not with Python's own message."""
+        big = "1" * 5000
+        code, report = run_cli(["dual", "classify", "--s", "6", "--members", M6,
+                                "--edges", big], tmp_path)
+        assert code == 2 and report is None
+        # an interpreter with no digit limit reads the index and the
+        # library refuses it
+        assert capsys.readouterr().err in ("error: --edges: bond index out of range\n",
+                                           "error: bond index out of range: %s\n" % big)
 
     def test_nonmaximal_members_rejected(self, tmp_path):
         code, _ = run_cli(
