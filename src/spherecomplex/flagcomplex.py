@@ -233,12 +233,14 @@ def _maximal_cliques(c: FlagComplex, ids: Iterable[str]) -> list[tuple[str, ...]
     return out
 
 
-def _clique_levels(c: FlagComplex, top: int) -> list[list[int]]:
-    """The cliques with at most ``top`` vertices, from one preorder walk
+def _clique_levels(c: FlagComplex, top: int, within: Optional[int] = None) -> list[list[int]]:
+    """The cliques with at most ``top`` vertices, all inside the vertex
+    mask ``within`` (all vertices when omitted), from one preorder walk
     of increasing index sequences: ``levels[k]`` lists the k-cliques as
     vertex bitmasks, in canonical order because ids are sorted (ascending
     bits are the sorted id tuple).  Levels stop at the clique number, so
-    there are at most ``top + 1`` of them."""
+    there are at most ``top + 1`` of them.  The cliques inside a mask are
+    those of the induced subcomplex, with the ambient's bits."""
     levels: list[list[int]] = [[0]]
     adj = c._adj
 
@@ -256,8 +258,9 @@ def _clique_levels(c: FlagComplex, top: int) -> list[list[int]]:
                 if common:
                     extend(clique, size + 1, common)
 
-    if top and c.n_vertices:
-        extend(0, 1, (1 << c.n_vertices) - 1)
+    start = (1 << c.n_vertices) - 1 if within is None else within
+    if top and start:
+        extend(0, 1, start)
     return levels
 
 

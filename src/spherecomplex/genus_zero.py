@@ -95,10 +95,9 @@ class SpherePartition:
         if body[:2] == "p:" and sep and labels[0] == "1" and size.isdecimal() \
                 and all(map(str.isdecimal, labels)):
             try:
-                s, block = int(size), [int(x) for x in labels]
-            except ValueError:  # more digits than int() reads
+                p = cls(int(size), [int(x) for x in labels])
+            except ValueError:  # more digits than int() reads, or no sphere of s
                 raise ValueError("not a partition vertex id: %r" % (vid,)) from None
-            p = cls(s, block)
             if p.vertex_id() == vid:
                 return p
         raise ValueError("not a partition vertex id: %r" % (vid,))

@@ -35,11 +35,16 @@ with triangles is still reduced.
 A flag complex is a join exactly when the complement of its graph is
 disconnected, and its factors are the complement's components; links of
 sphere systems are joins of the complexes of their complementary pieces.
-``betti_numbers`` reduces only the factors and combines them by the join
+``betti_numbers`` reduces only the factors, each on the ambient's own
+masks: the clique walk and the d_1 rule stay inside the factor's vertex
+mask, so no factor complex is built.  It combines them by the join
 formula (Milnor, "Construction of universal bundles II", 1956):
 H~_{n+1}(A*B) is the sum of H~_i(A) (x) H~_j(B) over i + j = n and of
-Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  The simplex counts convolve,
-and the boundary ranks follow from the counts and Betti numbers.
+Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  Each group is kept as a free
+rank and a list of cyclic orders: free ranks multiply, and torsion comes
+only from copies of torsion (x) free, from the gcds of torsion pairs and
+from their Tor one degree up.  The simplex counts convolve, and the
+boundary ranks follow from the counts and Betti numbers.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import heapq
 from math import gcd
 from typing import NamedTuple
 
-from .flagcomplex import FlagComplex, _clique_levels, f_vector, mask_components
+from .flagcomplex import FlagComplex, _clique_levels, mask_components
 
 
 class ChainBoundary(NamedTuple):
@@ -279,7 +284,7 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     """Integer homology in dimensions 0..max_dim.
 
     A join, a complex whose complement graph is disconnected, is read
-    off its factors (see ``_join_report``).  Otherwise b_k =
+    off its factors (see ``_join_homology``).  Otherwise b_k =
     (#k-simplices) - rank d_k - rank d_{k+1}, and torsion in H_k is read
     off the invariant factors of d_{k+1}.  A map with no columns has
     rank 0, and d_1 of a complex with no triangle has rank V - c with
@@ -294,17 +299,22 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     full = (1 << c.n_vertices) - 1
     parts = mask_components([full ^ m for m in c._adj])  # self bits are ignored
     if len(parts) > 1:
-        r = _join_report([c._induced(part) for part in parts], top)
+        r = _report(top, *_join_homology(c, parts, top))
     else:
-        r = _snf_report(c, top)
+        r = _report(top, *_snf_homology(c, full, top))
+    if top == max_dim:
+        return r
     zeros = (0,) * (max_dim - top)
     return r._replace(max_dim=max_dim, simplex_counts=r.simplex_counts + zeros,
                       boundary_ranks=r.boundary_ranks + zeros, betti=r.betti + zeros,
                       torsion=r.torsion + ((),) * len(zeros))
 
 
-def _snf_report(c: FlagComplex, max_dim: int) -> HomologyReport:
-    levels = _clique_levels(c, max_dim + 2)
+def _snf_homology(c: FlagComplex, within: int, max_dim: int) -> tuple:
+    """Simplex counts, boundary ranks, Betti numbers and torsion in
+    dimensions 0..max_dim of the subcomplex induced on the vertex mask
+    ``within``, reduced on the ambient's masks."""
+    levels = _clique_levels(c, max_dim + 2, within)
     counts = [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
     ranks, torsion = [0], []
     for k in range(1, max_dim + 2):
@@ -312,7 +322,10 @@ def _snf_report(c: FlagComplex, max_dim: int) -> HomologyReport:
         if not cols:
             r = SNFResult(0, ())
         elif k == 1 and len(levels) < 4:  # no triangle listed: d_1 of a graph
-            r = SNFResult(c.n_vertices - len(mask_components(c._adj)), ())
+            # the vertices outside ``within`` are left isolated, so each
+            # is one component of its own
+            inside = [m & within if within >> i & 1 else 0 for i, m in enumerate(c._adj)]
+            r = SNFResult(c.n_vertices - len(mask_components(inside)), ())
         else:
             # d_k is built right before its reduction, so one map is alive
             # at a time (full homology at s = 9 peaks near 1 GB)
@@ -320,12 +333,14 @@ def _snf_report(c: FlagComplex, max_dim: int) -> HomologyReport:
         ranks.append(r.rank)
         torsion.append(tuple(f for f in r.factors if f > 1))
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
-    return _report(max_dim, counts, ranks, betti, torsion)
+    return counts, ranks, betti, torsion
 
 
-def _join_report(factors: list[FlagComplex], max_dim: int) -> HomologyReport:
-    """The homology of the join of ``factors``, nonempty complexes whose
-    complement graphs are connected (so none is a join), from theirs.
+def _join_homology(c: FlagComplex, parts: list[int], max_dim: int) -> tuple:
+    """Simplex counts, boundary ranks, Betti numbers and torsion of
+    ``c``, the join of the subcomplexes induced on the vertex masks
+    ``parts``, the components of its complement graph (so no factor is
+    a join), from those of the factors.
 
     Joins are folded one factor at a time from the empty complex, the
     unit of the join.  Simplex counts convolve, with f_{-1} = 1 for the
@@ -336,41 +351,58 @@ def _join_report(factors: list[FlagComplex], max_dim: int) -> HomologyReport:
         H~_{n+1}(A*B) = (+)_{i+j=n} H~_i(A) (x) H~_j(B)
                         (+) (+)_{i+j=n-1} Tor(H~_i(A), H~_j(B)),
 
-    with each group kept as a list of cyclic orders, 0 for Z: both
-    Z/p (x) Z/q and Tor(Z/p, Z/q) are Z/gcd(p, q), and Tor vanishes when
-    either side is Z.  A cone, a join with a single vertex, is acyclic,
-    so then no factor's homology is computed.  The boundary ranks
-    follow from r_0 = 0 and r_{k+1} = f_k - r_k - b_k.
+    with each group kept as a free rank and a list of cyclic orders:
+    free ranks multiply, Z/t (x) Z^b is b copies of Z/t, and both
+    Z/p (x) Z/q and Tor(Z/p, Z/q) are Z/gcd(p, q), while Tor vanishes
+    when either side is free.  A cone, a join with a single vertex, is
+    acyclic, so then no factor's homology is computed.  The boundary
+    ranks follow from r_0 = 0 and r_{k+1} = f_k - r_k - b_k.
     """
-    size = max_dim + 2  # indices -1..max_dim, shifted by one
+    size = max_dim + 2  # degrees -1..max_dim, shifted by one
     faces = [1] + [0] * (size - 1)
-    reduced: list[list[int]] = [[0]] + [[] for _ in range(size - 1)]
-    cone = any(f.n_vertices == 1 for f in factors)
-    for f in factors:
+    free = [1] + [0] * (size - 1)  # H~_{-1} of the empty complex is Z
+    tors: list[list[int]] = [[] for _ in range(size)]
+    cone = any(not part & (part - 1) for part in parts)
+    for part in parts:
         if cone:
-            counts, groups = f_vector(f, max_dim).counts, []
+            levels = _clique_levels(c, max_dim + 1, part)
+            counts = [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
         else:
-            r = _snf_report(f, max_dim)
-            counts = r.simplex_counts
-            groups = [[]] + [[0] * (b - (k == 0)) + list(t)
-                             for k, (b, t) in enumerate(zip(r.betti, r.torsion))]
+            counts, _, betti, torsion = _snf_homology(c, part, max_dim)
+            free, tors = _fold(free, tors, [0, betti[0] - 1, *betti[1:]], [(), *torsion])
         g = [1, *counts]
         faces = [sum(faces[i] * g[k - i] for i in range(k + 1)) for k in range(size)]
-        joined: list[list[int]] = [[] for _ in range(size)]
-        for p, x in enumerate(reduced):
-            for q, y in enumerate(groups):
-                if p + q < size:
-                    joined[p + q] += [gcd(a, b) for a in x for b in y]
-                if p + q + 1 < size:
-                    joined[p + q + 1] += [gcd(a, b) for a in x for b in y if a and b]
-        reduced = joined
-    betti = [reduced[k + 1].count(0) + (k == 0) for k in range(max_dim + 1)]
+    betti = [free[k + 1] + (k == 0) for k in range(max_dim + 1)]
     torsion = [tuple(t for t in _divisor_chain([a for a in group if a > 1]) if t > 1)
-               for group in reduced[1:]]
+               for group in tors[1:]]
     ranks = [0]
     for f_k, b in zip(faces[1:], betti):
         ranks.append(f_k - ranks[-1] - b)
-    return _report(max_dim, faces[1:], ranks, betti, torsion)
+    return faces[1:], ranks, betti, torsion
+
+
+def _fold(free_a: list[int], tors_a: list, free_b: list[int], tors_b: list) -> tuple:
+    """The reduced homology of A*B from those of A and B, each given per
+    degree -1, 0, 1, ... (shifted by one, all cut at one length) as free
+    ranks and lists of cyclic orders, by the join formula."""
+    size = len(free_a)
+    free = [0] * size
+    tors: list[list[int]] = [[] for _ in range(size)]
+    for p in range(size):
+        x, tx = free_a[p], tors_a[p]
+        for q in range(size - p):
+            y, ty = free_b[q], tors_b[q]
+            if y:
+                free[p + q] += x * y
+                tors[p + q] += tx * y
+            if x and ty:
+                tors[p + q] += ty * x
+            if tx and ty:
+                gcds = [gcd(u, v) for u in tx for v in ty]
+                tors[p + q] += gcds
+                if p + q + 1 < size:
+                    tors[p + q + 1] += gcds
+    return free, tors
 
 
 def _report(max_dim: int, counts: list[int], ranks: list[int], betti: list[int],

@@ -40,49 +40,80 @@ def dot_quote(s: str) -> str:
 _TYPES = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string")}
 
 
-def _check(doc, schema: dict, kind: str, root: Optional[dict] = None, where: str = "") -> None:
+class _Broken(Exception):
+    """A schema rule that a document breaks: the rule's text, and the
+    steps from the part that breaks it up to the root, each (True, key)
+    or (False, index), appended while the exception unwinds."""
+
+    def __init__(self, rule: str):
+        super().__init__(rule)
+        self.rule = rule
+        self.path: list[tuple[bool, object]] = []
+
+
+def _check(doc, schema: dict, kind: str) -> None:
     """Raise ValueError naming the path to the part of ``doc`` that breaks
-    ``schema``, a node of the input schema ``root``.  The keywords are the
-    ones the input schemas use: ``type``, ``required``, ``properties``,
+    ``schema``, an input schema.  The keywords are the ones the input
+    schemas use: ``type``, ``required``, ``properties``,
     ``additionalProperties`` (false or a schema), ``items``, ``minItems``,
     ``maxItems``, ``uniqueItems`` (of strings), ``pattern`` (found by
     ``re.search``, as ``jsonschema`` does) and a local ``$ref`` into
-    ``$defs``; ``$schema``, ``$id`` and ``title`` are annotations."""
-    root = root or schema
+    ``$defs``; ``$schema``, ``$id`` and ``title`` are annotations.  The
+    path, such as ``edges[0]`` or ``map.e``, is written only on failure."""
+    try:
+        _walk(doc, schema, schema)
+    except _Broken as broken:
+        where = ""
+        for is_key, step in reversed(broken.path):
+            if is_key:
+                where = "%s.%s" % (where, step) if where else step
+            else:
+                where = "%s[%d]" % (where, step)
+        raise ValueError("malformed %s document: %s %s"
+                         % (kind, where or "the document", broken.rule)) from None
 
-    def fail(rule: str):
-        raise ValueError("malformed %s document: %s %s" % (kind, where or "the document", rule))
 
+def _walk(doc, schema: dict, root: dict) -> None:
+    """Raise _Broken unless ``doc`` satisfies ``schema``, a node of ``root``."""
     if "$ref" in schema:
-        _check(doc, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], kind, root, where)
+        _walk(doc, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], root)
     if "type" in schema:
         cls, name = _TYPES[schema["type"]]
         # JSON object keys are strings; a Python caller may pass others
         if not isinstance(doc, cls) or cls is dict and not all(isinstance(k, str) for k in doc):
-            fail("must be " + name)
+            raise _Broken("must be " + name)
     if isinstance(doc, dict):
         for key in schema.get("required", ()):
             if key not in doc:
-                fail("has no key %r" % key)
+                raise _Broken("has no key %r" % key)
         properties, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
         for key, value in doc.items():
             sub = properties.get(key, extra)
             if sub is False:
-                fail("has the unknown key %r" % key)
+                raise _Broken("has the unknown key %r" % key)
             if sub:  # an empty schema, such as meta's values get, allows anything
-                _check(value, sub, kind, root, "%s.%s" % (where, key) if where else key)
+                try:
+                    _walk(value, sub, root)
+                except _Broken as broken:
+                    broken.path.append((True, key))
+                    raise
     elif isinstance(doc, list):
         if "items" in schema:
+            items = schema["items"]
             for k, item in enumerate(doc):
-                _check(item, schema["items"], kind, root, "%s[%d]" % (where, k))
+                try:
+                    _walk(item, items, root)
+                except _Broken as broken:
+                    broken.path.append((False, k))
+                    raise
         if len(doc) < schema.get("minItems", 0):
-            fail("must have at least %d items" % schema["minItems"])
+            raise _Broken("must have at least %d items" % schema["minItems"])
         if len(doc) > schema.get("maxItems", len(doc)):
-            fail("must have at most %d items" % schema["maxItems"])
+            raise _Broken("must have at most %d items" % schema["maxItems"])
         if schema.get("uniqueItems") and len(set(doc)) != len(doc):
-            fail("must not repeat an item")
+            raise _Broken("must not repeat an item")
     elif isinstance(doc, str) and "pattern" in schema and not re.search(schema["pattern"], doc):
-        fail("does not match %r" % schema["pattern"])
+        raise _Broken("does not match %r" % schema["pattern"])
 
 
 # -- flag complexes -------------------------------------------------------
@@ -105,7 +136,11 @@ def complex_from_dict(d: Mapping) -> FlagComplex:
         if meta and meta.get("model") == model and type(meta.get(size)) is not int:
             raise ValueError("malformed complex document: a %s model needs "
                              "an integer %r in meta" % (model, size))
-    return flag_from_adjacency(d["vertices"], d["edges"], meta=meta)
+    c = flag_from_adjacency(d["vertices"], d["edges"], meta=meta)
+    if meta and meta.get("model") == "genus-zero":
+        from .genus_zero import _clusters
+        _clusters(c)  # each vertex id is one vertex_id writes for meta's s
+    return c
 
 
 def graph_to_dot(name: str, vertices: Iterable[str],

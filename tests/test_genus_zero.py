@@ -88,6 +88,16 @@ class TestSpherePartition:
         with pytest.raises(ValueError, match=r"^not a partition vertex id: "):
             SpherePartition.from_vertex_id(vid)
 
+    @pytest.mark.parametrize("vid", ["p:1,9|s=5", "p:1|s=5", "p:1,2|s=3"],
+                             ids=["label-above-s", "one-label", "other-block-one-label"])
+    def test_well_formed_ids_of_no_sphere_are_named(self, vid):
+        """Written like an id, but no sphere of s: a label above s, or a
+        side with fewer than two labels; the message names the id, not
+        the constructor's rule."""
+        with pytest.raises(ValueError) as info:
+            SpherePartition.from_vertex_id(vid)
+        assert str(info.value) == "not a partition vertex id: %r" % (vid,)
+
     @pytest.mark.parametrize("vid, sphere", [
         ("p:1,2|s=1000000", True),
         ("p:2,3|s=1000000", False),

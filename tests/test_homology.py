@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from math import factorial, gcd, prod
 
@@ -26,6 +27,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (join_of, plain_homology, rank_mod_p, reference_boundaries,
                      reference_cliques)
 from spherecomplex import (
+    HomologyReport,
     SpherePartition,
     betti_numbers,
     boundary_matrices,
@@ -492,6 +494,29 @@ class TestJoins:
         assert rep.betti == (1, 0, 0, 0, 0, 0)
         assert rep.torsion == ((), (), (), (2,), (2,), ())
 
+    def test_three_factors_with_torsion_in_two(self):
+        """M(Z/2, 1) * M(Z/2, 1) * two points, folded in that order:
+        Z/2 (x) Z/2 lands in H_3 and Tor(Z/2, Z/2) in H_4, and each, as
+        torsion (x) the free H~_0 of the points, goes up one more; the
+        report equals the reference one cut down to every max_dim from 0
+        to past the top dimension 6."""
+        j = join_of(join_of(moore_space(2, "a"), moore_space(2, "b")), points(2, "p"))
+        whole = plain_homology(j, 8)
+        assert whole.torsion == ((), (), (), (), (2,), (2,), (), (), ())
+        assert cut_down(whole, 2) == plain_homology(j, 2)
+        for max_dim in range(9):
+            assert betti_numbers(j, max_dim) == cut_down(whole, max_dim), max_dim
+
+
+def cut_down(r, max_dim: int):
+    """The report ``r`` restricted to dimensions 0..max_dim, which read
+    no boundary map above d_{max_dim+1}."""
+    counts, betti = r.simplex_counts[:max_dim + 1], r.betti[:max_dim + 1]
+    return HomologyReport(max_dim, counts, r.boundary_ranks[:max_dim + 2], betti,
+                          r.torsion[:max_dim + 1],
+                          sum((-1) ** k * f for k, f in enumerate(counts)),
+                          sum((-1) ** k * b for k, b in enumerate(betti)))
+
 
 def triangle_free(prefix: str, n: int, pairs):
     """The graph on n vertices keeping each pair of ``pairs`` (index
@@ -679,6 +704,28 @@ class TestTreeSpaceClosedForm:
         for v in c.vertices:
             a = len(SpherePartition.from_vertex_id(v).block)
             self.check_link(c, [v], [a + 1, s - a + 1])
+
+    def test_s8_vertex_links_reduce_only_their_factors(self, snf_calls):
+        """All 119 vertex links at s = 8 against the closed form, and only
+        factors with triangles reach the Smith normal form: a {4,4} link
+        (Petersen * Petersen) makes no call, a {3,5} link (3 points * the
+        s = 6 complex) only the d_1 and d_2 of its 25-vertex factor, and a
+        {2,6} link, a copy of the s = 7 complex, the calls of that
+        complex."""
+        s = 8
+        betti_numbers(build_genus_zero_complex(7), s - 4)
+        calls = {4: [], 3: [(25, 105), (105, 105)], 2: list(snf_calls)}
+        c = build_genus_zero_complex(s)
+        kinds = Counter()
+        for v in c.vertices:
+            a = len(SpherePartition.from_vertex_id(v).block)
+            a = min(a, s - a)
+            snf_calls.clear()
+            self.check_link(c, [v], [a + 1, s - a + 1])
+            assert snf_calls == calls[a], v
+            kinds[a] += 1
+        assert kinds == {2: 28, 3: 56, 4: 35}
+        assert calls[2] == [(56, 490), (490, 1260), (1260, 945)]
 
     @pytest.mark.parametrize("s", [6, 7])
     def test_edge_links(self, s):

@@ -839,6 +839,18 @@ class TestCliErrors:
         assert code == 2 and report is None
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("vid", ["p:1,9|s=5", "p:1|s=5", "p:1,2|s=3"])
+    def test_genus_zero_document_with_no_sphere_exits_two(self, vid, tmp_path, capsys, c5):
+        """Each vertex id of a genus-zero document is a sphere of its s,
+        and the one error line names the vertex that is not."""
+        doc = ser.complex_to_dict(c5)
+        doc["vertices"].append(vid)
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        code, report = run_cli(["complex", "homology", "--input", str(doc_path)], tmp_path)
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == "error: not a partition vertex id: %r\n" % (vid,)
+
     def test_negative_roundtrip_count_exits_two(self, tmp_path, capsys):
         code, report = run_cli(
             ["whitney", "check", "--random-roundtrip", "-3"], tmp_path)
