@@ -154,12 +154,20 @@ def _clusters(c: FlagComplex) -> tuple[int, ...]:
         name = complex_id(c) if model != "genus-zero" else "meta %r" % (c.meta,)
         raise ValueError("need a genus-zero complex, not %s" % (name,))
     if c._clusters is None:
-        spheres = list(map(SpherePartition.from_vertex_id, c.vertices))
-        for v, p in zip(c.vertices, spheres):
-            if p.s != s:
-                raise ValueError("vertex %r is not a sphere of s = %d" % (v, s))
-        c._clusters = tuple(sum(1 << x for x in p.other_block) for p in spheres)
+        c._clusters = tuple(sum(1 << x for x in p.other_block)
+                            for p in _spheres(c.vertices, s))
     return c._clusters
+
+
+def _spheres(vertex_ids: Sequence[str], s: int) -> list[SpherePartition]:
+    """The spheres that ``vertex_ids`` name, each checked to be one whose
+    ``vertex_id`` it is and to be a sphere of ``s``; nothing linear in s
+    is built, so a reader can check a document's ids for any s."""
+    spheres = list(map(SpherePartition.from_vertex_id, vertex_ids))
+    for v, p in zip(vertex_ids, spheres):
+        if p.s != s:
+            raise ValueError("vertex %r is not a sphere of s = %d" % (v, s))
+    return spheres
 
 
 def _laminar_tree(clusters: Sequence[int], s: int):

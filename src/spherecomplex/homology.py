@@ -310,12 +310,17 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
                       torsion=r.torsion + ((),) * len(zeros))
 
 
+def _counts(levels: list[list[int]], max_dim: int) -> list[int]:
+    """The simplex counts in dimensions 0..max_dim of a clique walk."""
+    return [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
+
+
 def _snf_homology(c: FlagComplex, within: int, max_dim: int) -> tuple:
     """Simplex counts, boundary ranks, Betti numbers and torsion in
     dimensions 0..max_dim of the subcomplex induced on the vertex mask
     ``within``, reduced on the ambient's masks."""
     levels = _clique_levels(c, max_dim + 2, within)
-    counts = [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
+    counts = _counts(levels, max_dim)
     ranks, torsion = [0], []
     for k in range(1, max_dim + 2):
         rows, cols = _level(levels, k), _level(levels, k + 1)
@@ -365,8 +370,7 @@ def _join_homology(c: FlagComplex, parts: list[int], max_dim: int) -> tuple:
     cone = any(not part & (part - 1) for part in parts)
     for part in parts:
         if cone:
-            levels = _clique_levels(c, max_dim + 1, part)
-            counts = [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
+            counts = _counts(_clique_levels(c, max_dim + 1, part), max_dim)
         else:
             counts, _, betti, torsion = _snf_homology(c, part, max_dim)
             free, tors = _fold(free, tors, [0, betti[0] - 1, *betti[1:]], [(), *torsion])

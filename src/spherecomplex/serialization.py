@@ -40,80 +40,65 @@ def dot_quote(s: str) -> str:
 _TYPES = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string")}
 
 
-class _Broken(Exception):
-    """A schema rule that a document breaks: the rule's text, and the
-    steps from the part that breaks it up to the root, each (True, key)
-    or (False, index), appended while the exception unwinds."""
-
-    def __init__(self, rule: str):
-        super().__init__(rule)
-        self.rule = rule
-        self.path: list[tuple[bool, object]] = []
-
-
-def _check(doc, schema: dict, kind: str) -> None:
+def _check(doc, schema: dict, kind: str, root: Optional[dict] = None, where=None) -> None:
     """Raise ValueError naming the path to the part of ``doc`` that breaks
-    ``schema``, an input schema.  The keywords are the ones the input
-    schemas use: ``type``, ``required``, ``properties``,
+    ``schema``, a node of the input schema ``root``.  The keywords are the
+    ones the input schemas use: ``type``, ``required``, ``properties``,
     ``additionalProperties`` (false or a schema), ``items``, ``minItems``,
     ``maxItems``, ``uniqueItems`` (of strings), ``pattern`` (found by
     ``re.search``, as ``jsonschema`` does) and a local ``$ref`` into
-    ``$defs``; ``$schema``, ``$id`` and ``title`` are annotations.  The
-    path, such as ``edges[0]`` or ``map.e``, is written only on failure."""
-    try:
-        _walk(doc, schema, schema)
-    except _Broken as broken:
-        where = ""
-        for is_key, step in reversed(broken.path):
-            if is_key:
-                where = "%s.%s" % (where, step) if where else step
-            else:
-                where = "%s[%d]" % (where, step)
-        raise ValueError("malformed %s document: %s %s"
-                         % (kind, where or "the document", broken.rule)) from None
-
-
-def _walk(doc, schema: dict, root: dict) -> None:
-    """Raise _Broken unless ``doc`` satisfies ``schema``, a node of ``root``."""
+    ``$defs``; ``$schema``, ``$id`` and ``title`` are annotations.
+    ``where`` is the path to ``doc``, None at the top or (parent, key or
+    index); ``_broken`` writes it out, such as ``edges[0]`` or ``map.e``,
+    only on failure."""
+    root = root or schema
     if "$ref" in schema:
-        _walk(doc, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], root)
+        _check(doc, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], kind, root, where)
     if "type" in schema:
         cls, name = _TYPES[schema["type"]]
         # JSON object keys are strings; a Python caller may pass others
         if not isinstance(doc, cls) or cls is dict and not all(isinstance(k, str) for k in doc):
-            raise _Broken("must be " + name)
+            _broken(kind, where, "must be " + name)
     if isinstance(doc, dict):
         for key in schema.get("required", ()):
             if key not in doc:
-                raise _Broken("has no key %r" % key)
+                _broken(kind, where, "has no key %r" % key)
         properties, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
         for key, value in doc.items():
             sub = properties.get(key, extra)
             if sub is False:
-                raise _Broken("has the unknown key %r" % key)
+                _broken(kind, where, "has the unknown key %r" % key)
             if sub:  # an empty schema, such as meta's values get, allows anything
-                try:
-                    _walk(value, sub, root)
-                except _Broken as broken:
-                    broken.path.append((True, key))
-                    raise
+                _check(value, sub, kind, root, (where, key))
     elif isinstance(doc, list):
         if "items" in schema:
-            items = schema["items"]
             for k, item in enumerate(doc):
-                try:
-                    _walk(item, items, root)
-                except _Broken as broken:
-                    broken.path.append((False, k))
-                    raise
+                _check(item, schema["items"], kind, root, (where, k))
         if len(doc) < schema.get("minItems", 0):
-            raise _Broken("must have at least %d items" % schema["minItems"])
+            _broken(kind, where, "must have at least %d items" % schema["minItems"])
         if len(doc) > schema.get("maxItems", len(doc)):
-            raise _Broken("must have at most %d items" % schema["maxItems"])
+            _broken(kind, where, "must have at most %d items" % schema["maxItems"])
         if schema.get("uniqueItems") and len(set(doc)) != len(doc):
-            raise _Broken("must not repeat an item")
+            _broken(kind, where, "must not repeat an item")
     elif isinstance(doc, str) and "pattern" in schema and not re.search(schema["pattern"], doc):
-        raise _Broken("does not match %r" % schema["pattern"])
+        _broken(kind, where, "does not match %r" % schema["pattern"])
+
+
+def _broken(kind: str, where, rule: str):
+    """Raise the ValueError for a ``kind`` document whose part at
+    ``where``, as ``_check`` links it, breaks ``rule``.  Keys are strings
+    here, since only objects of string keys are walked."""
+    steps = []
+    while where is not None:
+        where, step = where
+        steps.append(step)
+    path = ""
+    for step in reversed(steps):
+        if isinstance(step, int):
+            path = "%s[%d]" % (path, step)
+        else:
+            path = "%s.%s" % (path, step) if path else step
+    raise ValueError("malformed %s document: %s %s" % (kind, path or "the document", rule))
 
 
 # -- flag complexes -------------------------------------------------------
@@ -136,11 +121,10 @@ def complex_from_dict(d: Mapping) -> FlagComplex:
         if meta and meta.get("model") == model and type(meta.get(size)) is not int:
             raise ValueError("malformed complex document: a %s model needs "
                              "an integer %r in meta" % (model, size))
-    c = flag_from_adjacency(d["vertices"], d["edges"], meta=meta)
     if meta and meta.get("model") == "genus-zero":
-        from .genus_zero import _clusters
-        _clusters(c)  # each vertex id is one vertex_id writes for meta's s
-    return c
+        from .genus_zero import _spheres
+        _spheres(d["vertices"], meta["s"])  # ids vertex_id writes for meta's s
+    return flag_from_adjacency(d["vertices"], d["edges"], meta=meta)
 
 
 def graph_to_dot(name: str, vertices: Iterable[str],

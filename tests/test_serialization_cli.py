@@ -12,6 +12,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -850,6 +852,27 @@ class TestCliErrors:
         code, report = run_cli(["complex", "homology", "--input", str(doc_path)], tmp_path)
         assert code == 2 and report is None
         assert capsys.readouterr().err == "error: not a partition vertex id: %r\n" % (vid,)
+
+    @pytest.mark.parametrize("command", ["build", "homology"])
+    def test_genus_zero_document_of_large_s_is_read_at_once(self, command, tmp_path, c5):
+        """The ids of a genus-zero document are checked against its s
+        without building anything linear in s, such as a cluster table."""
+        small, large = tmp_path / "small.json", tmp_path / "large.json"
+        small.write_text(json.dumps(ser.complex_to_dict(c5)))
+        large.write_text(json.dumps({"vertices": ["p:1,2|s=1000000"], "edges": [],
+                                     "meta": {"model": "genus-zero", "s": 1000000}}))
+        argv = ["complex", command, "--input"]
+        assert run_cli([*argv, str(small)], tmp_path)[0] == 0  # imports what it needs
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, report = run_cli([*argv, str(large)], tmp_path)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["pass"]
+        assert seconds < 1 and peak < 2 ** 22
 
     def test_negative_roundtrip_count_exits_two(self, tmp_path, capsys):
         code, report = run_cli(
