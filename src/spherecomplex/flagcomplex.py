@@ -261,6 +261,7 @@ def _clique_levels(c: FlagComplex, top: int, within: Optional[int] = None) -> li
     start = (1 << c.n_vertices) - 1 if within is None else within
     if top and start:
         extend(0, 1, start)
+    del extend  # it refers to itself: unbound, the lists are freed with the caller's
     return levels
 
 
@@ -306,20 +307,25 @@ def f_vector(c: FlagComplex, max_dim: Optional[int] = None) -> FVector:
     return FVector(counts + [0] * (max_dim + 1 - len(counts)))
 
 
-def mask_components(adj: Sequence[int]) -> list[int]:
+def mask_components(adj: Sequence[int], within: Optional[int] = None) -> list[int]:
     """Connected components of the graph with symmetric bitmask
     adjacency ``adj`` (set self bits are ignored), as vertex masks in
-    order of their lowest vertex."""
-    full = (1 << len(adj)) - 1
-    seen = 0
+    order of their lowest vertex.
+
+    With a vertex mask ``within`` (all vertices when omitted), they are
+    the components of the subgraph induced on it, with the ambient's
+    bits: the walk visits only the vertices of ``within`` and follows
+    only the edges between them, as the clique walk inside a mask does."""
+    rest = (1 << len(adj)) - 1 if within is None else within  # not yet reached
     comps = []
-    while seen != full:
-        comp = todo = ~seen & (seen + 1)
+    while rest:
+        comp = todo = rest & -rest
+        rest ^= comp
         while todo:
-            new = adj[(todo & -todo).bit_length() - 1] & ~comp
+            new = adj[(todo & -todo).bit_length() - 1] & rest
+            rest ^= new
             todo = (todo & (todo - 1)) | new
             comp |= new
-        seen |= comp
         comps.append(comp)
     return comps
 

@@ -36,15 +36,19 @@ A flag complex is a join exactly when the complement of its graph is
 disconnected, and its factors are the complement's components; links of
 sphere systems are joins of the complexes of their complementary pieces.
 ``betti_numbers`` reduces only the factors, each on the ambient's own
-masks: the clique walk and the d_1 rule stay inside the factor's vertex
-mask, so no factor complex is built.  It combines them by the join
-formula (Milnor, "Construction of universal bundles II", 1956):
-H~_{n+1}(A*B) is the sum of H~_i(A) (x) H~_j(B) over i + j = n and of
-Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  Each group is kept as a free
-rank and a list of cyclic orders: free ranks multiply, and torsion comes
-only from copies of torsion (x) free, from the gcds of torsion pairs and
-from their Tor one degree up.  The simplex counts convolve, and the
-boundary ranks follow from the counts and Betti numbers.
+masks: the clique walk (``_clique_levels``) and the d_1 rule
+(``mask_components``) both take the factor's vertex mask as their
+``within`` argument and stay inside it, so no factor complex is built.
+It combines them by the join formula (Milnor, "Construction of universal
+bundles II", 1956): H~_{n+1}(A*B) is the sum of H~_i(A) (x) H~_j(B) over
+i + j = n and of Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  Shifted by
+one degree, so that entry k stands for degree k - 1, the simplex counts
+with f_{-1} = 1 and the reduced free ranks with H~_{-1} = Z of the empty
+complex both join by one plain convolution: entry k of the join is the
+sum of a_p b_q over p + q = k.  Torsion is kept as lists of cyclic
+orders for the degrees that carry any, and comes only from copies of
+torsion (x) free, from the gcds of torsion pairs and from their Tor one
+degree up.  The boundary ranks follow from the counts and Betti numbers.
 """
 
 from __future__ import annotations
@@ -312,7 +316,8 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
 
 def _counts(levels: list[list[int]], max_dim: int) -> list[int]:
     """The simplex counts in dimensions 0..max_dim of a clique walk."""
-    return [len(_level(levels, k + 1)) for k in range(max_dim + 1)]
+    counts = [len(level) for level in levels[1:max_dim + 2]]
+    return counts + [0] * (max_dim + 1 - len(counts))
 
 
 def _snf_homology(c: FlagComplex, within: int, max_dim: int) -> tuple:
@@ -322,21 +327,20 @@ def _snf_homology(c: FlagComplex, within: int, max_dim: int) -> tuple:
     levels = _clique_levels(c, max_dim + 2, within)
     counts = _counts(levels, max_dim)
     ranks, torsion = [0], []
-    for k in range(1, max_dim + 2):
-        rows, cols = _level(levels, k), _level(levels, k + 1)
-        if not cols:
-            r = SNFResult(0, ())
-        elif k == 1 and len(levels) < 4:  # no triangle listed: d_1 of a graph
-            # the vertices outside ``within`` are left isolated, so each
-            # is one component of its own
-            inside = [m & within if within >> i & 1 else 0 for i, m in enumerate(c._adj)]
-            r = SNFResult(c.n_vertices - len(mask_components(inside)), ())
+    for k in range(1, min(max_dim + 2, len(levels) - 1)):  # the maps with columns
+        rows, cols = levels[k], levels[k + 1]
+        if k == 1 and len(levels) < 4:  # no triangle listed: d_1 of a graph
+            ranks.append(within.bit_count() - len(mask_components(c._adj, within)))
+            torsion.append(())
         else:
             # d_k is built right before its reduction, so one map is alive
             # at a time (full homology at s = 9 peaks near 1 GB)
             r = _snf(_columns(rows, cols), len(rows))
-        ranks.append(r.rank)
-        torsion.append(tuple(f for f in r.factors if f > 1))
+            ranks.append(r.rank)
+            torsion.append(tuple(f for f in r.factors if f > 1))
+    empty = max_dim + 2 - len(ranks)  # maps with no columns: rank 0, no factors
+    ranks += [0] * empty
+    torsion += [()] * empty
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
     return counts, ranks, betti, torsion
 
@@ -348,65 +352,79 @@ def _join_homology(c: FlagComplex, parts: list[int], max_dim: int) -> tuple:
     a join), from those of the factors.
 
     Joins are folded one factor at a time from the empty complex, the
-    unit of the join.  Simplex counts convolve, with f_{-1} = 1 for the
-    empty face: f_k(A*B) = sum of f_i(A) f_j(B) over i + j = k - 1.
-    Reduced homology follows the join formula (Milnor, "Construction of
-    universal bundles II", 1956):
+    unit of the join, on vectors indexed by degree -1, 0, 1, ...
+    (shifted by one).  Simplex counts with f_{-1} = 1 for the empty face
+    and reduced free ranks with H~_{-1} = Z for the empty complex fold
+    alike, as plain convolutions of the shifted vectors:
+    f_k(A*B) = sum of f_i(A) f_j(B) over i + j = k - 1, and the free
+    part of the join formula (Milnor, "Construction of universal
+    bundles II", 1956),
 
         H~_{n+1}(A*B) = (+)_{i+j=n} H~_i(A) (x) H~_j(B)
                         (+) (+)_{i+j=n-1} Tor(H~_i(A), H~_j(B)),
 
-    with each group kept as a free rank and a list of cyclic orders:
-    free ranks multiply, Z/t (x) Z^b is b copies of Z/t, and both
-    Z/p (x) Z/q and Tor(Z/p, Z/q) are Z/gcd(p, q), while Tor vanishes
-    when either side is free.  A cone, a join with a single vertex, is
-    acyclic, so then no factor's homology is computed.  The boundary
-    ranks follow from r_0 = 0 and r_{k+1} = f_k - r_k - b_k.
+    multiplies free ranks.  Torsion is kept as lists of cyclic orders
+    for the degrees that carry any, and only those degrees are visited:
+    Z/t (x) Z^b is b copies of Z/t, and both Z/p (x) Z/q and
+    Tor(Z/p, Z/q) are Z/gcd(p, q), the latter one degree up, while Tor
+    vanishes when either side is free.  A cone, a join with a single
+    vertex, is acyclic, so then no factor's homology is computed.  The
+    boundary ranks follow from r_0 = 0 and r_{k+1} = f_k - r_k - b_k.
     """
-    size = max_dim + 2  # degrees -1..max_dim, shifted by one
-    faces = [1] + [0] * (size - 1)
-    free = [1] + [0] * (size - 1)  # H~_{-1} of the empty complex is Z
-    tors: list[list[int]] = [[] for _ in range(size)]
+    size = max_dim + 2
+    unit = [1] + [0] * (size - 1)  # the empty complex: f_{-1} = 1, H~_{-1} = Z
+    faces, free, tors = unit, unit, {}
     cone = any(not part & (part - 1) for part in parts)
     for part in parts:
-        if cone:
+        if cone:  # only the simplex counts are needed
             counts = _counts(_clique_levels(c, max_dim + 1, part), max_dim)
         else:
             counts, _, betti, torsion = _snf_homology(c, part, max_dim)
-            free, tors = _fold(free, tors, [0, betti[0] - 1, *betti[1:]], [(), *torsion])
-        g = [1, *counts]
-        faces = [sum(faces[i] * g[k - i] for i in range(k + 1)) for k in range(size)]
-    betti = [free[k + 1] + (k == 0) for k in range(max_dim + 1)]
-    torsion = [tuple(t for t in _divisor_chain([a for a in group if a > 1]) if t > 1)
-               for group in tors[1:]]
+            reduced = [0, betti[0] - 1, *betti[1:]]
+            tors = _fold_torsion(free, tors, reduced,
+                                 {k: group for k, group in enumerate(torsion, 1) if group})
+            free = _convolve(free, reduced)
+        faces = _convolve(faces, [1, *counts])
+    betti = free[1:]
+    betti[0] += 1
+    torsion = [()] * (max_dim + 1)
+    for k, group in tors.items():
+        torsion[k - 1] = tuple(t for t in _divisor_chain([a for a in group if a > 1]) if t > 1)
     ranks = [0]
     for f_k, b in zip(faces[1:], betti):
         ranks.append(f_k - ranks[-1] - b)
     return faces[1:], ranks, betti, torsion
 
 
-def _fold(free_a: list[int], tors_a: list, free_b: list[int], tors_b: list) -> tuple:
-    """The reduced homology of A*B from those of A and B, each given per
-    degree -1, 0, 1, ... (shifted by one, all cut at one length) as free
-    ranks and lists of cyclic orders, by the join formula."""
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) terms of the convolution of a and b, which is
+    at least as long: term k is the sum of a[p] b[k - p]."""
+    size = len(a)
+    out = [0] * size
+    for p, x in enumerate(a):
+        if x:
+            for q in range(size - p):
+                out[p + q] += x * b[q]
+    return out
+
+
+def _fold_torsion(free_a: list[int], tors_a: dict, free_b: list[int], tors_b: dict) -> dict:
+    """The torsion of A*B by the join formula, from the free ranks of A
+    and B per shifted degree and their torsion, lists of cyclic orders
+    keyed by the shifted degrees that carry any, all cut at one length."""
     size = len(free_a)
-    free = [0] * size
-    tors: list[list[int]] = [[] for _ in range(size)]
-    for p in range(size):
-        x, tx = free_a[p], tors_a[p]
-        for q in range(size - p):
-            y, ty = free_b[q], tors_b[q]
-            if y:
-                free[p + q] += x * y
-                tors[p + q] += tx * y
-            if x and ty:
-                tors[p + q] += ty * x
-            if tx and ty:
-                gcds = [gcd(u, v) for u in tx for v in ty]
-                tors[p + q] += gcds
-                if p + q + 1 < size:
-                    tors[p + q + 1] += gcds
-    return free, tors
+    out: dict[int, list[int]] = {}
+    for tors, free in ((tors_a, free_b), (tors_b, free_a)):
+        for p, group in tors.items():
+            for q, y in enumerate(free[:size - p]):
+                if y:  # Z/t (x) Z^y is y copies of Z/t
+                    out.setdefault(p + q, []).extend(group * y)
+    for p, group in tors_a.items():
+        for q, other in tors_b.items():
+            gcds = [gcd(u, v) for u in group for v in other]
+            for k in range(p + q, min(p + q + 2, size)):  # (x), and Tor one degree up
+                out.setdefault(k, []).extend(gcds)
+    return out
 
 
 def _report(max_dim: int, counts: list[int], ranks: list[int], betti: list[int],

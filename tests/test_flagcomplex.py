@@ -5,6 +5,7 @@ The clique enumerators are cross-checked against a brute-force oracle
 that tests every vertex subset directly.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -285,6 +286,25 @@ class TestCliqueEnumeration:
         assert len(qs) == 15
         assert all(len(q) == 2 for q in qs)
 
+    @pytest.mark.parametrize("walk", [
+        lambda c: _clique_levels(c, c.n_vertices),
+        lambda c: _clique_levels(c, 3, (1 << c.n_vertices) - 2),
+    ], ids=["levels", "levels-within"])
+    def test_a_walk_leaves_no_reference_cycle(self, c5, walk):
+        """The clique walk unbinds its nested helper, so the levels it
+        returns are freed with the caller's reference, not at the next
+        full collection: with gc off, a walk leaves nothing for
+        gc.collect() to find."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            walk(c5)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestFVector:
     def test_petersen(self, petersen):
@@ -336,6 +356,22 @@ class TestConnectivity:
             union |= m
         assert union == (1 << c.n_vertices) - 1
         assert is_connected(c) == (len(comps) <= 1)
+
+    @settings(max_examples=60)
+    @given(graphs(), st.data())
+    def test_components_inside_a_mask_are_the_induced_ones(self, g, data):
+        """Inside a vertex mask the components are those of the induced
+        subcomplex, mapped back to the ambient's bits and in the same
+        order; set self bits (as on a complement graph) change nothing."""
+        vs, pairs = g
+        c = flag_from_adjacency(vs, pairs)
+        full = (1 << c.n_vertices) - 1
+        within = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
+        sub = c._induced(within)
+        want = [sum(1 << i for i in c._indices(sub._ids(m))) for m in mask_components(sub._adj)]
+        assert mask_components(c._adj, within) == want
+        looped = [m | 1 << i for i, m in enumerate(c._adj)]
+        assert mask_components(looped, within) == want
 
     @settings(max_examples=60)
     @given(graphs())
