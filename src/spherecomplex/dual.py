@@ -154,7 +154,8 @@ class JoinDecomposition(_Join):
 
     __slots__ = ()
 
-    def __new__(cls, factors: tuple[ManifoldSignature, ...]):
+    def __new__(cls, factors: Iterable[ManifoldSignature]):
+        factors = tuple(factors)
         if tuple(sorted(factors)) != factors:
             raise ValueError("join factors not in canonical order")
         return super().__new__(cls, factors)

@@ -286,7 +286,10 @@ class FVector:
     def __eq__(self, other) -> bool:
         if isinstance(other, FVector):
             return self.counts == other.counts
-        return self.counts == tuple(other)
+        try:
+            return self.counts == tuple(other)
+        except TypeError:  # not iterable, as None or an int
+            return NotImplemented
 
     def __iter__(self):
         return iter(self.counts)

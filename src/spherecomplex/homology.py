@@ -32,23 +32,24 @@ spanning forest pairs every vertex but one per component with an edge
 (the collapse of discrete Morse theory, Forman 1998).  d_1 of a complex
 with triangles is still reduced.
 
-A flag complex is a join exactly when the complement of its graph is
-disconnected, and its factors are the complement's components; links of
-sphere systems are joins of the complexes of their complementary pieces.
-``betti_numbers`` reduces only the factors, each on the ambient's own
-masks: the clique walk (``_clique_levels``) and the d_1 rule
-(``mask_components``) both take the factor's vertex mask as their
-``within`` argument and stay inside it, so no factor complex is built.
-It combines them by the join formula (Milnor, "Construction of universal
-bundles II", 1956): H~_{n+1}(A*B) is the sum of H~_i(A) (x) H~_j(B) over
-i + j = n and of Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  Shifted by
-one degree, so that entry k stands for degree k - 1, the simplex counts
-with f_{-1} = 1 and the reduced free ranks with H~_{-1} = Z of the empty
-complex both join by one plain convolution: entry k of the join is the
-sum of a_p b_q over p + q = k.  Torsion is kept as lists of cyclic
-orders for the degrees that carry any, and comes only from copies of
-torsion (x) free, from the gcds of torsion pairs and from their Tor one
-degree up.  The boundary ranks follow from the counts and Betti numbers.
+Every flag complex is the join of the subcomplexes induced on the
+components of its complement graph; one that is not a join has a single
+such component and is a join of one factor.  Links of sphere systems
+are joins of the complexes of their complementary pieces.
+``betti_numbers`` reduces each factor on the ambient's own masks: the
+clique walk (``_clique_levels``) and the d_1 rule (``mask_components``)
+both take the factor's vertex mask as their ``within`` argument and stay
+inside it, so no factor complex is built.  It folds them by the join
+formula (Milnor, "Construction of universal bundles II", 1956):
+H~_{n+1}(A*B) is the sum of H~_i(A) (x) H~_j(B) over i + j = n and of
+Tor(H~_i(A), H~_j(B)) over i + j = n - 1.  Shifted by one degree, so
+that entry k stands for degree k - 1, the simplex counts with f_{-1} = 1
+and the reduced free ranks with H~_{-1} = Z of the empty complex both
+join by one plain convolution: entry k of the join is the sum of
+a_p b_q over p + q = k.  Torsion is kept as lists of cyclic orders for
+the degrees that carry any, and comes only from copies of torsion (x)
+free, from the gcds of torsion pairs and from their Tor one degree up.
+The boundary ranks follow from the counts and Betti numbers.
 """
 
 from __future__ import annotations
@@ -287,13 +288,9 @@ class HomologyReport(NamedTuple):
 def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     """Integer homology in dimensions 0..max_dim.
 
-    A join, a complex whose complement graph is disconnected, is read
-    off its factors (see ``_join_homology``).  Otherwise b_k =
-    (#k-simplices) - rank d_k - rank d_{k+1}, and torsion in H_k is read
-    off the invariant factors of d_{k+1}.  A map with no columns has
-    rank 0, and d_1 of a complex with no triangle has rank V - c with
-    every factor 1 (V vertices, c components), so neither is reduced;
-    a graph, or a join of graphs, needs no elimination at all.  No
+    Every complex is read off its join factors, the components of its
+    complement graph (one for a non-join), by one fold: see
+    ``_join_homology``, and ``_snf_homology`` for each factor.  No
     simplex reaches dimension n_vertices, so the report is computed up
     to there at most and padded with zeros.
     """
@@ -302,10 +299,7 @@ def betti_numbers(c: FlagComplex, max_dim: int) -> HomologyReport:
     top = min(max_dim, c.n_vertices)
     full = (1 << c.n_vertices) - 1
     parts = mask_components([full ^ m for m in c._adj])  # self bits are ignored
-    if len(parts) > 1:
-        r = _report(top, *_join_homology(c, parts, top))
-    else:
-        r = _report(top, *_snf_homology(c, full, top))
+    r = _report(top, *_join_homology(c, parts, top))
     if top == max_dim:
         return r
     zeros = (0,) * (max_dim - top)
@@ -321,9 +315,11 @@ def _counts(levels: list[list[int]], max_dim: int) -> list[int]:
 
 
 def _snf_homology(c: FlagComplex, within: int, max_dim: int) -> tuple:
-    """Simplex counts, boundary ranks, Betti numbers and torsion in
-    dimensions 0..max_dim of the subcomplex induced on the vertex mask
-    ``within``, reduced on the ambient's masks."""
+    """Simplex counts, Betti numbers and torsion in dimensions
+    0..max_dim of the join factor induced on the vertex mask ``within``,
+    reduced on the ambient's masks: b_k = (#k-simplices) - rank d_k -
+    rank d_{k+1}, and torsion in H_k is read off the invariant factors
+    of d_{k+1}."""
     levels = _clique_levels(c, max_dim + 2, within)
     counts = _counts(levels, max_dim)
     ranks, torsion = [0], []
@@ -342,14 +338,14 @@ def _snf_homology(c: FlagComplex, within: int, max_dim: int) -> tuple:
     ranks += [0] * empty
     torsion += [()] * empty
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1)]
-    return counts, ranks, betti, torsion
+    return counts, betti, torsion
 
 
 def _join_homology(c: FlagComplex, parts: list[int], max_dim: int) -> tuple:
     """Simplex counts, boundary ranks, Betti numbers and torsion of
     ``c``, the join of the subcomplexes induced on the vertex masks
     ``parts``, the components of its complement graph (so no factor is
-    a join), from those of the factors.
+    a join; a non-join has one), from those of the factors.
 
     Joins are folded one factor at a time from the empty complex, the
     unit of the join, on vectors indexed by degree -1, 0, 1, ...
@@ -368,7 +364,8 @@ def _join_homology(c: FlagComplex, parts: list[int], max_dim: int) -> tuple:
     Z/t (x) Z^b is b copies of Z/t, and both Z/p (x) Z/q and
     Tor(Z/p, Z/q) are Z/gcd(p, q), the latter one degree up, while Tor
     vanishes when either side is free.  A cone, a join with a single
-    vertex, is acyclic, so then no factor's homology is computed.  The
+    vertex, is acyclic, so then no factor's homology is computed.  H_0
+    is H~_0 + Z except in the empty complex, which has no factor.  The
     boundary ranks follow from r_0 = 0 and r_{k+1} = f_k - r_k - b_k.
     """
     size = max_dim + 2
@@ -379,14 +376,15 @@ def _join_homology(c: FlagComplex, parts: list[int], max_dim: int) -> tuple:
         if cone:  # only the simplex counts are needed
             counts = _counts(_clique_levels(c, max_dim + 1, part), max_dim)
         else:
-            counts, _, betti, torsion = _snf_homology(c, part, max_dim)
+            counts, betti, torsion = _snf_homology(c, part, max_dim)
             reduced = [0, betti[0] - 1, *betti[1:]]
             tors = _fold_torsion(free, tors, reduced,
                                  {k: group for k, group in enumerate(torsion, 1) if group})
             free = _convolve(free, reduced)
         faces = _convolve(faces, [1, *counts])
     betti = free[1:]
-    betti[0] += 1
+    if parts:
+        betti[0] += 1
     torsion = [()] * (max_dim + 1)
     for k, group in tors.items():
         torsion[k - 1] = tuple(t for t in _divisor_chain([a for a in group if a > 1]) if t > 1)

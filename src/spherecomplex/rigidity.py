@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .flagcomplex import (FlagComplex, _bits, _maximal_cliques, complex_id,
-                          is_connected, link_of, mask_components)
+from .flagcomplex import (FlagComplex, _bits, _link_mask, _maximal_cliques, complex_id,
+                          is_connected, mask_components)
 from .genus_zero import CaterpillarWindow, ManifoldSignature, _clusters, _laminar_tree
 from .pants import PantsDecomposition, SphereSystem, flip_partners
 from .search import VertexMap, _locally_injective_placements, automorphism_group
@@ -187,7 +187,7 @@ def detect_x_detectable(X_vertices: Iterable[str], ambient: FlagComplex,
         if a2 in flip_partners(P, a):
             other = tuple(sorted((P.members - {a}) | {a2}))
             if ambient.adjacent(a, a2):
-                raise AssertionError("flip-related spheres must intersect")
+                raise AssertionError("spheres one flip apart must intersect")
             return (q, other)
     return None
 
@@ -234,53 +234,47 @@ def _regions(sigma: SphereSystem):
 
 
 def link_equivalence_classes(sigma: SphereSystem) -> LinkClasses:
-    """Classes of the relation a ~ b on link(sigma): related when some
-    link sphere intersects both.  Transitivity is verified on the
-    instance and failure is a hard error; each class is annotated with
-    the complementary region it fills and that region's factor.
+    """Classes of the relation on link(sigma) where a ~ b when some link
+    sphere intersects both (a sphere intersects itself), in order of
+    their least member.  Its components are those of the link's
+    complement graph, the join factors ``betti_numbers`` reads off, and
+    come from one ``mask_components`` call inside the link's mask.
+    Transitivity, that each component is a class, is verified on the
+    instance with one reach mask per vertex, and failure is a hard
+    error; each class is annotated with the complementary region it
+    fills and that region's factor.
     """
+    c = sigma.complex
     clusters, regions = _regions(sigma)
-    table, position = _clusters(sigma.complex), {b: i for i, b in enumerate(clusters)}
-    lk = link_of(sigma.complex, sigma.members)
-    verts = lk.vertices
-    n = len(verts)
-
-    # a ~ b  iff  some c in the link is non-adjacent to both (c = a or
-    # c = b is allowed; adjacency is irreflexive, so the relation is
-    # reflexive by taking c = a); nonadj[i] therefore contains i
-    nonadj = []
-    full = (1 << n) - 1
-    for i, v in enumerate(verts):
-        nonadj.append(full & ~lk.adjacency_mask(v))
-    related = [0] * n
-    for i in range(n):
-        for j in range(i, n):
-            if nonadj[i] & nonadj[j]:
-                related[i] |= 1 << j
-                related[j] |= 1 << i
-
-    region_info = {key: (labels, spheres, boundary)
-                   for key, labels, spheres, boundary in regions}
+    table, position = _clusters(c), {b: i for i, b in enumerate(clusters)}
+    link = _link_mask(c, c._indices(sigma.members))
+    # the link spheres each vertex intersects, itself included (adjacency
+    # is irreflexive)
+    meets = [link & ~m for m in c._adj]
+    region_info = {key: info for key, *info in regions}
     classes = []
-    for comp in mask_components(related):
-        # transitivity: each component of ~ must be a clique of ~
+    for comp in mask_components(meets, link):
+        # transitivity: a ~ b for every b that a sphere a meets also
+        # meets, and so must hold for all b in its component
         for i in _bits(comp):
-            j = next(_bits(comp & ~related[i]), None)
+            reach = 0
+            for k in _bits(meets[i]):
+                reach |= meets[k]
+            j = next(_bits(comp & ~reach), None)
             if j is not None:
                 raise TransitivityError(
                     "link relation not transitive between %r and %r"
-                    % (verts[i], verts[j]))
-        members = tuple(verts[i] for i in _bits(comp))
+                    % (c.vertices[i], c.vertices[j]))
+        members = c._ids(comp)
         # each lies in the region of the least member cluster holding its own
         keys = {position.get(min([b for b in clusters if x & b == x], default=None))
-                for x in map(table.__getitem__, sigma.complex._indices(members))}
+                for x in map(table.__getitem__, _bits(comp))}
         if len(keys) != 1:
             raise TransitivityError(
                 "class %r spans several complementary regions" % (members,))
         labels, spheres, boundary = region_info[keys.pop()]
         classes.append(LinkClass(members, labels, spheres,
                                  ManifoldSignature(0, boundary)))
-    classes.sort(key=lambda cl: cl.members)
     return LinkClasses(tuple(classes))
 
 

@@ -323,6 +323,17 @@ class TestFVector:
         assert f_vector(empty).counts == (0,)
         assert f_vector(empty, max_dim=1).counts == (0, 0)
 
+    def test_equality_with_sequences_and_other_values(self, petersen):
+        """Equal to an f-vector or a sequence with the same counts, and
+        unequal to a value that is not iterable instead of raising."""
+        fv = f_vector(petersen)
+        assert fv == f_vector(petersen)
+        assert fv == (10, 15) and fv == [10, 15]
+        assert fv != (10, 16)
+        for other in (None, 25, 2.5):
+            assert not fv == other
+            assert fv != other
+
     @settings(max_examples=40)
     @given(graphs(max_n=7), st.integers(min_value=0, max_value=5))
     def test_counts_are_the_clique_levels(self, g, max_dim):

@@ -192,6 +192,17 @@ class TestJoinDecomposition:
         assert pickle.loads(pickle.dumps(join)) == join
         assert not hasattr(join, "__dict__")
 
+    def test_built_from_a_list(self):
+        """A sorted list is taken as the tuple it holds, directly and
+        through ``_replace``."""
+        a, b = ManifoldSignature(0, 4), ManifoldSignature(1, 2)
+        join = JoinDecomposition([a])
+        assert join == JoinDecomposition((a,))
+        assert type(join.factors) is tuple
+        assert join._replace(factors=[a, b]) == JoinDecomposition((a, b))
+        with pytest.raises(ValueError, match="canonical order"):
+            join._replace(factors=[b, a])
+
 
 class TestRigidityCertificate:
     def test_value_semantics(self):

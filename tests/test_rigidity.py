@@ -26,6 +26,7 @@ from spherecomplex import (
     PantsDecomposition,
     SpherePartition,
     SphereSystem,
+    TransitivityError,
     VertexMap,
     automorphism_group,
     build_caterpillar_window,
@@ -715,6 +716,32 @@ class TestLinkClasses:
         from spherecomplex import link_of
         lk = link_of(c6, [vid(6, 1, 2, 3)])
         assert sorted(seen) == sorted(lk.vertices)
+
+    def test_intransitive_relation_raises(self):
+        """Four link spheres whose complement graph is the path a-b-c-d:
+        a and d lie in one component, but no sphere meets both."""
+        a, b, c, d = ["p:1,%d|s=5" % k for k in (2, 3, 4, 5)]
+        cx = flag_from_adjacency([a, b, c, d], [(a, c), (a, d), (b, d)],
+                                 meta={"model": "genus-zero", "s": 5})
+        with pytest.raises(TransitivityError,
+                           match=r"^link relation not transitive between "
+                                 r"'p:1,2\|s=5' and 'p:1,5\|s=5'$"):
+            link_equivalence_classes(SphereSystem(cx, []))
+
+    def test_class_across_two_regions_raises(self, c6):
+        """With every edge between the two link classes of p:1,2,3
+        removed, the link's complement graph is connected and each
+        sphere meets every sphere of the other side, so the one class
+        is transitive but fills both complementary regions."""
+        sigma = [vid(6, 1, 2, 3)]
+        side = {v: k for k, cl in enumerate(
+            link_equivalence_classes(SphereSystem(c6, sigma)).classes) for v in cl.members}
+        assert sorted(set(side.values())) == [0, 1]
+        edges = [(u, v) for u, v in c6.edges()
+                 if not (u in side and v in side and side[u] != side[v])]
+        cut = flag_from_adjacency(c6.vertices, edges, meta=c6.meta)
+        with pytest.raises(TransitivityError, match="spans several complementary regions"):
+            link_equivalence_classes(SphereSystem(cut, sigma))
 
     @settings(max_examples=60)
     @given(st.integers(min_value=5, max_value=7), st.integers(min_value=0, max_value=10 ** 6))
